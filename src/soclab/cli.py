@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from math import prod
@@ -44,12 +45,27 @@ from .supermap import supermap_from_dict, supermap_from_process
 from .tensor import DEFAULT_EPS
 
 
+def _tolerance(text: str) -> float:
+    """A comparison tolerance: a finite number that is not negative."""
+    eps = float(text)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return eps
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _resolve_eps(args) -> float:
     if getattr(args, "eps", None) is not None:
         return args.eps
     env = os.environ.get("SOCLAB_EPS")
     if env is not None and env != "":
-        return float(env)
+        return _tolerance(env)
     return DEFAULT_EPS
 
 
@@ -139,7 +155,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _add_eps(sub) -> None:
-    sub.add_argument("--eps", type=float, default=None, help="comparison tolerance")
+    sub.add_argument("--eps", type=_tolerance, default=None, help="comparison tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="randomized checks with ancillas or shared states")
     pv.add_argument("claim", choices=["theorem1", "corollary1"])
     pv.add_argument("file")
-    pv.add_argument("--trials", type=int, default=20)
+    pv.add_argument("--trials", type=_positive_int, default=20)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--dims", type=int, default=2, help="ancilla or memory dimension")
     _add_eps(pv)
@@ -204,7 +220,7 @@ def main(argv=None) -> int:
     except (DimensionError, WireMismatchError, ReconstructionError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,9 @@ from math import hypot, prod, sqrt
 import numpy as np
 
 from .errors import DimensionError, ReconstructionError
-from .process import Process, apply_to_state, compose_par, compose_seq, identity_process
+from .process import Process, apply_to_state
 from .supermap import BipartiteSupermap, insert
-from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, kron, partial_trace, permute_subsystems
+from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, kron, link, partial_trace, permute_subsystems
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,19 @@ def make_strongly_nonsignalling(
         raise DimensionError(
             f"shared state on {shared.out_sys.dims} does not match memories {mem_a + mem_b}"
         )
-    a1 = System(psi_a.in_sys.dims[: psi_a.n_in - a_mem])
-    b1 = System(psi_b.in_sys.dims[b_mem:])
-    stage1 = compose_par(identity_process(a1), compose_par(shared, identity_process(b1)))
-    stage2 = compose_par(psi_a, psi_b)
-    return compose_seq(stage1, stage2)
+    a1 = psi_a.in_sys.dims[: psi_a.n_in - a_mem]
+    b1 = psi_b.in_sys.dims[b_mem:]
+    # Merge adjacent factors, which leaves the data as it is, so that the
+    # channels read [A1, memory..., A2] and [memory'..., B1, B2].
+    a_dims = (prod(a1),) + mem_a + (psi_a.out_sys.total,)
+    b_dims = mem_b + (prod(b1), psi_b.out_sys.total)
+    # Feed each half of the shared state into its channel's memory inputs.
+    # Free factors after the first link: [memory'..., A1, A2]; after the
+    # second, [A1, A2, B1, B2], gathered into [A1, B1, A2, B2].
+    c = link(shared.choi, mem_a + mem_b, range(a_mem), psi_a.choi, a_dims, range(1, 1 + a_mem))
+    c = link(c, mem_b + (a_dims[0], a_dims[-1]), range(b_mem), psi_b.choi, b_dims, range(b_mem), (0, 2, 1, 3))
+    cp = True if (shared.cp_flag and psi_a.cp_flag and psi_b.cp_flag) else None
+    return Process(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
 
 
 @dataclass(frozen=True)

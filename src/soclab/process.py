@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, frobenius_distance, is_psd, kron, permute_subsystems
+from .tensor import System, UNIT, as_matrix, frobenius_distance, is_psd, link, permute_subsystems
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,27 +121,18 @@ def compose_seq(f: Process, g: Process) -> Process:
     if f.out_sys.dims != g.in_sys.dims:
         raise WireMismatchError(f"cannot plug output {f.out_sys.dims} into input {g.in_sys.dims}")
     x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
-    f4 = f.choi.reshape(x, y, x, y)
-    g4 = g.choi.reshape(y, z, y, z)
-    c = np.einsum("apcq,psqt->asct", f4, g4).reshape(x * z, x * z)
+    c = link(f.choi, (x, y), [1], g.choi, (y, z), [0])
     cp = True if (f.cp_flag and g.cp_flag) else None
     return Process(f.in_sys, g.out_sys, c, cp_flag=cp)
 
 
 def compose_par(f: Process, g: Process) -> Process:
     """Place ``f`` and ``g`` side by side: inputs concatenate, outputs concatenate."""
-    raw = kron(f.choi, g.choi)
-    # kron order is [f.in, f.out, g.in, g.out]; gather into [ins | outs].
-    a, b, c, d = f.n_in, len(f.out_sys), g.n_in, len(g.out_sys)
-    dims = f.factor_dims + g.factor_dims
-    perm = (
-        list(range(a))
-        + list(range(a + b, a + b + c))
-        + list(range(a, a + b))
-        + list(range(a + b + c, a + b + c + d))
-    )
+    fd, gd = (f.in_sys.total, f.out_sys.total), (g.in_sys.total, g.out_sys.total)
+    # Free factors [f.in, f.out, g.in, g.out], gathered into [ins | outs].
+    c = link(f.choi, fd, [], g.choi, gd, [], (0, 2, 1, 3))
     cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm), cp_flag=cp)
+    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c, cp_flag=cp)
 
 
 def move_boundary(p: Process, n_in: int) -> Process:
@@ -205,9 +196,7 @@ def permute_output_factors(p: Process, perm: Sequence[int]) -> Process:
 def apply_to_state(f: Process, rho: np.ndarray) -> np.ndarray:
     """Evaluate the map on a concrete input matrix."""
     x, y = f.in_sys.total, f.out_sys.total
-    rho = as_matrix(rho, x)
-    f4 = f.choi.reshape(x, y, x, y)
-    return np.einsum("ij,imjn->mn", rho, f4)
+    return link(as_matrix(rho, x), (x,), [0], f.choi, (x, y), [0])
 
 
 def random_density(sys: System, seed=None) -> np.ndarray:
@@ -250,6 +239,8 @@ def process_from_dict(d: dict) -> Process:
         raise DimensionError(f"malformed process record: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionError("choi entries must be finite numbers")
     choi = arr[..., 0] + 1j * arr[..., 1]
     p = Process(in_sys, out_sys, choi)
     return Process(p.in_sys, p.out_sys, p.choi, cp_flag=True if is_psd(p.choi) else False)

@@ -18,18 +18,8 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import (
-    Process,
-    apply_to_state,
-    compose_par,
-    compose_seq,
-    move_boundary,
-    process_from_dict,
-    process_to_dict,
-    relabel,
-    rewire,
-)
-from .tensor import DEFAULT_EPS, System, kron, permute_subsystems
+from .process import Process, _omega, apply_to_state, process_from_dict, process_to_dict, relabel, rewire
+from .tensor import DEFAULT_EPS, System, kron, link, permute_subsystems
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +116,13 @@ def _split_groups(sys: System, first: int) -> tuple[tuple[int, ...], tuple[int, 
     return sys.dims[:first], sys.dims[first:]
 
 
+def _fit_holes(w: BipartiteSupermap, parts: tuple[int, ...], what: str) -> None:
+    """Check the dimensions of what goes into the holes ``[A1, A2, B1, B2]``."""
+    holes = [w.a_in, w.a_out, w.b_in, w.b_out]
+    if list(parts) != holes:
+        raise WireMismatchError(f"{what} {list(parts)} do not fit holes {holes}")
+
+
 def insert_with_ancilla(
     w: BipartiteSupermap,
     pa: Process,
@@ -146,53 +143,22 @@ def insert_with_ancilla(
     a_anc_out, a_slot_out = _split_groups(pa.out_sys, a_split[1])
     b_anc_in, b_slot_in = _split_groups(pb.in_sys, b_split[0])
     b_anc_out, b_slot_out = _split_groups(pb.out_sys, b_split[1])
-    expected = [
-        (prod(a_slot_in), w.a_in),
-        (prod(a_slot_out), w.a_out),
-        (prod(b_slot_in), w.b_in),
-        (prod(b_slot_out), w.b_out),
-    ]
-    if any(got != want for got, want in expected):
-        raise WireMismatchError(
-            f"slot parts {[g for g, _ in expected]} do not fit holes {[t for _, t in expected]}"
-        )
-
-    # Open the slot wires: keep each channel's ancilla inputs as inputs and
-    # bend everything else out, preserving factor order.
-    bent_a = move_boundary(pa, len(a_anc_in))
-    bent_b = move_boundary(pb, len(b_anc_in))
-    q = compose_par(bent_a, bent_b)
-
-    # q factor list: [aAncIn, bAncIn | aSlotIn, aAncOut, aSlotOut, bSlotIn, bAncOut, bSlotOut]
-    sizes = [
-        len(a_anc_in), len(b_anc_in),
-        len(a_slot_in), len(a_anc_out), len(a_slot_out),
-        len(b_slot_in), len(b_anc_out), len(b_slot_out),
-    ]
-    starts = np.cumsum([0] + sizes[:-1])
-    blk = {
-        name: list(range(starts[k], starts[k] + sizes[k]))
-        for k, name in enumerate(["aAncIn", "bAncIn", "aSlotIn", "aAncOut", "aSlotOut", "bSlotIn", "bAncOut", "bSlotOut"])
-    }
-    q = rewire(
-        q,
-        blk["aAncIn"] + blk["bAncIn"] + blk["aAncOut"] + blk["bAncOut"],
-        blk["aSlotIn"] + blk["aSlotOut"] + blk["bSlotIn"] + blk["bSlotOut"],
-    )
-    q = relabel(q, q.in_sys.dims, (w.a_in, w.a_out, w.b_in, w.b_out))
-    core = compose_seq(q, w.body)
-
-    # core: in [aAncIn, bAncIn, aAncOut, bAncOut], out [C1, C2]; route the
-    # ancilla outputs back to the output side and pull C1 in.
-    n_ai, n_bi = len(a_anc_in), len(b_anc_in)
-    n_ao, n_bo = len(a_anc_out), len(b_anc_out)
-    total_in = n_ai + n_bi + n_ao + n_bo
-    final = rewire(
-        core,
-        list(range(n_ai + n_bi)) + [total_in],
-        list(range(n_ai + n_bi, total_in)) + [total_in + 1],
-    )
-    return InsertionResult(final, eps=eps)
+    _fit_holes(w, (prod(a_slot_in), prod(a_slot_out), prod(b_slot_in), prod(b_slot_out)), "slot parts")
+    # Merge adjacent factors, which leaves the data as it is, so that each
+    # channel reads [ancilla in, slot in, ancilla out, slot out].
+    a_dims = (prod(a_anc_in), w.a_in, prod(a_anc_out), w.a_out)
+    b_dims = (prod(b_anc_in), w.b_in, prod(b_anc_out), w.b_out)
+    # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
+    # never formed.  Free factors after the first link:
+    # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
+    # [C1, C2, a in, a out, b in, b out], gathered into [a in, b in, C1 | a out, b out, C2].
+    c = link(w.body.choi, w.body.factor_dims, [0, 1], pa.choi, a_dims, [1, 3])
+    dims = (w.b_in, w.b_out, w.c_in, w.c_out, a_dims[0], a_dims[2])
+    c = link(c, dims, [0, 1], pb.choi, b_dims, [1, 3], (2, 4, 0, 3, 5, 1))
+    cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
+    in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
+    out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
+    return InsertionResult(Process(in_sys, out_sys, c, cp_flag=cp), eps=eps)
 
 
 def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:
@@ -215,40 +181,19 @@ def insert_merged(
     """
     a_in_fs, b_in_fs = _split_groups(phi.in_sys, in_split)
     a_out_fs, b_out_fs = _split_groups(phi.out_sys, out_split)
-    expected = [
-        (prod(a_in_fs), w.a_in),
-        (prod(a_out_fs), w.a_out),
-        (prod(b_in_fs), w.b_in),
-        (prod(b_out_fs), w.b_out),
-    ]
-    if any(got != want for got, want in expected):
-        raise WireMismatchError(
-            f"joint channel parts {[g for g, _ in expected]} do not fit holes {[t for _, t in expected]}"
-        )
-    # phi factor list: [aIn, bIn | aOut, bOut]; regroup to body slot order.
-    n_ai, n_bi, n_ao = len(a_in_fs), len(b_in_fs), len(a_out_fs)
-    n_bo = len(b_out_fs)
-    a_in_pos = list(range(n_ai))
-    b_in_pos = list(range(n_ai, n_ai + n_bi))
-    a_out_pos = list(range(n_ai + n_bi, n_ai + n_bi + n_ao))
-    b_out_pos = list(range(n_ai + n_bi + n_ao, n_ai + n_bi + n_ao + n_bo))
-    state = rewire(phi, [], a_in_pos + a_out_pos + b_in_pos + b_out_pos)
-    state = relabel(state, (), (w.a_in, w.a_out, w.b_in, w.b_out))
-    core = compose_seq(state, w.body)
-    final = rewire(core, [0], [1])
-    return InsertionResult(final, eps=eps)
-
-
-def _bell(d: int) -> np.ndarray:
-    v = np.eye(d, dtype=complex).ravel()
-    return np.outer(v, v)
+    _fit_holes(w, (prod(a_in_fs), prod(a_out_fs), prod(b_in_fs), prod(b_out_fs)), "joint channel parts")
+    # phi's factors merged per hole wire are [A1, B1, A2, B2].
+    phi_dims = (w.a_in, w.b_in, w.a_out, w.b_out)
+    c = link(w.body.choi, w.body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
+    cp = True if (phi.cp_flag and w.body.cp_flag) else None
+    return InsertionResult(Process(System((w.c_in,)), System((w.c_out,)), c, cp_flag=cp), eps=eps)
 
 
 def fixed_order_a_then_b(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the A channel first and pipes it into B."""
     if a_out != b_in:
         raise WireMismatchError(f"cannot pipe A output {a_out} into B input {b_in}")
-    raw = kron(_bell(a_in), _bell(a_out), _bell(b_out))
+    raw = kron(_omega(a_in), _omega(a_out), _omega(b_out))
     # kron factor order [A1, C1, A2, B1, B2, C2] -> [A1, A2, B1, B2, C1, C2]
     dims = (a_in, a_in, a_out, b_in, b_out, b_out)
     c = permute_subsystems(raw, dims, (0, 2, 3, 4, 1, 5))
@@ -260,7 +205,7 @@ def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> Bipart
     """The wiring that runs the B channel first and pipes it into A."""
     if b_out != a_in:
         raise WireMismatchError(f"cannot pipe B output {b_out} into A input {a_in}")
-    raw = kron(_bell(b_in), _bell(b_out), _bell(a_out))
+    raw = kron(_omega(b_in), _omega(b_out), _omega(a_out))
     # kron factor order [B1, C1, B2, A1, A2, C2] -> [A1, A2, B1, B2, C1, C2]
     dims = (b_in, b_in, b_out, a_in, a_out, a_out)
     c = permute_subsystems(raw, dims, (3, 4, 0, 2, 1, 5))
@@ -285,19 +230,6 @@ def mix(pairs) -> BipartiteSupermap:
     return BipartiteSupermap(body)
 
 
-def _adapter(pre: Process, post: Process) -> Process:
-    """Process mapping a hole argument of type ``pre.out -> post.in`` onto
-    the original slot wires ``pre.in -> post.out`` by pre/post composition."""
-    a1, x = pre.in_sys.total, pre.out_sys.total
-    y, a2 = post.in_sys.total, post.out_sys.total
-    pre_flat = relabel(pre, (a1,), (x,))
-    post_flat = relabel(post, (y,), (a2,))
-    raw = kron(pre_flat.choi, post_flat.choi)
-    c = permute_subsystems(raw, (a1, x, y, a2), (1, 2, 0, 3))
-    cp = True if (pre.cp_flag and post.cp_flag) else None
-    return Process(System((x, y)), System((a1, a2)), c, cp_flag=cp)
-
-
 def dress_slots(
     w: BipartiteSupermap,
     pre_a: Process,
@@ -307,14 +239,18 @@ def dress_slots(
 ) -> BipartiteSupermap:
     """Wrap each hole, so slot A now accepts channels ``pre_a.out -> post_a.in``
     and behaves like ``post_a . phi . pre_a`` fed to the original supermap."""
-    checks = [
-        (pre_a.in_sys.total, w.a_in), (post_a.out_sys.total, w.a_out),
-        (pre_b.in_sys.total, w.b_in), (post_b.out_sys.total, w.b_out),
-    ]
-    if any(got != want for got, want in checks):
-        raise WireMismatchError("dressing channels do not match the slot wires")
-    adapters = compose_par(_adapter(pre_a, post_a), _adapter(pre_b, post_b))
-    return BipartiteSupermap(compose_seq(adapters, w.body))
+    slot_ends = (pre_a.in_sys.total, post_a.out_sys.total, pre_b.in_sys.total, post_b.out_sys.total)
+    _fit_holes(w, slot_ends, "dressing channel ends")
+    # Contract the slot wires from the last one back, each with the matching
+    # end of its dressing channel; the wire that leaves goes to the front, so
+    # the last step leaves [x_a, y_a, x_b, y_b, C1, C2].
+    c, dims = w.body.choi, w.body.factor_dims
+    for ch, end in ((post_b, 1), (pre_b, 0), (post_a, 1), (pre_a, 0)):
+        ch_dims = (ch.in_sys.total, ch.out_sys.total)
+        c = link(c, dims, [3], ch.choi, ch_dims, [end], (5, 0, 1, 2, 3, 4))
+        dims = (ch_dims[1 - end],) + dims[:3] + dims[4:]
+    cp = True if all(p.cp_flag for p in (w.body, pre_a, post_a, pre_b, post_b)) else None
+    return BipartiteSupermap(Process(System(dims[:4]), w.body.out_sys, c, cp_flag=cp))
 
 
 def merged_slot_process(w: BipartiteSupermap) -> Process:

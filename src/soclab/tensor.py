@@ -74,6 +74,47 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
 
 
+def link(
+    p: np.ndarray,
+    p_dims: Sequence[int],
+    p_wires: Sequence[int],
+    q: np.ndarray,
+    q_dims: Sequence[int],
+    q_wires: Sequence[int],
+    order: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Contract factor ``p_wires[k]`` of ``p`` with factor ``q_wires[k]`` of ``q``.
+
+    Rows pair with rows and columns with columns, the package's composition
+    convention: ``c[a s, c t] = sum_pq p[a p, c q] q[p s, q t]``.  The free
+    factors of ``p`` then those of ``q`` make the result, permuted so that
+    its factor ``k`` is free factor ``order[k]``.  With no wires this is the
+    tensor product.  The result's side is checked against :data:`MAX_SIDE`
+    before anything is allocated.
+    """
+    p_dims, q_dims, p_wires, q_wires = tuple(p_dims), tuple(q_dims), tuple(p_wires), tuple(q_wires)
+    if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
+        raise DimensionError(f"cannot link wires {p_wires} of {p_dims} with wires {q_wires} of {q_dims}")
+    free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
+    side = prod(free)
+    if side > MAX_SIDE:
+        raise DimensionError(f"link result side {side} exceeds limit {MAX_SIDE}")
+    n, m = len(p_dims), len(q_dims)
+    pt, qt = p.reshape(p_dims + p_dims), q.reshape(q_dims + q_dims)
+    if p_wires:
+        axes = (p_wires + tuple(n + i for i in p_wires), q_wires + tuple(m + j for j in q_wires))
+        t = np.tensordot(pt, qt, axes=axes)
+    else:
+        # Exact products, as np.kron gives; a rank-one GEMM may round differently.
+        t = np.multiply.outer(pt, qt)
+    # t holds [p rows, p columns, q rows, q columns] of the free factors.
+    fp, nf = n - len(p_wires), len(free)
+    rows = [*range(fp), *range(2 * fp, fp + nf)]
+    cols = [*range(fp, 2 * fp), *range(fp + nf, 2 * nf)]
+    order = range(nf) if order is None else order
+    return t.transpose([rows[k] for k in order] + [cols[k] for k in order]).reshape(side, side)
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all factors not listed in ``keep``.
 

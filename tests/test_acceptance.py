@@ -6,6 +6,7 @@ run reads as a checklist.
 """
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_ancilla_closure(soc2_generators):
     for name, w in soc2_generators:
-        report = verify_theorem1(w, HarnessConfig(trials=100, seed=hash(name) % 10_000, ancilla_dim=2))
+        report = verify_theorem1(w, HarnessConfig(trials=100, seed=zlib.crc32(name.encode()) % 10_000, ancilla_dim=2))
         assert report.premise_holds, name
         assert report.all_causal, name
         assert report.max_residual <= 1e-9, (name, report.max_residual)
@@ -217,7 +218,7 @@ def test_criterion_4_ancilla_closure(soc2_generators):
 
 def test_criterion_5_shared_state_closure(soc2_generators):
     for name, w in soc2_generators:
-        report = verify_corollary1(w, HarnessConfig(trials=100, seed=hash(name) % 10_000, ancilla_dim=2))
+        report = verify_corollary1(w, HarnessConfig(trials=100, seed=zlib.crc32(name.encode()) % 10_000, ancilla_dim=2))
         assert report.premise_holds, name
         assert report.all_causal, name
         assert report.max_residual <= 1e-9, (name, report.max_residual)

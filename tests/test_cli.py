@@ -167,6 +167,30 @@ class TestErrorPaths:
         code, _, err = run(["classify", str(GOLDEN / "identity_channel.json")], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("value", ["-1e-3", "nan", "inf"])
+    def test_negative_or_non_finite_eps(self, value, monkeypatch, capsys):
+        target = str(GOLDEN / "identity_channel.json")
+        code, out, err = run(["classify", target, f"--eps={value}"], capsys)
+        assert code == 2 and not out and "tolerance" in err
+        monkeypatch.setenv("SOCLAB_EPS", value)
+        code, out, err = run(["classify", target], capsys)
+        assert code == 2 and not out and "tolerance" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_needs_at_least_one_trial(self, trials, capsys):
+        argv = ["verify", "theorem1", str(GOLDEN / "fixed_order_a_then_b.json"), "--trials", trials]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out and "positive integer" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_choi_is_a_malformed_file(self, bad, tmp_path, capsys):
+        record = json.loads((GOLDEN / "identity_channel.json").read_text())
+        record["choi"] = [[[bad, bad] for _ in row] for row in record["choi"]]
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(["classify", str(path)], capsys)
+        assert code == 3 and not out and "finite" in err
+
 
 class TestEpsPrecedence:
     @pytest.fixture

@@ -72,6 +72,15 @@ class TestTheorem1Harness:
         report = verify_theorem1(W_GOOD, cfg)
         assert report.all_causal
 
+    def test_qutrit_slots_with_qutrit_ancillas(self):
+        # Wire and ancilla dimension 3: filling once built pa (x) pb, a
+        # 6561-side matrix (about 690 MB); contracting each hole into the
+        # body in turn keeps every intermediate at most 729 on a side.
+        report = verify_theorem1(fixed_order_a_then_b(3, 3, 3, 3), HarnessConfig(trials=1, seed=0, ancilla_dim=3))
+        assert report.premise_holds
+        assert len(report.records) == 1 and report.all_causal
+        assert report.max_residual < 1e-9
+
     def test_extension_matches_direct_circuit(self):
         # One trial recomputed by hand on product states: the extended
         # insertion into the A-then-B wiring must act as pa's slot leg

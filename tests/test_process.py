@@ -56,6 +56,42 @@ def compose_seq_reference(f, g):
     return partial_trace(big, (x, y, z), keep=(0, 2))
 
 
+# The einsum and kron-then-permute compositions that compose_seq and
+# compose_par replaced, kept verbatim as differential references.
+def compose_seq_einsum(f, g):
+    """Run ``f`` then ``g`` (so the result is ``g`` after ``f``)."""
+    if f.out_sys.dims != g.in_sys.dims:
+        raise WireMismatchError(f"cannot plug output {f.out_sys.dims} into input {g.in_sys.dims}")
+    x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
+    f4 = f.choi.reshape(x, y, x, y)
+    g4 = g.choi.reshape(y, z, y, z)
+    c = np.einsum("apcq,psqt->asct", f4, g4).reshape(x * z, x * z)
+    cp = True if (f.cp_flag and g.cp_flag) else None
+    return Process(f.in_sys, g.out_sys, c, cp_flag=cp)
+
+
+def compose_par_kron(f, g):
+    """Place ``f`` and ``g`` side by side: inputs concatenate, outputs concatenate."""
+    raw = kron(f.choi, g.choi)
+    # kron order is [f.in, f.out, g.in, g.out]; gather into [ins | outs].
+    a, b, c, d = f.n_in, len(f.out_sys), g.n_in, len(g.out_sys)
+    dims = f.factor_dims + g.factor_dims
+    perm = (
+        list(range(a))
+        + list(range(a + b, a + b + c))
+        + list(range(a, a + b))
+        + list(range(a + b + c, a + b + c + d))
+    )
+    cp = True if (f.cp_flag and g.cp_flag) else None
+    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm), cp_flag=cp)
+
+
+def assert_same_process(got, want, tol=1e-12):
+    assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
+    assert got.cp_flag is want.cp_flag
+    assert np.linalg.norm(got.choi - want.choi) <= tol * max(1.0, np.linalg.norm(want.choi))
+
+
 class TestGenerators:
     def test_identity_choi_is_unnormalized_bell(self):
         expect = np.zeros((4, 4))
@@ -116,6 +152,19 @@ class TestComposition:
         got = compose_seq(f, g)
         assert np.allclose(got.choi, compose_seq_reference(f, g))
         assert got.in_sys.dims == (2, 2) and got.out_sys.dims == (2,)
+
+    @given(seeds, st.sampled_from([(2, 3, 2), (3, 2, 4), (4, 3, 1), (1, 2, 3)]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_seq_and_par_match_the_einsum_and_kron_references(self, seed, dims, causal):
+        rng = np.random.default_rng(seed)
+        x, y, z = (System((d,)) for d in dims)
+        if causal:
+            f, g = random_causal_channel(x, y, seed=rng), random_causal_channel(y, z, seed=rng)
+        else:
+            f, g = random_process(rng, x, y), random_process(rng, y, z)
+        assert_same_process(compose_seq(f, g), compose_seq_einsum(f, g))
+        assert_same_process(compose_par(f, g), compose_par_kron(f, g))
+        assert_same_process(compose_par(g, f), compose_par_kron(g, f))
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -277,4 +326,11 @@ class TestWireFormat:
     )
     def test_malformed_records_raise(self, record):
         with pytest.raises(DimensionError):
+            process_from_dict(record)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_raise(self, bad):
+        record = process_to_dict(identity_process(A))
+        record["choi"][1][2][1] = bad
+        with pytest.raises(DimensionError, match="finite"):
             process_from_dict(record)

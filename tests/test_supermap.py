@@ -1,20 +1,29 @@
+from math import prod
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_process import assert_same_process, compose_par_kron, compose_seq_einsum
 
 from soclab.errors import DimensionError, WireMismatchError
+from soclab.extras import quantum_switch
+from soclab.predicates import is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
     compose_par,
     compose_seq,
     identity_process,
+    move_boundary,
     processes_close,
     random_causal_channel,
+    relabel,
+    rewire,
     swap_process,
 )
 from soclab.supermap import (
     BipartiteSupermap,
+    _split_groups,
     dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
@@ -38,6 +47,128 @@ def random_process(rng, in_sys, out_sys):
     side = in_sys.total * out_sys.total
     m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     return Process(in_sys, out_sys, m)
+
+
+def insert_with_ancilla_reference(w, pa, pb, a_split=(0, 0), b_split=(0, 0)):
+    """The eight-block insertion that insert_with_ancilla replaced, kept
+    verbatim (on the einsum and kron compositions) as a differential
+    reference.  It builds pa (x) pb before meeting the body."""
+    a_anc_in, a_slot_in = _split_groups(pa.in_sys, a_split[0])
+    a_anc_out, a_slot_out = _split_groups(pa.out_sys, a_split[1])
+    b_anc_in, b_slot_in = _split_groups(pb.in_sys, b_split[0])
+    b_anc_out, b_slot_out = _split_groups(pb.out_sys, b_split[1])
+    expected = [
+        (prod(a_slot_in), w.a_in),
+        (prod(a_slot_out), w.a_out),
+        (prod(b_slot_in), w.b_in),
+        (prod(b_slot_out), w.b_out),
+    ]
+    if any(got != want for got, want in expected):
+        raise WireMismatchError(
+            f"slot parts {[g for g, _ in expected]} do not fit holes {[t for _, t in expected]}"
+        )
+
+    # Open the slot wires: keep each channel's ancilla inputs as inputs and
+    # bend everything else out, preserving factor order.
+    bent_a = move_boundary(pa, len(a_anc_in))
+    bent_b = move_boundary(pb, len(b_anc_in))
+    q = compose_par_kron(bent_a, bent_b)
+
+    # q factor list: [aAncIn, bAncIn | aSlotIn, aAncOut, aSlotOut, bSlotIn, bAncOut, bSlotOut]
+    sizes = [
+        len(a_anc_in), len(b_anc_in),
+        len(a_slot_in), len(a_anc_out), len(a_slot_out),
+        len(b_slot_in), len(b_anc_out), len(b_slot_out),
+    ]
+    starts = np.cumsum([0] + sizes[:-1])
+    blk = {
+        name: list(range(starts[k], starts[k] + sizes[k]))
+        for k, name in enumerate(["aAncIn", "bAncIn", "aSlotIn", "aAncOut", "aSlotOut", "bSlotIn", "bAncOut", "bSlotOut"])
+    }
+    q = rewire(
+        q,
+        blk["aAncIn"] + blk["bAncIn"] + blk["aAncOut"] + blk["bAncOut"],
+        blk["aSlotIn"] + blk["aSlotOut"] + blk["bSlotIn"] + blk["bSlotOut"],
+    )
+    q = relabel(q, q.in_sys.dims, (w.a_in, w.a_out, w.b_in, w.b_out))
+    core = compose_seq_einsum(q, w.body)
+
+    # core: in [aAncIn, bAncIn, aAncOut, bAncOut], out [C1, C2]; route the
+    # ancilla outputs back to the output side and pull C1 in.
+    n_ai, n_bi = len(a_anc_in), len(b_anc_in)
+    n_ao, n_bo = len(a_anc_out), len(b_anc_out)
+    total_in = n_ai + n_bi + n_ao + n_bo
+    return rewire(
+        core,
+        list(range(n_ai + n_bi)) + [total_in],
+        list(range(n_ai + n_bi, total_in)) + [total_in + 1],
+    )
+
+
+HETERO_DIMS = [(2, 3, 3, 2), (3, 2, 2, 4)]
+KINDS = ["a_then_b", "b_then_a", "switch"]
+
+
+def supermap_on(kind, dims, rng):
+    """A causality-preserving supermap of the given kind whose slots take
+    ``dims``: the fixed order itself where its wiring allows, else the
+    qubit one (or the qubit switch) dressed with random causal channels."""
+    a1, a2, b1, b2 = dims
+    if kind == "a_then_b" and a2 == b1:
+        return fixed_order_a_then_b(*dims)
+    if kind == "b_then_a" and b2 == a1:
+        return fixed_order_b_then_a(*dims)
+    base = {"a_then_b": fixed_order_a_then_b, "b_then_a": fixed_order_b_then_a}
+    w = base[kind](2, 2, 2, 2) if kind in base else quantum_switch(2)
+    chans = [
+        random_causal_channel(Q, System((a1,)), seed=rng),
+        random_causal_channel(System((a2,)), Q, seed=rng),
+        random_causal_channel(Q, System((b1,)), seed=rng),
+        random_causal_channel(System((b2,)), Q, seed=rng),
+    ]
+    return dress_slots(w, *chans)
+
+
+class TestLinkAgainstReference:
+    @given(
+        seeds,
+        st.sampled_from(KINDS),
+        st.sampled_from(HETERO_DIMS),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_insert_with_ancilla_matches_the_eight_block_reference(self, seed, kind, dims, m, a_split, b_split, causal):
+        # The reference forms pa (x) pb, of side m**wires * prod(dims); keep it small.
+        wires = sum(a_split) + sum(b_split)
+        assume(m**wires <= 16)
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        a1, a2, b1, b2 = dims
+
+        def arg(split, d_in, d_out):
+            ins, outs = System((m,) * split[0] + (d_in,)), System((m,) * split[1] + (d_out,))
+            return random_causal_channel(ins, outs, seed=rng) if causal else random_process(rng, ins, outs)
+
+        pa, pb = arg(a_split, a1, a2), arg(b_split, b1, b2)
+        got = insert_with_ancilla(w, pa, pb, a_split, b_split).process
+        assert_same_process(got, insert_with_ancilla_reference(w, pa, pb, a_split, b_split))
+        assert got.cp_flag is (True if causal else None)
+
+    @given(seeds, st.sampled_from(KINDS), st.sampled_from(HETERO_DIMS), st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_closed_form_and_oracle_agree(self, seed, kind, dims, spoil):
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        if spoil:
+            side = w.body.choi.shape[0]
+            bump = random_process(rng, w.body.in_sys, w.body.out_sys).choi
+            w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + (bump + bump.conj().T) / side))
+        closed, oracle = is_soc2(w), is_soc2_oracle(w)
+        assert closed.holds is oracle.holds is (not spoil)
+        assert abs(closed.residual - oracle.residual) <= 1e-9 * max(1.0, closed.residual)
 
 
 class TestFixedOrders:

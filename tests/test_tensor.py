@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from soclab.tensor import (
     is_hermitian,
     is_psd,
     kron,
+    link,
     partial_trace,
     permute_subsystems,
 )
@@ -60,6 +63,54 @@ class TestKron:
     def test_side_limit(self):
         with pytest.raises(DimensionError):
             kron(*[np.eye(2)] * 14)
+
+
+class TestLink:
+    def test_no_wires_is_kron(self):
+        rng = np.random.default_rng(0)
+        a, b = random_matrix(rng, 2), random_matrix(rng, 3)
+        assert np.array_equal(link(a, (2,), [], b, (3,), []), kron(a, b))
+        assert np.allclose(link(a, (2,), [], b, (3,), [], (1, 0)), kron(b, a), rtol=0, atol=1e-15)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_kron_then_trace_of_paired_wires(self, seed):
+        # Pairing factor 1 of p with factor 0 of q, rows with rows and columns
+        # with columns: c[a s, c t] = sum_kl p[a k, c l] q[k s, l t], summed
+        # here one (k, l) block at a time.
+        rng = np.random.default_rng(seed)
+        p, q = random_matrix(rng, 6), random_matrix(rng, 12)
+        p4, q6 = p.reshape(2, 3, 2, 3), q.reshape(3, 4, 3, 4)
+        want = np.zeros((2, 4, 2, 4), dtype=complex)
+        for k in range(3):
+            for l in range(3):
+                want += np.multiply.outer(p4[:, k, :, l], q6[k, :, l, :]).transpose(0, 2, 1, 3)
+        got = link(p, (2, 3), [1], q, (3, 4), [0])
+        assert np.allclose(got, want.reshape(8, 8), atol=1e-12)
+        swapped = link(p, (2, 3), [1], q, (3, 4), [0], (1, 0))
+        assert np.allclose(swapped, permute_subsystems(got, (2, 4), (1, 0)), atol=1e-12)
+
+    def test_rejects_mismatched_wires(self):
+        a = np.eye(6, dtype=complex)
+        with pytest.raises(DimensionError):
+            link(a, (2, 3), [0], a, (2, 3), [1])
+        with pytest.raises(DimensionError):
+            link(a, (2, 3), [0, 1], a, (2, 3), [0])
+        with pytest.raises(DimensionError):
+            link(a, (3, 2), [0], a, (2, 3), [0])
+
+    def test_side_limit_is_checked_before_allocation(self):
+        # The result would be 8281 x 8281 complex (about 1.1 GB); the check
+        # must fire while memory use stays at the size of the inputs.
+        a = np.eye(91, dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                link(a, (91,), [], a, (91,), [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPartialTrace:
