@@ -66,11 +66,18 @@ def spoiled_supermap() -> BipartiteSupermap:
     )
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=50)
+    ap.add_argument("--trials", type=positive_int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--ancilla-dim", type=int, default=2)
+    ap.add_argument("--ancilla-dim", type=positive_int, default=2)
     ap.add_argument("--mixes", type=int, default=3)
     ap.add_argument("--dressed", type=int, default=3)
     ap.add_argument("--skip-control", action="store_true",

@@ -1,33 +1,29 @@
 """Affine combinations of product channels.
 
 Bipartite non-signalling channels are exactly the affine hull of product
-channels.  This module realizes an affine combination as one concrete
-process, two ways: a wiring that distributes a diagonal pseudo-state (a
-classically correlated state whose weights may be negative) to a pair of
-controlled local channels, and a direct sum over terms.  The wiring route
-materializes matrices quadratic in the number of terms, so past a small
-term count the direct route is used; both agree exactly and the tests
-pin that.
+channels.  :func:`realize_affine` builds an affine combination as one
+concrete process by summing its product terms.  :func:`pseudo_state` and
+:func:`controlled_local_channel` are the parts of the other construction:
+a diagonal pseudo-state (a classically correlated state whose weights may
+be negative) routed to a pair of controlled local channels.  The tests wire
+those parts up and check that they give the same process.
 
 The inverse direction fits coefficients over a given spanning family of
-product channel pairs by constrained least squares.
+product channel pairs by constrained least squares, and reports whether
+the family falls short of the hull, whose dimension has a closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .predicates import _embed_identity
-from .process import Process, compose_par, compose_seq, identity_process, permute_output_factors, random_causal_channel, relabel
-from .tensor import System, UNIT, hermitian_basis, partial_trace
-
-WIRING_TERM_LIMIT = 16
+from .process import Process, _sides, compose_par, random_causal_channel, relabel
+from .tensor import System, UNIT
 
 
 def pseudo_state(coeffs: Sequence[float]) -> Process:
@@ -89,35 +85,22 @@ class AffineCombination:
         return tuple(r for r, _, _ in self.terms)
 
 
-def realize_affine(comb: AffineCombination, via: str = "auto") -> Process:
-    """Build the bipartite process ``sum_x r_x Phi_x (x) Psi_x``.
+def realize_affine(comb: AffineCombination) -> Process:
+    """Build the bipartite process ``sum_x r_x Phi_x (x) Psi_x`` on
+    ``A1 (x) B1 -> A2 (x) B2`` by summing the product terms.
 
-    ``via`` picks the construction: ``"wiring"`` routes a pseudo-state into
-    controlled channels, ``"direct"`` sums the product terms, ``"auto"``
-    uses the wiring only for small term counts.
+    It is flagged CP when every weight is non-negative and every channel is
+    flagged CP; otherwise positivity is left untracked.
     """
-    n = len(comb.terms)
-    if via == "auto":
-        via = "wiring" if n <= WIRING_TERM_LIMIT else "direct"
     _, f0, g0 = comb.terms[0]
     a1, a2 = f0.in_sys.total, f0.out_sys.total
     b1, b2 = g0.in_sys.total, g0.out_sys.total
-    in_sys, out_sys = System((a1, b1)), System((a2, b2))
-
-    if via == "direct":
-        acc = np.zeros((a1 * b1 * a2 * b2,) * 2, dtype=complex)
-        for r, f, g in comb.terms:
-            pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
-            acc = acc + r * pair.choi
-        return Process(in_sys, out_sys, acc)
-    if via != "wiring":
-        raise ValueError(f"unknown realization route {via!r}")
-
-    ctrl_a = controlled_local_channel([relabel(f, (a1,), (a2,)) for _, f, _ in comb.terms])
-    ctrl_b = controlled_local_channel([relabel(g, (b1,), (b2,)) for _, _, g in comb.terms])
-    prep = compose_par(pseudo_state(comb.coeffs), identity_process(in_sys))
-    arranged = permute_output_factors(prep, (0, 2, 1, 3))
-    return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
+    acc = np.zeros((a1 * b1 * a2 * b2,) * 2, dtype=complex)
+    for r, f, g in comb.terms:
+        pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
+        acc = acc + r * pair.choi
+    cp = all(r >= 0 and f.cp_flag and g.cp_flag for r, f, g in comb.terms)
+    return Process(System((a1, b1)), System((a2, b2)), acc, cp_flag=True if cp else None)
 
 
 @dataclass(frozen=True)
@@ -129,23 +112,14 @@ class DecompositionResult:
 
 @lru_cache(maxsize=None)
 def nonsignalling_direction_dim(ai: int, bi: int, ao: int, bo: int) -> int:
-    """Dimension of the affine hull of non-signalling channels, computed as
-    the nullity of the stacked causality and no-signalling constraints."""
-    side = ai * bi * ao * bo
-    basis = hermitian_basis(side)
-    cols = []
-    for h in basis:
-        t1 = partial_trace(h, (ai * bi, ao * bo), keep=(0,))
-        mb = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 2))
-        kb = partial_trace(mb, (ai, bi, ao), keep=(0, 2)) / bi
-        t2 = mb - _embed_identity(kb, (ai, ao), 1, bi)
-        ma = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 3))
-        ka = partial_trace(ma, (ai, bi, bo), keep=(1, 2)) / ai
-        t3 = ma - _embed_identity(ka, (bi, bo), 0, ai)
-        stacked = np.concatenate([t.ravel() for t in (t1, t2, t3)])
-        cols.append(np.concatenate([stacked.real, stacked.imag]))
-    rank = np.linalg.matrix_rank(np.stack(cols, axis=1))
-    return side * side - int(rank)
+    """Dimension of the affine hull of non-signalling channels.
+
+    That hull is the affine hull of the product channels.  One side's
+    causal channels span ``d_in**2 (d_out**2 - 1) + 1`` dimensions linearly,
+    so the products span the product of the two sides' counts; the affine
+    hull has one dimension less.
+    """
+    return (ai * ai * (ao * ao - 1) + 1) * (bi * bi * (bo * bo - 1) + 1) - 1
 
 
 def random_product_span(
@@ -180,10 +154,7 @@ def decompose_nonsignalling(
     pairs = list(span_pairs)
     if not pairs:
         raise DimensionError("need a non-empty spanning family")
-    ai = prod(f.in_sys.dims[:in_split])
-    bi = prod(f.in_sys.dims[in_split:])
-    ao = prod(f.out_sys.dims[:out_split])
-    bo = prod(f.out_sys.dims[out_split:])
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
     cols = []
     for phi, psi in pairs:
         if (

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from math import prod
 
 from .affine import decompose_nonsignalling, random_product_span
 from .dsl import evaluate
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
 from .predicates import is_causal, is_nonsignalling, is_soc, is_soc2
-from .process import process_from_dict, process_to_dict
+from .process import _sides, process_from_dict, process_to_dict
 from .supermap import supermap_from_dict, supermap_from_process
 from .tensor import DEFAULT_EPS
 
@@ -140,8 +139,7 @@ def _cmd_decompose(args) -> int:
     ins, outs = args.split
     if not (0 < ins < len(f.in_sys)) or not (0 < outs < len(f.out_sys)):
         raise DimensionError("both sides need at least one factor; check --split")
-    ai, bi = prod(f.in_sys.dims[:ins]), prod(f.in_sys.dims[ins:])
-    ao, bo = prod(f.out_sys.dims[:outs]), prod(f.out_sys.dims[outs:])
+    ai, bi, ao, bo = _sides(f, ins, outs)
     span = random_product_span(args.span_size, (ai, bi), (ao, bo), seed=args.seed)
     res = decompose_nonsignalling(f, span, in_split=ins, out_split=outs)
     _emit(
@@ -192,16 +190,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("file")
     pv.add_argument("--trials", type=_positive_int, default=20)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--dims", type=int, default=2, help="ancilla or memory dimension")
+    pv.add_argument("--dims", type=_positive_int, default=2, help="ancilla or memory dimension")
     _add_eps(pv)
     pv.set_defaults(func=_cmd_verify)
 
     pd = sub.add_parser("decompose", help="fit a channel as an affine mix of random product pairs")
     pd.add_argument("file")
-    pd.add_argument("--span-size", type=int, required=True)
+    pd.add_argument("--span-size", type=_positive_int, required=True)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--split", nargs=2, type=int, metavar=("IN", "OUT"), default=(1, 1))
-    pd.add_argument("--tol", type=float, default=1e-6)
+    pd.add_argument("--tol", type=_tolerance, default=1e-6)
     pd.set_defaults(func=_cmd_decompose)
 
     return ap

@@ -7,6 +7,10 @@ fails.  The hole-preservation checks come in two independent flavours: a
 closed form on the body's marginals, and an oracle that actually fills
 the holes with a spanning family of arguments and checks every output.
 Both compute the same residual up to floating point error.
+
+The no-signalling and order-preservation closed forms all ask one
+question of a marginal of the Choi matrix: does it act as the identity on
+one factor?  :func:`_defect` measures how far it is from doing so.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from math import hypot, prod, sqrt
 import numpy as np
 
 from .errors import DimensionError, ReconstructionError
-from .process import Process, apply_to_state
+from .process import Process, _sides, apply_to_state
 from .supermap import BipartiteSupermap, insert
-from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, kron, link, partial_trace, permute_subsystems
+from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,13 @@ class CausalVerdict:
         return self.holds
 
 
-def _embed_identity(small: np.ndarray, small_dims: tuple[int, ...], pos: int, d: int) -> np.ndarray:
-    """Insert an identity factor of size ``d`` at position ``pos``."""
-    raw = kron(np.eye(d, dtype=complex), small)
-    n = len(small_dims) + 1
-    perm = list(range(1, pos + 1)) + [0] + list(range(pos + 1, n))
-    return permute_subsystems(raw, (d,) + tuple(small_dims), perm)
+def _defect(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """``m - Tr_k(m)/d_k (x) I_k`` in ``m``'s own factor order: the part of
+    ``m`` that does not act as the identity on factor ``k``."""
+    left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
+    t = m.reshape(left, d, right, left, d, right)
+    mean = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :] / d
+    return (t - mean * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(m.shape)
 
 
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -58,24 +63,16 @@ def is_nonsignalling_b_to_a(f: Process, in_split: int = 1, out_split: int = 1, e
     ``f`` acts on a bipartite system; ``in_split``/``out_split`` count how
     many leading input/output factors belong to side A.
     """
-    ai = prod(f.in_sys.dims[:in_split])
-    bi = prod(f.in_sys.dims[in_split:])
-    ao = prod(f.out_sys.dims[:out_split])
-    bo = prod(f.out_sys.dims[out_split:])
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
     m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 2))
-    k = partial_trace(m, (ai, bi, ao), keep=(0, 2)) / bi
-    residual = frobenius_distance(m, _embed_identity(k, (ai, ao), 1, bi))
+    residual = float(np.linalg.norm(_defect(m, (ai, bi, ao), 1)))
     return CausalVerdict(residual <= eps, residual, None)
 
 
 def is_nonsignalling_a_to_b(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    ai = prod(f.in_sys.dims[:in_split])
-    bi = prod(f.in_sys.dims[in_split:])
-    ao = prod(f.out_sys.dims[:out_split])
-    bo = prod(f.out_sys.dims[out_split:])
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
     m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 3))
-    k = partial_trace(m, (ai, bi, bo), keep=(1, 2)) / ai
-    residual = frobenius_distance(m, _embed_identity(k, (bi, bo), 0, ai))
+    residual = float(np.linalg.norm(_defect(m, (ai, bi, bo), 0)))
     return CausalVerdict(residual <= eps, residual, None)
 
 
@@ -161,14 +158,10 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     ``out_split``).  Holds iff filling the hole with any causal channel
     yields a causal channel.
     """
-    si = prod(w.in_sys.dims[:in_split])
-    so = prod(w.in_sys.dims[in_split:])
-    ci = prod(w.out_sys.dims[:out_split])
-    co = prod(w.out_sys.dims[out_split:])
+    si, so, ci, co = _sides(w, in_split, out_split)
     m = partial_trace(w.choi, (si, so, ci, co), keep=(0, 1, 2))
-    n = partial_trace(m, (si, so, ci), keep=(0, 2)) / so
-    gap_slot = frobenius_distance(m, _embed_identity(n, (si, ci), 1, so))
-    gap_norm = frobenius_distance(partial_trace(n, (si, ci), keep=(1,)), np.eye(ci))
+    gap_slot = float(np.linalg.norm(_defect(m, (si, so, ci), 1)))
+    gap_norm = frobenius_distance(partial_trace(m, (si, so, ci), keep=(2,)) / so, np.eye(ci))
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None)
 
@@ -176,53 +169,35 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
 def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Same predicate as :func:`is_soc`, decided by exhausting an affine
     basis of causal arguments through the hole and checking every output."""
-    si = prod(w.in_sys.dims[:in_split])
-    so = prod(w.in_sys.dims[in_split:])
-    ci = prod(w.out_sys.dims[:out_split])
-    co = prod(w.out_sys.dims[out_split:])
+    si, so, ci, co = _sides(w, in_split, out_split)
     basis = causal_affine_basis(si, so)
 
     def witness(x):
         out = Process(System((ci,)), System((co,)), apply_to_state(w, x))
         return is_causal(out, eps).witness
 
-    w0 = witness(basis.base)
-    total = float(np.linalg.norm(w0)) ** 2
-    for d in basis.directions:
-        total += float(np.linalg.norm(witness(basis.base + d) - w0)) ** 2
-    residual = sqrt(total)
+    wit = np.array([witness(basis.base)] + [witness(basis.base + d) for d in basis.directions])
+    # The base point's witness, then each direction's change from it.
+    wit[1:] -= wit[:1]
+    residual = float(np.linalg.norm(wit))
     return CausalVerdict(residual <= eps, residual, None)
 
 
 def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Two-hole order preservation: every pair of causal fillings (applied
     to either hole independently) must come out causal.  Closed form."""
-    a1, a2, b1, b2 = w.a_in, w.a_out, w.b_in, w.b_out
-    c1 = w.c_in
-    m = partial_trace(w.body.choi, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
+    a1, a2, b1, b2, c1 = w.a_in, w.a_out, w.b_in, w.b_out, w.c_in
     d5 = (a1, a2, b1, b2, c1)
+    m = partial_trace(w.body.choi, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
 
-    ma = partial_trace(m, d5, keep=(0, 1, 4)) / b2
-    na = partial_trace(ma, (a1, a2, c1), keep=(0, 2)) / a2
-    gap_a = frobenius_distance(ma, _embed_identity(na, (a1, c1), 1, a2))
-
-    mb = partial_trace(m, d5, keep=(2, 3, 4)) / a2
-    nb = partial_trace(mb, (b1, b2, c1), keep=(0, 2)) / b2
-    gap_b = frobenius_distance(mb, _embed_identity(nb, (b1, c1), 1, b2))
-
+    gap_a = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1)))
+    gap_b = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1)))
     # The overall normalization gap is shared between the two sides, so it
-    # is counted once (Tr over A1 of na equals Tr over B1 of nb identically).
-    gap_norm = frobenius_distance(partial_trace(na, (a1, c1), keep=(1,)), np.eye(c1))
-
-    pa = _embed_identity(partial_trace(m, d5, keep=(0, 2, 3, 4)) / a2, (a1, b1, b2, c1), 1, a2)
-    pb = _embed_identity(partial_trace(m, d5, keep=(0, 1, 2, 4)) / b2, (a1, a2, b1, c1), 3, b2)
-    papb = _embed_identity(
-        _embed_identity(partial_trace(m, d5, keep=(0, 2, 4)) / (a2 * b2), (a1, b1, c1), 2, b2),
-        (a1, b1, b2, c1),
-        1,
-        a2,
-    )
-    gap_cross = float(np.linalg.norm(m - pa - pb + papb))
+    # is counted once.
+    gap_norm = frobenius_distance(partial_trace(m, d5, keep=(4,)) / (a2 * b2), np.eye(c1))
+    # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
+    # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
+    gap_cross = float(np.linalg.norm(_defect(_defect(m, d5, 3), d5, 1)))
 
     residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
     return CausalVerdict(residual <= eps, float(residual), None)
@@ -235,23 +210,15 @@ def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerd
     basis_b = causal_affine_basis(w.b_in, w.b_out)
     args_a = [basis_a.base] + [basis_a.base + d for d in basis_a.directions]
     args_b = [basis_b.base] + [basis_b.base + d for d in basis_b.directions]
-
-    wit = np.empty((len(args_a), len(args_b)), dtype=object)
-    for i, xa in enumerate(args_a):
-        pa = Process(System((w.a_in,)), System((w.a_out,)), xa)
-        for j, xb in enumerate(args_b):
-            pb = Process(System((w.b_in,)), System((w.b_out,)), xb)
-            wit[i, j] = insert(w, pa, pb, eps=eps).causal.witness
-
-    total = float(np.linalg.norm(wit[0, 0])) ** 2
-    for i in range(1, len(args_a)):
-        total += float(np.linalg.norm(wit[i, 0] - wit[0, 0])) ** 2
-    for j in range(1, len(args_b)):
-        total += float(np.linalg.norm(wit[0, j] - wit[0, 0])) ** 2
-    for i in range(1, len(args_a)):
-        for j in range(1, len(args_b)):
-            total += float(np.linalg.norm(wit[i, j] - wit[i, 0] - wit[0, j] + wit[0, 0])) ** 2
-    residual = sqrt(total)
+    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in args_a]
+    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in args_b]
+    wit = np.array([[insert(w, pa, pb, eps=eps).causal.witness for pb in procs_b] for pa in procs_a])
+    # Successive differences leave the base pair's witness at [0, 0], each
+    # hole's first-order changes along the edges, and the mixed second
+    # differences inside.
+    wit[1:] -= wit[:1]
+    wit[:, 1:] -= wit[:, :1]
+    residual = float(np.linalg.norm(wit))
     return CausalVerdict(residual <= eps, residual, None)
 
 

@@ -166,6 +166,13 @@ def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Proc
     return Process(System(tuple(in_dims)), System(tuple(out_dims)), p.choi, cp_flag=p.cp_flag)
 
 
+def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, int]:
+    """Totals ``(A-in, B-in, A-out, B-out)`` of ``p`` read as a bipartite
+    map whose first ``in_split`` inputs and ``out_split`` outputs are A's."""
+    ins, outs = p.in_sys.dims, p.out_sys.dims
+    return prod(ins[:in_split]), prod(ins[in_split:]), prod(outs[:out_split]), prod(outs[out_split:])
+
+
 def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]) -> Process:
     """Pick a new input/output split of the factor list, in any order.
 

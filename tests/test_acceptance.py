@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_affine import realize_by_wiring
 
 from soclab.affine import (
     AffineCombination,
@@ -247,8 +248,8 @@ def test_criterion_6_pseudo_state_extension(soc2_generators):
 
     for comb in combos:
         assert any(c < 0 for c in comb.coeffs)
-        wired = realize_affine(comb, via="wiring")
-        direct = realize_affine(comb, via="direct")
+        wired = realize_by_wiring(comb)
+        direct = realize_affine(comb)
         assert processes_close(wired, direct, eps=1e-9)
         assert is_causal(wired).holds
         assert is_nonsignalling(wired).holds
@@ -267,8 +268,7 @@ def test_criterion_6_pseudo_state_extension(soc2_generators):
         res = decompose_nonsignalling(f, span)
         assert res.residual <= 1e-6
         rebuilt = realize_affine(
-            AffineCombination(tuple((c, a, b) for c, (a, b) in zip(res.coeffs, span))),
-            via="direct",
+            AffineCombination(tuple((c, a, b) for c, (a, b) in zip(res.coeffs, span)))
         )
         assert frobenius_distance(rebuilt.choi, f.choi) <= 1e-6
     print("criterion 6 (pseudo-state extension and round trip): PASS")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_predicates import _embed_identity
 
 from soclab.affine import (
     AffineCombination,
@@ -13,14 +14,19 @@ from soclab.affine import (
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.predicates import is_causal, is_nonsignalling
 from soclab.process import (
+    Process,
     apply_to_state,
     channel_from_unitary,
     compose_par,
+    compose_seq,
+    identity_process,
+    permute_output_factors,
     processes_close,
     random_causal_channel,
     random_density,
+    relabel,
 )
-from soclab.tensor import System, is_psd
+from soclab.tensor import System, hermitian_basis, is_psd, partial_trace
 
 
 def random_combination(rng, n, dims=(2, 2, 2, 2)):
@@ -33,6 +39,40 @@ def random_combination(rng, n, dims=(2, 2, 2, 2)):
         g = random_causal_channel(System((b1,)), System((b2,)), seed=rng)
         terms.append((float(raw[x]), f, g))
     return AffineCombination(tuple(terms))
+
+
+def realize_by_wiring(comb):
+    """The pseudo-state wiring, kept as a reference for realize_affine: the
+    diagonal pseudo-state's two registers control one local channel each."""
+    _, f0, g0 = comb.terms[0]
+    a1, a2 = f0.in_sys.total, f0.out_sys.total
+    b1, b2 = g0.in_sys.total, g0.out_sys.total
+    ctrl_a = controlled_local_channel([relabel(f, (a1,), (a2,)) for _, f, _ in comb.terms])
+    ctrl_b = controlled_local_channel([relabel(g, (b1,), (b2,)) for _, _, g in comb.terms])
+    prep = compose_par(pseudo_state(comb.coeffs), identity_process(System((a1, b1))))
+    arranged = permute_output_factors(prep, (0, 2, 1, 3))
+    return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
+
+
+def nonsignalling_direction_dim_by_rank(ai, bi, ao, bo):
+    """The numerical rank that nonsignalling_direction_dim replaced, kept
+    verbatim as the closed form's oracle: the nullity of the stacked
+    causality and no-signalling constraints."""
+    side = ai * bi * ao * bo
+    basis = hermitian_basis(side)
+    cols = []
+    for h in basis:
+        t1 = partial_trace(h, (ai * bi, ao * bo), keep=(0,))
+        mb = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 2))
+        kb = partial_trace(mb, (ai, bi, ao), keep=(0, 2)) / bi
+        t2 = mb - _embed_identity(kb, (ai, ao), 1, bi)
+        ma = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 3))
+        ka = partial_trace(ma, (ai, bi, bo), keep=(1, 2)) / ai
+        t3 = ma - _embed_identity(ka, (bi, bo), 0, ai)
+        stacked = np.concatenate([t.ravel() for t in (t1, t2, t3)])
+        cols.append(np.concatenate([stacked.real, stacked.imag]))
+    rank = np.linalg.matrix_rank(np.stack(cols, axis=1))
+    return side * side - int(rank)
 
 
 class TestPseudoState:
@@ -96,18 +136,30 @@ class TestRealize:
         rng = np.random.default_rng(11)
         for n in (1, 2, 5):
             comb = random_combination(rng, n)
-            wired = realize_affine(comb, via="wiring")
-            direct = realize_affine(comb, via="direct")
+            wired = realize_by_wiring(comb)
+            direct = realize_affine(comb)
             assert processes_close(wired, direct, eps=1e-9)
+            assert direct.cp_flag == wired.cp_flag
 
     def test_routes_agree_heterogeneous(self):
         rng = np.random.default_rng(12)
         comb = random_combination(rng, 3, dims=(2, 3, 3, 2))
-        wired = realize_affine(comb, via="wiring")
-        direct = realize_affine(comb, via="direct")
+        wired = realize_by_wiring(comb)
+        direct = realize_affine(comb)
         assert processes_close(wired, direct, eps=1e-9)
-        assert wired.in_sys.dims == (2, 3)
-        assert wired.out_sys.dims == (3, 2)
+        assert direct.cp_flag == wired.cp_flag
+        assert wired.in_sys.dims == direct.in_sys.dims == (2, 3)
+        assert wired.out_sys.dims == direct.out_sys.dims == (3, 2)
+
+    def test_cp_flag_follows_weights_and_channels(self):
+        rng = np.random.default_rng(17)
+        f, g, h = (random_causal_channel(System((2,)), System((2,)), seed=rng) for _ in range(3))
+        convex = AffineCombination(((0.25, f, g), (0.75, g, h)))
+        affine = AffineCombination(((1.5, f, g), (-0.5, g, h)))
+        unflagged = AffineCombination(((0.25, f, g), (0.75, Process(g.in_sys, g.out_sys, g.choi), h)))
+        for comb, want in ((convex, True), (affine, None), (unflagged, None)):
+            assert realize_affine(comb).cp_flag is want
+            assert realize_by_wiring(comb).cp_flag is want
 
     def test_convex_case_acts_pointwise(self):
         rng = np.random.default_rng(13)
@@ -136,12 +188,6 @@ class TestRealize:
         w = realize_affine(comb)
         assert is_nonsignalling(w)
 
-    def test_unknown_route_rejected(self):
-        rng = np.random.default_rng(16)
-        comb = random_combination(rng, 2)
-        with pytest.raises(ValueError):
-            realize_affine(comb, via="sideways")
-
     def test_coefficients_validated(self):
         f = random_causal_channel(System((2,)), System((2,)), seed=0)
         with pytest.raises(DimensionError):
@@ -154,6 +200,12 @@ class TestRealize:
 class TestDirectionDimension:
     def test_all_qubit_value(self):
         assert nonsignalling_direction_dim(2, 2, 2, 2) == 168
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 2, 2), (2, 2, 2, 1), (2, 3, 2, 2), (1, 1, 1, 1), (2, 2, 1, 1), (1, 1, 2, 3), (3, 1, 1, 3)]
+    )
+    def test_closed_form_matches_the_rank(self, shape):
+        assert nonsignalling_direction_dim(*shape) == nonsignalling_direction_dim_by_rank(*shape)
 
     def test_counting_formula(self):
         # independent vanishing coordinates in a product basis:
@@ -218,8 +270,7 @@ class TestDecompose:
         res = decompose_nonsignalling(target, span)
         assert res.residual < 1e-7
         rebuilt = realize_affine(
-            AffineCombination(tuple((c, f, g) for c, (f, g) in zip(res.coeffs, span))),
-            via="direct",
+            AffineCombination(tuple((c, f, g) for c, (f, g) in zip(res.coeffs, span)))
         )
         assert processes_close(rebuilt, target, eps=1e-7)
 

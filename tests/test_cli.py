@@ -182,6 +182,21 @@ class TestErrorPaths:
         code, out, err = run(argv, capsys)
         assert code == 2 and not out and "positive integer" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "theorem1", "fixed_order_a_then_b.json", "--trials", "1", "--dims", "0"], "positive integer"),
+            (["decompose", "ns_mix.json", "--span-size", "0"], "positive integer"),
+            (["decompose", "ns_mix.json", "--span-size", "180", "--tol", "nan"], "tolerance"),
+            (["decompose", "ns_mix.json", "--span-size", "180", "--tol", "-1"], "tolerance"),
+        ],
+        ids=["dims-0", "span-size-0", "tol-nan", "tol-negative"],
+    )
+    def test_bad_sizes_and_tolerances_are_argument_errors(self, argv, message, capsys):
+        argv = [str(GOLDEN / a) if (GOLDEN / a).exists() else a for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out and message in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_choi_is_a_malformed_file(self, bad, tmp_path, capsys):
         record = json.loads((GOLDEN / "identity_channel.json").read_text())

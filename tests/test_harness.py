@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +165,26 @@ class TestReportFormat:
         rec = TrialRecord(0, True, 0.0, 99)
         rep = HarnessReport("soc2", True, 0.0, (rec,))
         assert rep.all_causal and rep.max_residual == 0.0
+
+
+class TestVerificationScript:
+    SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
+
+    def run_script(self, *args):
+        return subprocess.run([sys.executable, str(self.SCRIPT), *args], capture_output=True, text=True)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--ancilla-dim"])
+    def test_zero_trials_or_ancilla_dim_is_an_argument_error(self, flag):
+        proc = self.run_script(flag, "0", "--mixes", "0", "--dressed", "0")
+        assert proc.returncode == 2
+        assert not proc.stdout and "positive integer" in proc.stderr
+
+    def test_one_trial_runs_the_fixed_orders_and_the_control(self):
+        proc = self.run_script("--trials", "1", "--mixes", "0", "--dressed", "0")
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [(r["generator"], r["all_causal"]) for r in lines if r["check"] == "ancilla_pairs"] == [
+            ("a_then_b", True),
+            ("b_then_a", True),
+            ("corrupted_control", False),
+        ]

@@ -1,3 +1,5 @@
+from math import hypot, prod, sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from soclab.errors import DimensionError, ReconstructionError
 from soclab.predicates import (
+    CausalVerdict,
     causal_affine_basis,
     is_causal,
     is_nonsignalling,
@@ -31,6 +34,7 @@ from soclab.process import (
     swap_process,
 )
 from soclab.supermap import (
+    BipartiteSupermap,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
     insert,
@@ -39,7 +43,7 @@ from soclab.supermap import (
     mix,
     supermap_from_process,
 )
-from soclab.tensor import System, is_psd, kron
+from soclab.tensor import DEFAULT_EPS, System, frobenius_distance, is_psd, kron, partial_trace, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -64,6 +68,116 @@ def classical_copy_channel():
             k[i, b] = 1
             kraus.append(kron(e_i, k))
     return channel_from_kraus(kraus, System((2, 2)), System((2, 2)))
+
+
+# The identity-embedding closed forms that the factor-defect ones replaced,
+# kept verbatim as differential references.
+def _embed_identity(small: np.ndarray, small_dims: tuple[int, ...], pos: int, d: int) -> np.ndarray:
+    """Insert an identity factor of size ``d`` at position ``pos``."""
+    raw = kron(np.eye(d, dtype=complex), small)
+    n = len(small_dims) + 1
+    perm = list(range(1, pos + 1)) + [0] + list(range(pos + 1, n))
+    return permute_subsystems(raw, (d,) + tuple(small_dims), perm)
+
+
+def is_nonsignalling_b_to_a_reference(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    ai = prod(f.in_sys.dims[:in_split])
+    bi = prod(f.in_sys.dims[in_split:])
+    ao = prod(f.out_sys.dims[:out_split])
+    bo = prod(f.out_sys.dims[out_split:])
+    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 2))
+    k = partial_trace(m, (ai, bi, ao), keep=(0, 2)) / bi
+    residual = frobenius_distance(m, _embed_identity(k, (ai, ao), 1, bi))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+def is_nonsignalling_a_to_b_reference(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    ai = prod(f.in_sys.dims[:in_split])
+    bi = prod(f.in_sys.dims[in_split:])
+    ao = prod(f.out_sys.dims[:out_split])
+    bo = prod(f.out_sys.dims[out_split:])
+    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 3))
+    k = partial_trace(m, (ai, bi, bo), keep=(1, 2)) / ai
+    residual = frobenius_distance(m, _embed_identity(k, (bi, bo), 0, ai))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+def is_soc_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    si = prod(w.in_sys.dims[:in_split])
+    so = prod(w.in_sys.dims[in_split:])
+    ci = prod(w.out_sys.dims[:out_split])
+    co = prod(w.out_sys.dims[out_split:])
+    m = partial_trace(w.choi, (si, so, ci, co), keep=(0, 1, 2))
+    n = partial_trace(m, (si, so, ci), keep=(0, 2)) / so
+    gap_slot = frobenius_distance(m, _embed_identity(n, (si, ci), 1, so))
+    gap_norm = frobenius_distance(partial_trace(n, (si, ci), keep=(1,)), np.eye(ci))
+    residual = hypot(gap_slot, gap_norm)
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+def is_soc2_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    a1, a2, b1, b2 = w.a_in, w.a_out, w.b_in, w.b_out
+    c1 = w.c_in
+    m = partial_trace(w.body.choi, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
+    d5 = (a1, a2, b1, b2, c1)
+
+    ma = partial_trace(m, d5, keep=(0, 1, 4)) / b2
+    na = partial_trace(ma, (a1, a2, c1), keep=(0, 2)) / a2
+    gap_a = frobenius_distance(ma, _embed_identity(na, (a1, c1), 1, a2))
+
+    mb = partial_trace(m, d5, keep=(2, 3, 4)) / a2
+    nb = partial_trace(mb, (b1, b2, c1), keep=(0, 2)) / b2
+    gap_b = frobenius_distance(mb, _embed_identity(nb, (b1, c1), 1, b2))
+
+    # The overall normalization gap is shared between the two sides, so it
+    # is counted once (Tr over A1 of na equals Tr over B1 of nb identically).
+    gap_norm = frobenius_distance(partial_trace(na, (a1, c1), keep=(1,)), np.eye(c1))
+
+    pa = _embed_identity(partial_trace(m, d5, keep=(0, 2, 3, 4)) / a2, (a1, b1, b2, c1), 1, a2)
+    pb = _embed_identity(partial_trace(m, d5, keep=(0, 1, 2, 4)) / b2, (a1, a2, b1, c1), 3, b2)
+    papb = _embed_identity(
+        _embed_identity(partial_trace(m, d5, keep=(0, 2, 4)) / (a2 * b2), (a1, b1, c1), 2, b2),
+        (a1, b1, b2, c1),
+        1,
+        a2,
+    )
+    gap_cross = float(np.linalg.norm(m - pa - pb + papb))
+
+    residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
+    return CausalVerdict(residual <= eps, float(residual), None)
+
+
+class TestDefectMatchesEmbeddingReference:
+    @given(
+        seeds,
+        st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 4)]),
+        st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+        st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_closed_form_matches(self, seed, slots, chan, causal):
+        # A random complex body, or the A-then-B order (causality
+        # preserving; both slot shapes chain A2 into B1) with a random
+        # complex bump of size 1e-3.
+        rng = np.random.default_rng(seed)
+        in_sys, out_sys = System(slots), System(chan)
+        base = 0
+        if causal:
+            order = fixed_order_a_then_b(*slots)
+            in_sys, out_sys, base = order.body.in_sys, order.body.out_sys, order.body.choi
+        side = in_sys.total * out_sys.total
+        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        body = Process(in_sys, out_sys, base + (1e-3 if causal else 1.0) * bump)
+
+        def close(got, want):
+            assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+
+        close(is_soc2(BipartiteSupermap(body)), is_soc2_reference(BipartiteSupermap(body)))
+        for in_split in (1, 2, 3):
+            for out_split in (0, 1, 2):
+                close(is_nonsignalling_b_to_a(body, in_split, out_split), is_nonsignalling_b_to_a_reference(body, in_split, out_split))
+                close(is_nonsignalling_a_to_b(body, in_split, out_split), is_nonsignalling_a_to_b_reference(body, in_split, out_split))
+                close(is_soc(body, in_split, out_split), is_soc_reference(body, in_split, out_split))
 
 
 class TestIsCausal:
