@@ -20,10 +20,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from soclab.extras import spoiled_supermap
 from soclab.harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
-from soclab.process import Process, random_causal_channel
+from soclab.process import random_causal_channel
 from soclab.supermap import (
-    BipartiteSupermap,
     dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
@@ -56,14 +56,6 @@ def build_generators(seed: int, n_mixes: int, n_dressed: int):
             )
         )
     return gens
-
-
-def spoiled_supermap() -> BipartiteSupermap:
-    good = fixed_order_a_then_b(2, 2, 2, 2)
-    bump = np.kron(np.eye(16), np.kron(np.diag([1.0, 0.0]), np.eye(2))) / 8
-    return BipartiteSupermap(
-        Process(good.body.in_sys, good.body.out_sys, good.body.choi + bump)
-    )
 
 
 def positive_int(text: str) -> int:

@@ -59,6 +59,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _check_split(p, split, flag: str) -> None:
+    """The leading input and output factor counts of a two-sided reading:
+    each between 0 and the file's count, and each side left some factor."""
+    ins, outs = split
+    n_in, n_out = len(p.in_sys), len(p.out_sys)
+    if not (0 <= ins <= n_in and 0 <= outs <= n_out):
+        raise ValueError(f"{flag} {ins} {outs} out of range for {n_in} input and {n_out} output factors")
+    if (ins, outs) in ((0, 0), (n_in, n_out)):
+        raise ValueError(f"{flag} {ins} {outs} leaves one side with no factor")
+
+
 def _resolve_eps(args) -> float:
     if getattr(args, "eps", None) is not None:
         return args.eps
@@ -91,6 +102,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = process_from_dict(_load_json(args.file))
+    if args.split is not None:
+        _check_split(p, args.split, "--split")
     eps = _resolve_eps(args)
     causal = is_causal(p, eps=eps)
     payload = {"causal": {"holds": causal.holds, "residual": causal.residual}}
@@ -105,6 +118,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_soc(args) -> int:
     p = process_from_dict(_load_json(args.file))
+    _check_split(p, args.slots, "--slots")
     verdict = is_soc(p, in_split=args.slots[0], out_split=args.slots[1], eps=_resolve_eps(args))
     _emit({"soc": {"holds": verdict.holds, "residual": verdict.residual}})
     return 0 if verdict.holds else 1
@@ -138,7 +152,7 @@ def _cmd_decompose(args) -> int:
     f = process_from_dict(_load_json(args.file))
     ins, outs = args.split
     if not (0 < ins < len(f.in_sys)) or not (0 < outs < len(f.out_sys)):
-        raise DimensionError("both sides need at least one factor; check --split")
+        raise ValueError(f"--split {ins} {outs} must leave each side an input and an output factor")
     ai, bi, ao, bo = _sides(f, ins, outs)
     span = random_product_span(args.span_size, (ai, bi), (ao, bo), seed=args.seed)
     res = decompose_nonsignalling(f, span, in_split=ins, out_split=outs)

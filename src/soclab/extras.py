@@ -1,11 +1,14 @@
-"""A two-slot supermap with coherently controlled slot order.
+"""Two-slot supermaps beyond the plain fixed orders.
 
-The body is rank one: a superposition of the two fixed-order wirings,
-entangled with a control qubit that rides along both the global input and
-the global output.  Filling the slots with unitary conjugations produces
-conjugation by ``|0><0| (x) VU + |1><1| (x) UV``, which no single ordering
-reproduces, yet every pair of causal fillings still yields a causal
-channel.
+:func:`quantum_switch` coherently controls the slot order.  Its body is
+rank one: a superposition of the two fixed-order wirings, entangled with a
+control qubit that rides along both the global input and the global
+output.  Filling the slots with unitary conjugations produces conjugation
+by ``|0><0| (x) VU + |1><1| (x) UV``, which no single ordering reproduces,
+yet every pair of causal fillings still yields a causal channel.
+
+:func:`spoiled_supermap` is a fixed order with a bump that breaks
+causality, the negative control of the tests and the verification script.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .process import Process
-from .supermap import BipartiteSupermap
+from .supermap import BipartiteSupermap, fixed_order_a_then_b
 from .tensor import System
 
 
@@ -36,3 +39,15 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
         cp_flag=True,
     )
     return BipartiteSupermap(body)
+
+
+def spoiled_supermap(d: int = 2) -> BipartiteSupermap:
+    """The A-then-B order on wires of dimension ``d`` plus
+    ``I (x) |0><0| (x) I / d**3`` on the body, with the projector on the
+    ``C1`` factor: every causal filling misses causality by the same
+    margin."""
+    good = fixed_order_a_then_b(d, d, d, d)
+    proj = np.zeros((d, d))
+    proj[0, 0] = 1.0
+    bump = np.kron(np.eye(d**4), np.kron(proj, np.eye(d))) / d**3
+    return BipartiteSupermap(Process(good.body.in_sys, good.body.out_sys, good.body.choi + bump))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, ReconstructionError
 from .process import Process, _sides, apply_to_state
-from .supermap import BipartiteSupermap, insert
+from .supermap import BipartiteSupermap, insert_stacked
 from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
 
 
@@ -129,6 +129,11 @@ class CausalAffineBasis:
     base: np.ndarray
     directions: tuple[np.ndarray, ...]
 
+    def points(self) -> np.ndarray:
+        """The base point, then the base point moved along each direction,
+        as one stack."""
+        return self.base + np.stack((np.zeros_like(self.base),) + self.directions)
+
 
 @lru_cache(maxsize=None)
 def causal_affine_basis(d_in: int, d_out: int) -> CausalAffineBasis:
@@ -168,15 +173,11 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
 
 def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Same predicate as :func:`is_soc`, decided by exhausting an affine
-    basis of causal arguments through the hole and checking every output."""
+    basis of causal arguments through the hole and checking every output.
+    The whole basis goes through the hole as one stack."""
     si, so, ci, co = _sides(w, in_split, out_split)
-    basis = causal_affine_basis(si, so)
-
-    def witness(x):
-        out = Process(System((ci,)), System((co,)), apply_to_state(w, x))
-        return is_causal(out, eps).witness
-
-    wit = np.array([witness(basis.base)] + [witness(basis.base + d) for d in basis.directions])
+    outs = apply_to_state(w, causal_affine_basis(si, so).points())
+    wit = partial_trace(outs, (ci, co), keep=(0,)) - np.eye(ci)
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
     residual = float(np.linalg.norm(wit))
@@ -205,14 +206,12 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
 
 def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Same predicate as :func:`is_soc2`, decided by filling both holes with
-    affine bases of causal channels through the public insertion path."""
-    basis_a = causal_affine_basis(w.a_in, w.a_out)
-    basis_b = causal_affine_basis(w.b_in, w.b_out)
-    args_a = [basis_a.base] + [basis_a.base + d for d in basis_a.directions]
-    args_b = [basis_b.base] + [basis_b.base + d for d in basis_b.directions]
-    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in args_a]
-    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in args_b]
-    wit = np.array([[insert(w, pa, pb, eps=eps).causal.witness for pb in procs_b] for pa in procs_a])
+    affine bases of causal channels through the public insertion path.
+    Every pair of basis arguments is filled by one stacked insertion."""
+    args_a = causal_affine_basis(w.a_in, w.a_out).points()
+    args_b = causal_affine_basis(w.b_in, w.b_out).points()
+    grid = insert_stacked(w, args_a, args_b)
+    wit = partial_trace(grid, (w.c_in, w.c_out), keep=(0,)) - np.eye(w.c_in)
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
     # differences inside.

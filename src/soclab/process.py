@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, frobenius_distance, is_psd, link, permute_subsystems
+from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link, permute_subsystems
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +201,10 @@ def permute_output_factors(p: Process, perm: Sequence[int]) -> Process:
 
 
 def apply_to_state(f: Process, rho: np.ndarray) -> np.ndarray:
-    """Evaluate the map on a concrete input matrix."""
+    """Evaluate the map on a concrete input matrix, or on every matrix of a
+    stack of them (axes before the last two), in one contraction."""
     x, y = f.in_sys.total, f.out_sys.total
-    return link(as_matrix(rho, x), (x,), [0], f.choi, (x, y), [0])
+    return link(as_stack(rho, x), (x,), [0], f.choi, (x, y), [0])
 
 
 def random_density(sys: System, seed=None) -> np.ndarray:

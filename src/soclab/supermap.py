@@ -11,7 +11,7 @@ with non-CP arguments without any extra machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _omega, apply_to_state, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, System, kron, link, permute_subsystems
+from .tensor import DEFAULT_EPS, System, as_stack, kron, link, permute_subsystems
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +123,36 @@ def _fit_holes(w: BipartiteSupermap, parts: tuple[int, ...], what: str) -> None:
         raise WireMismatchError(f"{what} {list(parts)} do not fit holes {holes}")
 
 
+def insert_stacked(
+    w: BipartiteSupermap,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    a_ancilla: tuple[int, int] = (1, 1),
+    b_ancilla: tuple[int, int] = (1, 1),
+) -> np.ndarray:
+    """Fill both holes with every pair from two stacks of Choi matrices.
+
+    The last two axes of ``pa`` hold a Choi matrix on inputs ``[ancilla,
+    A1]`` and outputs ``[ancilla, A2]``, its ancillas of dimensions
+    ``a_ancilla = (in, out)``; ``pb`` likewise.  Any axes before those are
+    stack axes, so a ``(Ka, sa, sa)`` and a ``(Kb, sb, sb)`` stack give the
+    ``(Ka, Kb, side, side)`` grid of all pairs, and two single matrices give
+    one filling.  Filling is linear in each hole, so every pair takes the
+    same two contractions.  Each result keeps the side wires open: inputs
+    ``[a ancilla, b ancilla, C1]``, outputs ``[a ancilla, b ancilla, C2]``.
+    """
+    a_dims = (a_ancilla[0], w.a_in, a_ancilla[1], w.a_out)
+    b_dims = (b_ancilla[0], w.b_in, b_ancilla[1], w.b_out)
+    pa, pb = as_stack(pa, prod(a_dims)), as_stack(pb, prod(b_dims))
+    # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
+    # never formed.  Free factors after the first link:
+    # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
+    # [C1, C2, a in, a out, b in, b out], gathered into [a in, b in, C1 | a out, b out, C2].
+    c = link(w.body.choi, w.body.factor_dims, [0, 1], pa, a_dims, [1, 3])
+    dims = (w.b_in, w.b_out, w.c_in, w.c_out, a_dims[0], a_dims[2])
+    return link(c, dims, [0, 1], pb, b_dims, [1, 3], (2, 4, 0, 3, 5, 1))
+
+
 def insert_with_ancilla(
     w: BipartiteSupermap,
     pa: Process,
@@ -137,24 +167,19 @@ def insert_with_ancilla(
     ``[ancilla..., A2 part...]`` with ``a_split`` counting the ancilla
     factors on each side (``pb`` likewise).  The result keeps the side
     wires open: inputs ``[pa ancillas, pb ancillas, C1]``, outputs
-    ``[pa ancillas, pb ancillas, C2]``.
+    ``[pa ancillas, pb ancillas, C2]``.  This is :func:`insert_stacked`
+    on one pair.
     """
     a_anc_in, a_slot_in = _split_groups(pa.in_sys, a_split[0])
     a_anc_out, a_slot_out = _split_groups(pa.out_sys, a_split[1])
     b_anc_in, b_slot_in = _split_groups(pb.in_sys, b_split[0])
     b_anc_out, b_slot_out = _split_groups(pb.out_sys, b_split[1])
     _fit_holes(w, (prod(a_slot_in), prod(a_slot_out), prod(b_slot_in), prod(b_slot_out)), "slot parts")
-    # Merge adjacent factors, which leaves the data as it is, so that each
-    # channel reads [ancilla in, slot in, ancilla out, slot out].
-    a_dims = (prod(a_anc_in), w.a_in, prod(a_anc_out), w.a_out)
-    b_dims = (prod(b_anc_in), w.b_in, prod(b_anc_out), w.b_out)
-    # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
-    # never formed.  Free factors after the first link:
-    # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
-    # [C1, C2, a in, a out, b in, b out], gathered into [a in, b in, C1 | a out, b out, C2].
-    c = link(w.body.choi, w.body.factor_dims, [0, 1], pa.choi, a_dims, [1, 3])
-    dims = (w.b_in, w.b_out, w.c_in, w.c_out, a_dims[0], a_dims[2])
-    c = link(c, dims, [0, 1], pb.choi, b_dims, [1, 3], (2, 4, 0, 3, 5, 1))
+    # Merging adjacent factors leaves the data as it is, so each channel
+    # reads [ancilla in, slot in, ancilla out, slot out].
+    c = insert_stacked(
+        w, pa.choi, pb.choi, (prod(a_anc_in), prod(a_anc_out)), (prod(b_anc_in), prod(b_anc_out))
+    )
     cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))

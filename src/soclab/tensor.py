@@ -74,6 +74,15 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
 
 
+def as_stack(m: np.ndarray | Iterable, side: int) -> np.ndarray:
+    """Coerce to a complex array whose last two axes are ``side x side``;
+    any axes before them are batch axes, so one matrix is a stack of none."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (side, side):
+        raise DimensionError(f"expected a stack of {side} x {side} matrices, got shape {a.shape}")
+    return a
+
+
 def link(
     p: np.ndarray,
     p_dims: Sequence[int],
@@ -89,45 +98,58 @@ def link(
     convention: ``c[a s, c t] = sum_pq p[a p, c q] q[p s, q t]``.  The free
     factors of ``p`` then those of ``q`` make the result, permuted so that
     its factor ``k`` is free factor ``order[k]``.  With no wires this is the
-    tensor product.  The result's side is checked against :data:`MAX_SIDE`
-    before anything is allocated.
+    tensor product.
+
+    Every axis of ``p`` or ``q`` before its last two is a batch axis: the
+    result carries ``p``'s batch axes, then ``q``'s, then the linked matrix,
+    so that every pair from two stacks is linked by the same one contraction.
+    The result's size is checked against ``MAX_SIDE**2`` elements before
+    anything is allocated.
     """
     p_dims, q_dims, p_wires, q_wires = tuple(p_dims), tuple(q_dims), tuple(p_wires), tuple(q_wires)
     if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
         raise DimensionError(f"cannot link wires {p_wires} of {p_dims} with wires {q_wires} of {q_dims}")
     free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
     side = prod(free)
-    if side > MAX_SIDE:
-        raise DimensionError(f"link result side {side} exceeds limit {MAX_SIDE}")
+    pb, qb = p.shape[:-2], q.shape[:-2]
+    shape = pb + qb + (side, side)
+    if prod(shape) > MAX_SIDE * MAX_SIDE:
+        raise DimensionError(f"link result of shape {shape} exceeds limit of {MAX_SIDE}**2 elements")
     n, m = len(p_dims), len(q_dims)
-    pt, qt = p.reshape(p_dims + p_dims), q.reshape(q_dims + q_dims)
+    pt, qt = p.reshape(pb + p_dims + p_dims), q.reshape(qb + q_dims + q_dims)
     if p_wires:
-        axes = (p_wires + tuple(n + i for i in p_wires), q_wires + tuple(m + j for j in q_wires))
+        # Negative axes count from the end, so they skip the batch axes.
+        axes = ([i - 2 * n for i in p_wires] + [i - n for i in p_wires], [j - 2 * m for j in q_wires] + [j - m for j in q_wires])
         t = np.tensordot(pt, qt, axes=axes)
     else:
         # Exact products, as np.kron gives; a rank-one GEMM may round differently.
         t = np.multiply.outer(pt, qt)
-    # t holds [p rows, p columns, q rows, q columns] of the free factors.
-    fp, nf = n - len(p_wires), len(free)
-    rows = [*range(fp), *range(2 * fp, fp + nf)]
-    cols = [*range(fp, 2 * fp), *range(fp + nf, 2 * nf)]
-    order = range(nf) if order is None else order
-    return t.transpose([rows[k] for k in order] + [cols[k] for k in order]).reshape(side, side)
+    # t holds [p batch, p rows, p columns, q batch, q rows, q columns], the
+    # rows and columns being those of the free factors.
+    kp, fp = len(pb), n - len(p_wires)
+    fq, q0 = len(free) - fp, kp + 2 * fp + len(qb)  # q0: q's first row axis
+    rows = [*range(kp, kp + fp), *range(q0, q0 + fq)]
+    cols = [*range(kp + fp, kp + 2 * fp), *range(q0 + fq, q0 + 2 * fq)]
+    if order is not None:
+        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
+    return t.transpose([*range(kp), *range(kp + 2 * fp, q0), *rows, *cols]).reshape(shape)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all factors not listed in ``keep``.
 
     Output factors follow the order given in ``keep``; an empty ``keep``
-    yields the full trace as a 1x1 matrix.
+    yields the full trace as a 1x1 matrix.  Axes of ``m`` before its last
+    two are batch axes and are kept as they are.
     """
     dims = tuple(dims)
     n = len(dims)
-    m = as_matrix(m, prod(dims))
+    m = as_stack(m, prod(dims))
     keep = tuple(keep)
     if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
         raise DimensionError(f"bad keep={keep} for {n} factors")
-    t = m.reshape(dims + dims)
+    batch = m.shape[:-2]
+    t = m.reshape(batch + dims + dims)
     # Sublist einsum: row axis i gets index i, column axis i gets index n+i,
     # then identify row with column on every traced factor.
     subs = list(range(2 * n))
@@ -136,7 +158,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
             subs[n + i] = subs[i]
     out = [k for k in keep] + [n + k for k in keep]
     side = prod(dims[k] for k in keep)
-    return np.einsum(t, subs, out).reshape(side, side)
+    return np.einsum(t, [..., *subs], [..., *out]).reshape(batch + (side, side))
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

@@ -20,6 +20,7 @@ from soclab.affine import (
     realize_affine,
 )
 from soclab.cli import main
+from soclab.extras import spoiled_supermap
 from soclab.harness import HarnessConfig, verify_corollary1, verify_theorem1
 from soclab.predicates import (
     is_causal,
@@ -84,14 +85,6 @@ def soc2_generators():
         )
         gens.append((f"dressed_{k}", dressed))
     return gens
-
-
-def spoiled_supermap() -> BipartiteSupermap:
-    good = fixed_order_a_then_b(2, 2, 2, 2)
-    bump = np.kron(np.eye(16), np.kron(np.diag([1.0, 0.0]), np.eye(2))) / 8
-    return BipartiteSupermap(
-        Process(good.body.in_sys, good.body.out_sys, good.body.choi + bump)
-    )
 
 
 def test_criterion_1_structural_axioms():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from soclab.cli import main
+from soclab.extras import spoiled_supermap
 from soclab.process import (
     Process,
     cap,
@@ -197,6 +198,30 @@ class TestErrorPaths:
         code, out, err = run(argv, capsys)
         assert code == 2 and not out and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "swap_channel.json", "--split", "0", "0"],
+            ["classify", "swap_channel.json", "--split", "5", "5"],
+            ["classify", "swap_channel.json", "--split", "2", "2"],
+            ["classify", "swap_channel.json", "--split", "-1", "1"],
+            ["soc", "cup_loop.json", "--slots", "7", "0"],
+            ["soc", "cup_loop.json", "--slots", "0", "0"],
+            ["soc", "cup_loop.json", "--slots", "1", "-1"],
+            ["decompose", "ns_mix.json", "--span-size", "10", "--split", "0", "1"],
+            ["decompose", "ns_mix.json", "--span-size", "10", "--split", "1", "3"],
+        ],
+        ids=lambda v: " ".join(v[:1] + v[-3:]),
+    )
+    def test_split_counts_out_of_bounds_are_argument_errors(self, argv, capsys):
+        # A count below 0 or above the file's factor count, or a split that
+        # leaves one side with nothing, would make the check trivial or
+        # meaningless; the swap would pass as non-signalling at --split 0 0.
+        flag = argv[-3]
+        argv = [str(GOLDEN / a) if (GOLDEN / a).exists() else a for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out and f"error: {flag}" in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_choi_is_a_malformed_file(self, bad, tmp_path, capsys):
         record = json.loads((GOLDEN / "identity_channel.json").read_text())
@@ -252,13 +277,8 @@ class TestOtherRoutes:
         assert lines[-1]["summary"]["trials"] == 2
 
     def test_verify_flags_a_spoiled_supermap(self, tmp_path, capsys):
-        good = fixed_order_a_then_b(2, 2, 2, 2)
-        bump = np.kron(np.eye(16), np.kron(np.diag([1.0, 0.0]), np.eye(2))) / 8
-        spoiled = Process(good.body.in_sys, good.body.out_sys, good.body.choi + bump)
-        from soclab.supermap import BipartiteSupermap
-
         path = tmp_path / "spoiled.json"
-        path.write_text(json.dumps(supermap_to_dict(BipartiteSupermap(spoiled))))
+        path.write_text(json.dumps(supermap_to_dict(spoiled_supermap())))
         code, out, _ = run(
             ["verify", "theorem1", str(path), "--trials", "2", "--seed", "0", "--dims", "2"],
             capsys,

@@ -78,6 +78,14 @@ class TestQuantumSwitch:
         v = is_soc2(sw)
         assert v.holds and v.residual < 1e-8
 
+    def test_qutrit_oracle(self):
+        # 73 x 73 basis pairs through one stacked insertion of a 2916-side
+        # body; about 0.5 GB at peak.
+        sw = quantum_switch(3)
+        closed, oracle = is_soc2(sw), is_soc2_oracle(sw)
+        assert oracle.holds and oracle.residual < 1e-8
+        assert abs(oracle.residual - closed.residual) < 1e-9
+
 
 class TestDecoheredControl:
     def test_measured_control_is_a_classical_mixture(self):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soclab.extras import spoiled_supermap
 from soclab.harness import (
     HarnessConfig,
     HarnessReport,
@@ -16,7 +17,6 @@ from soclab.harness import (
 )
 from soclab.predicates import is_causal, make_strongly_nonsignalling
 from soclab.process import (
-    Process,
     compose_par,
     compose_seq,
     identity_process,
@@ -32,21 +32,12 @@ from soclab.supermap import (
     insert_merged,
     insert_with_ancilla,
     mix,
-    supermap_from_process,
 )
 from soclab.tensor import System, kron
 
 W_GOOD = mix(
     [(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]
 )
-
-
-def spoiled_supermap():
-    w = fixed_order_a_then_b(2, 2, 2, 2)
-    extra = kron(np.eye(16), np.diag([1.0, 0.0]), np.eye(2)) / 8
-    return supermap_from_process(
-        Process(w.body.in_sys, w.body.out_sys, w.body.choi + extra), (2, 2), (2, 2)
-    )
 
 
 class TestTheorem1Harness:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclab.errors import DimensionError, ReconstructionError
+from soclab.extras import spoiled_supermap
 from soclab.predicates import (
     CausalVerdict,
     causal_affine_basis,
@@ -23,6 +24,7 @@ from soclab.predicates import (
 )
 from soclab.process import (
     Process,
+    _sides,
     apply_to_state,
     channel_from_kraus,
     compose_par,
@@ -145,6 +147,79 @@ def is_soc2_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalV
 
     residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
     return CausalVerdict(residual <= eps, float(residual), None)
+
+
+# The per-pair oracles that the stacked ones replaced, kept verbatim as
+# differential references: one apply_to_state, or one insertion, per argument.
+def is_soc_oracle_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    si, so, ci, co = _sides(w, in_split, out_split)
+    basis = causal_affine_basis(si, so)
+
+    def witness(x):
+        out = Process(System((ci,)), System((co,)), apply_to_state(w, x))
+        return is_causal(out, eps).witness
+
+    wit = np.array([witness(basis.base)] + [witness(basis.base + d) for d in basis.directions])
+    # The base point's witness, then each direction's change from it.
+    wit[1:] -= wit[:1]
+    residual = float(np.linalg.norm(wit))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+def is_soc2_oracle_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    basis_a = causal_affine_basis(w.a_in, w.a_out)
+    basis_b = causal_affine_basis(w.b_in, w.b_out)
+    args_a = [basis_a.base] + [basis_a.base + d for d in basis_a.directions]
+    args_b = [basis_b.base] + [basis_b.base + d for d in basis_b.directions]
+    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in args_a]
+    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in args_b]
+    wit = np.array([[insert(w, pa, pb, eps=eps).causal.witness for pb in procs_b] for pa in procs_a])
+    # Successive differences leave the base pair's witness at [0, 0], each
+    # hole's first-order changes along the edges, and the mixed second
+    # differences inside.
+    wit[1:] -= wit[:1]
+    wit[:, 1:] -= wit[:, :1]
+    residual = float(np.linalg.norm(wit))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+class TestStackedOraclesMatchPerPairReference:
+    @given(seeds, st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 4)]), st.sampled_from(["random", "a_then_b", "b_then_a"]), st.booleans())
+    @settings(max_examples=5, deadline=None)
+    def test_same_verdict_and_residual(self, seed, slots, kind, spoil):
+        # A random complex body, or a fixed order (both slot shapes chain
+        # A2 into B1 and B2 into A1 where the order needs it) with or
+        # without a random complex bump that spoils it.
+        rng = np.random.default_rng(seed)
+        a1, a2, b1, b2 = slots
+        if kind == "a_then_b" and a2 == b1:
+            order = fixed_order_a_then_b(*slots)
+        elif kind == "b_then_a" and b2 == a1:
+            order = fixed_order_b_then_a(*slots)
+        else:
+            order = None
+        if order is None:
+            in_sys, out_sys, base, scale = System(slots), System((2, 2)), 0, 1.0
+        else:
+            in_sys, out_sys, base, scale = order.body.in_sys, order.body.out_sys, order.body.choi, 1e-2 * spoil
+        side = in_sys.total * out_sys.total
+        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        w = BipartiteSupermap(Process(in_sys, out_sys, base + scale * bump))
+
+        def same(got, want):
+            assert got.holds is want.holds
+            assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+
+        same(is_soc2_oracle(w), is_soc2_oracle_reference(w))
+        # The one-hole oracle on the merged slot A1 B1 -> A2 B2.
+        merged = merged_slot_process(w)
+        same(is_soc_oracle(merged, 2, 1), is_soc_oracle_reference(merged, 2, 1))
+
+    @pytest.mark.parametrize("w", [fixed_order_a_then_b(3, 3, 3, 3), fixed_order_b_then_a(3, 3, 3, 3), spoiled_supermap(3)], ids=["a_then_b", "b_then_a", "spoiled"])
+    def test_qutrit_oracle_agrees_with_the_closed_form(self, w):
+        closed, oracle = is_soc2(w), is_soc2_oracle(w)
+        assert oracle.holds is closed.holds
+        assert abs(oracle.residual - closed.residual) <= 1e-9 * max(1.0, closed.residual)
 
 
 class TestDefectMatchesEmbeddingReference:
@@ -330,10 +405,7 @@ class TestTwoHolePreservation:
         assert is_soc2_oracle(w).holds
 
     def test_corrupted_body_fails_with_unit_residual(self):
-        w = fixed_order_a_then_b(2, 2, 2, 2)
-        spoiled = kron(np.eye(16), np.diag([1.0, 0.0]), np.eye(2)) / 8
-        body = Process(w.body.in_sys, w.body.out_sys, w.body.choi + spoiled)
-        bad = supermap_from_process(body, (2, 2), (2, 2))
+        bad = spoiled_supermap()
         closed = is_soc2(bad)
         sweep = is_soc2_oracle(bad)
         assert not closed.holds and not sweep.holds

@@ -178,6 +178,22 @@ class TestComposition:
             apply_to_state(g, apply_to_state(f, rho)),
         )
 
+    @given(seeds, st.sampled_from([(5,), (2, 3)]))
+    @settings(max_examples=10, deadline=None)
+    def test_stacked_application_equals_a_loop(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        f = random_process(rng, System((2, 3)), B)
+        rhos = rng.standard_normal(batch + (6, 6)) + 1j * rng.standard_normal(batch + (6, 6))
+        got = apply_to_state(f, rhos)
+        assert got.shape == batch + (3, 3)
+        for i in np.ndindex(batch):
+            assert np.allclose(got[i], apply_to_state(f, rhos[i]), rtol=0, atol=1e-12)
+
+    def test_stacked_application_checks_the_input_side(self):
+        f = random_process(np.random.default_rng(5), A, B)
+        with pytest.raises(DimensionError):
+            apply_to_state(f, np.zeros((4, 3, 3)))
+
     def test_identity_laws(self):
         rng = np.random.default_rng(4)
         f = random_process(rng, A, B)

@@ -29,6 +29,7 @@ from soclab.supermap import (
     fixed_order_b_then_a,
     insert,
     insert_merged,
+    insert_stacked,
     insert_with_ancilla,
     merged_slot_process,
     mix,
@@ -156,6 +157,32 @@ class TestLinkAgainstReference:
         got = insert_with_ancilla(w, pa, pb, a_split, b_split).process
         assert_same_process(got, insert_with_ancilla_reference(w, pa, pb, a_split, b_split))
         assert got.cp_flag is (True if causal else None)
+
+    @given(
+        seeds,
+        st.sampled_from(KINDS),
+        st.sampled_from(HETERO_DIMS),
+        st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+        st.sampled_from([(1, 1), (3, 2)]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_stacked_insertion_equals_a_loop_of_insertions(self, seed, kind, dims, a_anc, b_anc):
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        a1, a2, b1, b2 = dims
+        pas = [random_process(rng, System((a_anc[0], a1)), System((a_anc[1], a2))) for _ in range(3)]
+        pbs = [random_process(rng, System((b_anc[0], b1)), System((b_anc[1], b2))) for _ in range(2)]
+        grid = insert_stacked(w, np.stack([p.choi for p in pas]), np.stack([p.choi for p in pbs]), a_anc, b_anc)
+        assert grid.shape[:2] == (3, 2)
+        for i, pa in enumerate(pas):
+            for j, pb in enumerate(pbs):
+                want = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).process.choi
+                assert np.allclose(grid[i, j], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_stacked_insertion_checks_the_argument_side(self):
+        w = fixed_order_a_then_b(2, 2, 2, 2)
+        with pytest.raises(DimensionError):
+            insert_stacked(w, np.zeros((3, 4, 4)), np.zeros((2, 6, 6)))
 
     @given(seeds, st.sampled_from(KINDS), st.sampled_from(HETERO_DIMS), st.booleans())
     @settings(max_examples=6, deadline=None)

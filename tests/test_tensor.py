@@ -113,6 +113,41 @@ class TestLink:
         assert peak < 1 << 20
 
 
+class TestStackedLink:
+    # Every axis before the last two is a batch axis; the result carries p's
+    # batch axes, then q's.  Each case is checked against a loop over the
+    # unstacked call.
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([((3,), ()), ((), (2, 2)), ((2,), (3,))]))
+    @settings(max_examples=15, deadline=None)
+    def test_equals_a_loop_over_unstacked_links(self, seed, batches):
+        rng = np.random.default_rng(seed)
+        pb, qb = batches
+        p = rng.standard_normal(pb + (12, 12)) + 1j * rng.standard_normal(pb + (12, 12))
+        q = rng.standard_normal(qb + (6, 6)) + 1j * rng.standard_normal(qb + (6, 6))
+        for p_wires, q_wires, order in (([1], [1], (2, 0, 1)), ([1, 2], [1, 0], None), ([], [], (3, 0, 2, 1, 4))):
+            got = link(p, (2, 3, 2), p_wires, q, (2, 3), q_wires, order)
+            assert got.shape[: len(pb) + len(qb)] == pb + qb
+            for i in np.ndindex(pb):
+                for j in np.ndindex(qb):
+                    want = link(p[i], (2, 3, 2), p_wires, q[j], (2, 3), q_wires, order)
+                    assert np.allclose(got[i + j], want, rtol=0, atol=1e-12)
+
+    def test_stacked_size_limit_is_checked_before_allocation(self):
+        # Each linked matrix is only 91 x 91, but 91 x 91 of them would hold
+        # 91**4 elements (about 1.1 GB complex), more than MAX_SIDE**2; the
+        # check must fire while memory use stays at the size of the inputs.
+        a = np.broadcast_to(np.eye(91, dtype=complex), (91, 91, 91))
+        b = np.ones((91, 1, 1), dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                link(a, (91,), [], b, (1,), [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
         # sum_ij |ii><jj| has marginals equal to the identity.
@@ -144,6 +179,21 @@ class TestPartialTrace:
         m = random_matrix(rng, 12)
         kept = partial_trace(m, (2, 3, 2), keep=(1,))
         assert np.isclose(np.trace(kept), np.trace(m))
+
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(4,), (2, 3)]))
+    @settings(max_examples=10, deadline=None)
+    def test_stack_equals_a_loop(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal(batch + (12, 12)) + 1j * rng.standard_normal(batch + (12, 12))
+        for keep in ((1,), (2, 0), ()):
+            got = partial_trace(m, (2, 3, 2), keep=keep)
+            for i in np.ndindex(batch):
+                assert np.allclose(got[i], partial_trace(m[i], (2, 3, 2), keep=keep), rtol=0, atol=1e-12)
+
+    def test_rejects_a_stack_of_the_wrong_side(self):
+        with pytest.raises(DimensionError):
+            partial_trace(np.zeros((3, 4, 4)), (2, 3), keep=(0,))
 
 
 class TestPermuteSubsystems:
