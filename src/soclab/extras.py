@@ -32,7 +32,7 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
                 # control 1: the same wires in the other order
                 v[k, j, i, k, d + i, d + j] += 1.0
     vec = v.reshape(-1)
-    body = Process(
+    body = Process._adopt(
         System((d, d, d, d)),
         System((2 * d, 2 * d)),
         np.outer(vec, vec.conj()),

@@ -3,19 +3,22 @@
 Every predicate returns a :class:`CausalVerdict` carrying a numeric
 residual (Frobenius distance from the constraint set being tested), so
 callers can both branch on ``holds`` and report how badly something
-fails.  The hole-preservation checks come in two independent flavours: a
+fails; a residual made of several constraints names each one's share in
+``parts``.  The hole-preservation checks come in two independent flavours: a
 closed form on the body's marginals, and an oracle that actually fills
 the holes with a spanning family of arguments and checks every output.
 Both compute the same residual up to floating point error.
 
 The no-signalling and order-preservation closed forms all ask one
 question of a marginal of the Choi matrix: does it act as the identity on
-one factor?  :func:`_defect` measures how far it is from doing so.
+one factor?  :func:`_defect` measures how far it is from doing so.  The
+marginals are traced from the factor tensor in place, so a rewired process
+(a strided view) is never copied into its new order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import hypot, prod, sqrt
 
@@ -32,6 +35,8 @@ class CausalVerdict:
     holds: bool
     residual: float
     witness: np.ndarray | None = None
+    # Named constraints and their gaps; ``residual`` is their root sum of squares.
+    parts: dict[str, float] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -46,12 +51,21 @@ def _defect(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
     return (t - mean * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(m.shape)
 
 
+def _marginal(f: Process, out_split: int, side_a: bool) -> np.ndarray:
+    """Trace of ``f`` over the outputs of one side, from its tensor in place:
+    the result keeps every input and the A-side outputs (the first
+    ``out_split``) when ``side_a``, else the B-side ones."""
+    outs = list(range(f.n_in, len(f.factor_dims)))
+    kept = outs[:out_split] if side_a else outs[out_split:]
+    return partial_trace(f.tensor, f.factor_dims, keep=[*range(f.n_in), *kept])
+
+
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Trace preservation: discarding the outputs leaves the identity effect.
 
     For states (no inputs) this is normalization.
     """
-    marginal = partial_trace(f.choi, f.factor_dims, keep=tuple(range(f.n_in)))
+    marginal = partial_trace(f.tensor, f.factor_dims, keep=range(f.n_in))
     witness = marginal - np.eye(f.in_sys.total)
     residual = float(np.linalg.norm(witness))
     return CausalVerdict(residual <= eps, residual, witness)
@@ -64,14 +78,14 @@ def is_nonsignalling_b_to_a(f: Process, in_split: int = 1, out_split: int = 1, e
     many leading input/output factors belong to side A.
     """
     ai, bi, ao, bo = _sides(f, in_split, out_split)
-    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 2))
+    m = _marginal(f, out_split, side_a=True)
     residual = float(np.linalg.norm(_defect(m, (ai, bi, ao), 1)))
     return CausalVerdict(residual <= eps, residual, None)
 
 
 def is_nonsignalling_a_to_b(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     ai, bi, ao, bo = _sides(f, in_split, out_split)
-    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 3))
+    m = _marginal(f, out_split, side_a=False)
     residual = float(np.linalg.norm(_defect(m, (ai, bi, bo), 0)))
     return CausalVerdict(residual <= eps, residual, None)
 
@@ -81,7 +95,7 @@ def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: flo
     va = is_nonsignalling_b_to_a(f, in_split, out_split, eps)
     vb = is_nonsignalling_a_to_b(f, in_split, out_split, eps)
     residual = hypot(va.residual, vb.residual)
-    return CausalVerdict(residual <= eps, residual, None)
+    return CausalVerdict(residual <= eps, residual, None, {"b_to_a": va.residual, "a_to_b": vb.residual})
 
 
 def make_strongly_nonsignalling(
@@ -119,7 +133,7 @@ def make_strongly_nonsignalling(
     c = link(shared.choi, mem_a + mem_b, range(a_mem), psi_a.choi, a_dims, range(1, 1 + a_mem))
     c = link(c, mem_b + (a_dims[0], a_dims[-1]), range(b_mem), psi_b.choi, b_dims, range(b_mem), (0, 2, 1, 3))
     cp = True if (shared.cp_flag and psi_a.cp_flag and psi_b.cp_flag) else None
-    return Process(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
+    return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
 
 
 @dataclass(frozen=True)
@@ -164,11 +178,11 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     yields a causal channel.
     """
     si, so, ci, co = _sides(w, in_split, out_split)
-    m = partial_trace(w.choi, (si, so, ci, co), keep=(0, 1, 2))
+    m = _marginal(w, out_split, side_a=True)
     gap_slot = float(np.linalg.norm(_defect(m, (si, so, ci), 1)))
     gap_norm = frobenius_distance(partial_trace(m, (si, so, ci), keep=(2,)) / so, np.eye(ci))
     residual = hypot(gap_slot, gap_norm)
-    return CausalVerdict(residual <= eps, residual, None)
+    return CausalVerdict(residual <= eps, residual, None, {"gap_slot": gap_slot, "gap_norm": gap_norm})
 
 
 def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -189,7 +203,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     to either hole independently) must come out causal.  Closed form."""
     a1, a2, b1, b2, c1 = w.a_in, w.a_out, w.b_in, w.b_out, w.c_in
     d5 = (a1, a2, b1, b2, c1)
-    m = partial_trace(w.body.choi, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
+    m = partial_trace(w.body.tensor, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
 
     gap_a = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1)))
     gap_b = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1)))
@@ -201,7 +215,8 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     gap_cross = float(np.linalg.norm(_defect(_defect(m, d5, 3), d5, 1)))
 
     residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
-    return CausalVerdict(residual <= eps, float(residual), None)
+    parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}
+    return CausalVerdict(residual <= eps, float(residual), None, parts)
 
 
 def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:

@@ -11,6 +11,13 @@ Conventions, fixed once for the whole package:
   position in the concatenated list does not change the Choi data at all,
   which is what :func:`bend` and :func:`unbend` exploit.
 
+A process stores its data once, as a read-only *factor tensor* with one row
+axis and one column axis per factor (shape ``factor_dims + factor_dims``).
+Reordering or regrouping factors returns a strided view of that tensor, not
+a copy, and the 2-D :attr:`Process.choi` is made from it on first use.  The
+public constructor copies the caller's array, so no caller can change a
+process after the fact.
+
 Processes are not forced to be completely positive: ``cp_flag`` records
 whether positivity is known (True), known to fail (False), or untracked
 (None).  Several constructions here deliberately produce non-CP data.
@@ -19,27 +26,56 @@ whether positivity is known (True), known to fail (False), or untracked
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link, permute_subsystems
+from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Process:
     in_sys: System
     out_sys: System
-    choi: np.ndarray = field(repr=False)
+    tensor: np.ndarray = field(repr=False)
     cp_flag: bool | None = None
 
-    def __post_init__(self):
+    def __init__(self, in_sys: System, out_sys: System, choi: np.ndarray, cp_flag: bool | None = None):
+        _set_fields(self, in_sys, out_sys, None, cp_flag)
+        self.__post_init__(choi)
+
+    def __post_init__(self, choi: np.ndarray):
+        """Check ``choi`` against the wiring and keep a read-only copy of it."""
         side = self.in_sys.total * self.out_sys.total
-        m = as_matrix(self.choi, side).copy()
+        dims = self.factor_dims
+        t = as_matrix(choi, side).copy().reshape(dims + dims)
+        t.setflags(write=False)
+        object.__setattr__(self, "tensor", t)
+
+    @classmethod
+    def _adopt(cls, in_sys: System, out_sys: System, data: np.ndarray, cp_flag: bool | None = None) -> "Process":
+        """The no-copy constructor, for a complex array that soclab has just
+        made or for a view of a frozen parent's tensor.  ``data`` is the Choi
+        matrix or any array of its size in factor-tensor order; it is
+        reshaped, which copies nothing unless its strides demand it, and
+        frozen, so nobody may write to it afterwards."""
+        p = object.__new__(cls)
+        dims = in_sys.dims + out_sys.dims
+        _set_fields(p, in_sys, out_sys, data.reshape(dims + dims), cp_flag)
+        p.tensor.setflags(write=False)
+        return p
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """The read-only Choi matrix: a reshape of :attr:`tensor`, which is
+        a copy only when the tensor is a reordering view."""
+        side = self.in_sys.total * self.out_sys.total
+        m = self.tensor.reshape(side, side)
         m.setflags(write=False)
-        object.__setattr__(self, "choi", m)
+        return m
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -52,6 +88,11 @@ class Process:
 
     def __repr__(self) -> str:
         return f"Process(in={self.in_sys.dims}, out={self.out_sys.dims}, cp={self.cp_flag})"
+
+
+def _set_fields(p: Process, in_sys: System, out_sys: System, tensor, cp_flag) -> None:
+    for name, value in (("in_sys", in_sys), ("out_sys", out_sys), ("tensor", tensor), ("cp_flag", cp_flag)):
+        object.__setattr__(p, name, value)
 
 
 def processes_close(f: Process, g: Process, eps: float) -> bool:
@@ -67,22 +108,22 @@ def _omega(total: int) -> np.ndarray:
 
 
 def identity_process(sys: System) -> Process:
-    return Process(sys, sys, _omega(sys.total), cp_flag=True)
+    return Process._adopt(sys, sys, _omega(sys.total), cp_flag=True)
 
 
 def cup(sys: System) -> Process:
     """State on ``sys + sys`` whose halves are maximally correlated (unnormalized)."""
-    return Process(UNIT, sys + sys, _omega(sys.total), cp_flag=True)
+    return Process._adopt(UNIT, sys + sys, _omega(sys.total), cp_flag=True)
 
 
 def cap(sys: System) -> Process:
     """Effect on ``sys + sys`` pairing the two halves; the partner of :func:`cup`."""
-    return Process(sys + sys, UNIT, _omega(sys.total), cp_flag=True)
+    return Process._adopt(sys + sys, UNIT, _omega(sys.total), cp_flag=True)
 
 
 def discard_process(sys: System) -> Process:
     """The trace effect: sends any state on ``sys`` to its trace."""
-    return Process(sys, UNIT, np.eye(sys.total, dtype=complex), cp_flag=True)
+    return Process._adopt(sys, UNIT, np.eye(sys.total, dtype=complex), cp_flag=True)
 
 
 def make_state(rho: np.ndarray, sys: System) -> Process:
@@ -102,7 +143,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: Sys
             raise DimensionError(f"Kraus operator shape {k.shape} does not match {out_sys.total}x{in_sys.total}")
         v = k.T.ravel()
         c += np.outer(v, v.conj())
-    return Process(in_sys, out_sys, c, cp_flag=True)
+    return Process._adopt(in_sys, out_sys, c, cp_flag=True)
 
 
 def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Process:
@@ -123,7 +164,7 @@ def compose_seq(f: Process, g: Process) -> Process:
     x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
     c = link(f.choi, (x, y), [1], g.choi, (y, z), [0])
     cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process(f.in_sys, g.out_sys, c, cp_flag=cp)
+    return Process._adopt(f.in_sys, g.out_sys, c, cp_flag=cp)
 
 
 def compose_par(f: Process, g: Process) -> Process:
@@ -132,19 +173,19 @@ def compose_par(f: Process, g: Process) -> Process:
     # Free factors [f.in, f.out, g.in, g.out], gathered into [ins | outs].
     c = link(f.choi, fd, [], g.choi, gd, [], (0, 2, 1, 3))
     cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c, cp_flag=cp)
+    return Process._adopt(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c, cp_flag=cp)
 
 
 def move_boundary(p: Process, n_in: int) -> Process:
     """Re-read the same Choi data with the first ``n_in`` factors as inputs.
 
-    The concatenated factor list is untouched, so this is free: it neither
-    permutes nor transposes anything.
+    The concatenated factor list is untouched, so this is free: the result
+    shares ``p``'s tensor.
     """
     dims = p.factor_dims
     if not 0 <= n_in <= len(dims):
         raise DimensionError(f"n_in={n_in} out of range for {len(dims)} factors")
-    return Process(System(dims[:n_in]), System(dims[n_in:]), p.choi, cp_flag=p.cp_flag)
+    return Process._adopt(System(dims[:n_in]), System(dims[n_in:]), p.tensor, cp_flag=p.cp_flag)
 
 
 def bend(p: Process) -> Process:
@@ -157,13 +198,14 @@ def unbend(p: Process, n_in: int) -> Process:
 
 
 def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Process:
-    """Regroup factors (merge or split) without reordering the underlying basis."""
+    """Regroup factors (merge or split) without reordering the underlying
+    basis; a view of ``p``'s tensor when that tensor is contiguous."""
     if prod(in_dims) != p.in_sys.total or prod(out_dims) != p.out_sys.total:
         raise DimensionError(
             f"relabel to in={tuple(in_dims)} out={tuple(out_dims)} changes totals "
             f"{p.in_sys.total}x{p.out_sys.total}"
         )
-    return Process(System(tuple(in_dims)), System(tuple(out_dims)), p.choi, cp_flag=p.cp_flag)
+    return Process._adopt(System(tuple(in_dims)), System(tuple(out_dims)), p.tensor, cp_flag=p.cp_flag)
 
 
 def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, int]:
@@ -178,26 +220,26 @@ def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]
 
     Positions index into ``p.factor_dims``.  Together they must use every
     factor exactly once.  Combines a factor permutation with a boundary
-    move, so wires keep their identity while the matrix is reindexed.
+    move, so wires keep their identity while the matrix is reindexed.  The
+    result is a strided view of ``p``'s tensor: nothing is copied.
     """
     order = tuple(in_positions) + tuple(out_positions)
     dims = p.factor_dims
-    c = permute_subsystems(p.choi, dims, order)
+    n = len(dims)
+    if sorted(order) != list(range(n)):
+        raise DimensionError(f"positions {order} do not use each of {n} factors exactly once")
+    view = p.tensor.transpose(order + tuple(n + q for q in order))
     new_in = System(tuple(dims[q] for q in in_positions))
     new_out = System(tuple(dims[q] for q in out_positions))
-    return Process(new_in, new_out, c, cp_flag=p.cp_flag)
+    return Process._adopt(new_in, new_out, view, cp_flag=p.cp_flag)
 
 
 def permute_input_factors(p: Process, perm: Sequence[int]) -> Process:
-    full = list(perm) + [p.n_in + k for k in range(len(p.out_sys))]
-    c = permute_subsystems(p.choi, p.factor_dims, full)
-    return Process(System(tuple(p.in_sys.dims[q] for q in perm)), p.out_sys, c, cp_flag=p.cp_flag)
+    return rewire(p, perm, range(p.n_in, len(p.factor_dims)))
 
 
 def permute_output_factors(p: Process, perm: Sequence[int]) -> Process:
-    full = list(range(p.n_in)) + [p.n_in + q for q in perm]
-    c = permute_subsystems(p.choi, p.factor_dims, full)
-    return Process(p.in_sys, System(tuple(p.out_sys.dims[q] for q in perm)), c, cp_flag=p.cp_flag)
+    return rewire(p, range(p.n_in), [p.n_in + q for q in perm])
 
 
 def apply_to_state(f: Process, rho: np.ndarray) -> np.ndarray:
@@ -249,6 +291,5 @@ def process_from_dict(d: dict) -> Process:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DimensionError("choi entries must be finite numbers")
-    choi = arr[..., 0] + 1j * arr[..., 1]
-    p = Process(in_sys, out_sys, choi)
-    return Process(p.in_sys, p.out_sys, p.choi, cp_flag=True if is_psd(p.choi) else False)
+    p = Process(in_sys, out_sys, arr[..., 0] + 1j * arr[..., 1])
+    return Process._adopt(p.in_sys, p.out_sys, p.tensor, cp_flag=is_psd(p.choi))

@@ -18,8 +18,8 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _omega, apply_to_state, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, System, as_stack, kron, link, permute_subsystems
+from .process import Process, apply_to_state, process_from_dict, process_to_dict, relabel, rewire
+from .tensor import DEFAULT_EPS, MAX_SIDE, System, as_stack, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +183,7 @@ def insert_with_ancilla(
     cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
-    return InsertionResult(Process(in_sys, out_sys, c, cp_flag=cp), eps=eps)
+    return InsertionResult(Process._adopt(in_sys, out_sys, c, cp_flag=cp), eps=eps)
 
 
 def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:
@@ -211,31 +211,44 @@ def insert_merged(
     phi_dims = (w.a_in, w.b_in, w.a_out, w.b_out)
     c = link(w.body.choi, w.body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
     cp = True if (phi.cp_flag and w.body.cp_flag) else None
-    return InsertionResult(Process(System((w.c_in,)), System((w.c_out,)), c, cp_flag=cp), eps=eps)
+    return InsertionResult(Process._adopt(System((w.c_in,)), System((w.c_out,)), c, cp_flag=cp), eps=eps)
+
+
+def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:
+    """The body that only connects wires: each ``(i, j)`` in ``wires`` joins
+    factor ``i`` to factor ``j`` with an unnormalized identity.  Its Choi
+    matrix is ``|v><v|``, where ``v`` sums the basis vectors on which every
+    pair of joined factors agrees, so it is 1 on the rows and columns of
+    those vectors and 0 elsewhere."""
+    dims = in_sys.dims + out_sys.dims
+    side = prod(dims)
+    if side > MAX_SIDE:
+        raise DimensionError(f"wiring body side {side} exceeds limit {MAX_SIDE}")
+    strides = [prod(dims[k + 1 :]) for k in range(len(dims))]
+    rows = np.zeros(1, dtype=np.intp)
+    for i, j in wires:
+        rows = np.add.outer(rows, np.arange(dims[i]) * (strides[i] + strides[j])).ravel()
+    c = np.zeros((side, side), dtype=complex)
+    c[np.ix_(rows, rows)] = 1
+    return Process._adopt(in_sys, out_sys, c, cp_flag=True)
 
 
 def fixed_order_a_then_b(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the A channel first and pipes it into B."""
     if a_out != b_in:
         raise WireMismatchError(f"cannot pipe A output {a_out} into B input {b_in}")
-    raw = kron(_omega(a_in), _omega(a_out), _omega(b_out))
-    # kron factor order [A1, C1, A2, B1, B2, C2] -> [A1, A2, B1, B2, C1, C2]
-    dims = (a_in, a_in, a_out, b_in, b_out, b_out)
-    c = permute_subsystems(raw, dims, (0, 2, 3, 4, 1, 5))
-    body = Process(System((a_in, a_out, b_in, b_out)), System((a_in, b_out)), c, cp_flag=True)
-    return BipartiteSupermap(body)
+    # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds A1, A2 feeds B1, B2 feeds C2.
+    slots = System((a_in, a_out, b_in, b_out))
+    return BipartiteSupermap(_wiring_body(slots, System((a_in, b_out)), [(0, 4), (1, 2), (3, 5)]))
 
 
 def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the B channel first and pipes it into A."""
     if b_out != a_in:
         raise WireMismatchError(f"cannot pipe B output {b_out} into A input {a_in}")
-    raw = kron(_omega(b_in), _omega(b_out), _omega(a_out))
-    # kron factor order [B1, C1, B2, A1, A2, C2] -> [A1, A2, B1, B2, C1, C2]
-    dims = (b_in, b_in, b_out, a_in, a_out, a_out)
-    c = permute_subsystems(raw, dims, (3, 4, 0, 2, 1, 5))
-    body = Process(System((a_in, a_out, b_in, b_out)), System((b_in, a_out)), c, cp_flag=True)
-    return BipartiteSupermap(body)
+    # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds B1, B2 feeds A1, A2 feeds C2.
+    slots = System((a_in, a_out, b_in, b_out))
+    return BipartiteSupermap(_wiring_body(slots, System((b_in, a_out)), [(2, 4), (3, 0), (1, 5)]))
 
 
 def mix(pairs) -> BipartiteSupermap:
@@ -251,7 +264,7 @@ def mix(pairs) -> BipartiteSupermap:
             raise WireMismatchError("mixed supermaps must share slot and output types")
         acc = acc + weight * w.body.choi
         convex = convex and weight >= 0 and w.body.cp_flag is True
-    body = Process(first.in_sys, first.out_sys, acc, cp_flag=True if convex else None)
+    body = Process._adopt(first.in_sys, first.out_sys, acc, cp_flag=True if convex else None)
     return BipartiteSupermap(body)
 
 
@@ -275,7 +288,7 @@ def dress_slots(
         c = link(c, dims, [3], ch.choi, ch_dims, [end], (5, 0, 1, 2, 3, 4))
         dims = (ch_dims[1 - end],) + dims[:3] + dims[4:]
     cp = True if all(p.cp_flag for p in (w.body, pre_a, post_a, pre_b, post_b)) else None
-    return BipartiteSupermap(Process(System(dims[:4]), w.body.out_sys, c, cp_flag=cp))
+    return BipartiteSupermap(Process._adopt(System(dims[:4]), w.body.out_sys, c, cp_flag=cp))
 
 
 def merged_slot_process(w: BipartiteSupermap) -> Process:

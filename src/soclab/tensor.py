@@ -139,17 +139,22 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     """Trace out all factors not listed in ``keep``.
 
     Output factors follow the order given in ``keep``; an empty ``keep``
-    yields the full trace as a 1x1 matrix.  Axes of ``m`` before its last
-    two are batch axes and are kept as they are.
+    yields the full trace as a 1x1 matrix.  ``m`` is either a factor tensor
+    of shape ``dims + dims`` (a process's :attr:`tensor`, strided views
+    included), which is read in place, or a matrix; axes of a matrix before
+    its last two are batch axes and are kept as they are.
     """
     dims = tuple(dims)
     n = len(dims)
-    m = as_stack(m, prod(dims))
     keep = tuple(keep)
     if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
         raise DimensionError(f"bad keep={keep} for {n} factors")
-    batch = m.shape[:-2]
-    t = m.reshape(batch + dims + dims)
+    if np.shape(m) == dims + dims:
+        t, batch = np.asarray(m, dtype=complex), ()
+    else:
+        m = as_stack(m, prod(dims))
+        batch = m.shape[:-2]
+        t = m.reshape(batch + dims + dims)
     # Sublist einsum: row axis i gets index i, column axis i gets index n+i,
     # then identify row with column on every traced factor.
     subs = list(range(2 * n))

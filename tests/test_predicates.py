@@ -1,3 +1,4 @@
+import tracemalloc
 from math import hypot, prod, sqrt
 
 import numpy as np
@@ -33,6 +34,7 @@ from soclab.process import (
     processes_close,
     random_causal_channel,
     random_density,
+    rewire,
     swap_process,
 )
 from soclab.supermap import (
@@ -447,6 +449,61 @@ class TestTwoHolePreservation:
         res = insert_merged(w, swap_process(Q, Q))
         assert not res.causal.holds
         assert res.causal.residual >= 0.5
+
+
+class TestNamedParts:
+    @given(seeds, st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_parts_make_up_the_residual(self, seed, causal):
+        rng = np.random.default_rng(seed)
+        order = fixed_order_a_then_b(2, 3, 3, 2)
+        side = order.body.choi.shape[0]
+        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        body = Process(order.body.in_sys, order.body.out_sys, order.body.choi + (1e-3 if causal else 1.0) * bump)
+        verdicts = {
+            ("gap_a", "gap_b", "gap_norm", "gap_cross"): is_soc2(BipartiteSupermap(body)),
+            ("gap_slot", "gap_norm"): is_soc(body, 2, 1),
+            ("b_to_a", "a_to_b"): is_nonsignalling(body, 2, 1),
+        }
+        for names, v in verdicts.items():
+            assert tuple(v.parts) == names
+            assert abs(sqrt(sum(g * g for g in v.parts.values())) - v.residual) <= 1e-12 * max(1.0, v.residual)
+
+    def test_a_spoiled_supermap_names_the_broken_constraint(self):
+        v = is_soc2(spoiled_supermap())
+        assert not v.holds
+        assert any(g > 0.5 for g in v.parts.values())
+        assert is_soc2(fixed_order_a_then_b(2, 2, 2, 2)).parts == dict.fromkeys(v.parts, 0.0)
+
+
+def flip(w):
+    """The body read as a channel from [C1, A2, B2] to [A1, B1, C2]."""
+    return rewire(w.body, [4, 1, 3], [0, 2, 5])
+
+
+class TestMarginalsReadInPlace:
+    # A qutrit fixed order has a 729 x 729 body (8.5 MB).  Its rewired views
+    # are decided from the body's own memory, so no call may allocate even
+    # half of that.
+    W = fixed_order_a_then_b(3, 3, 3, 3)
+
+    @pytest.mark.parametrize(
+        "view, decide",
+        [(flip, is_causal), (flip, is_nonsignalling), (merged_slot_process, lambda p: is_soc(p, 2, 1))],
+        ids=["causal", "nonsignalling", "soc_merged"],
+    )
+    def test_peak_allocation_stays_below_half_the_body(self, view, decide):
+        tracemalloc.start()
+        try:
+            got = decide(view(self.W))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.W.body.choi.nbytes / 2
+        # The same verdict as on a contiguous copy of the rewired body.
+        v = view(self.W)
+        want = decide(Process(v.in_sys, v.out_sys, v.choi))
+        assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
 
 
 class TestReconstruction:

@@ -27,6 +27,7 @@ from soclab.process import (
     random_causal_channel,
     random_density,
     relabel,
+    rewire,
     swap_process,
 )
 from soclab.tensor import System, UNIT, kron, partial_trace, permute_subsystems
@@ -296,6 +297,49 @@ class TestFactorPermutation:
         )
 
 
+class TestStorage:
+    def test_constructor_copies_the_callers_array(self):
+        rng = np.random.default_rng(12)
+        c = random_matrix(rng, 6)
+        p = Process(A, B, c)
+        kept = p.choi.copy()
+        c[0, 0] += 1
+        assert np.array_equal(p.choi, kept)
+
+    def test_choi_and_tensor_are_read_only(self):
+        p = random_process(np.random.default_rng(13), A, B)
+        with pytest.raises(ValueError):
+            p.choi[0, 0] = 1
+        with pytest.raises(ValueError):
+            p.tensor[0, 0, 0, 0] = 1
+        assert p.tensor.shape == (2, 3, 2, 3)
+
+    def test_rewiring_is_a_view_with_the_permuted_matrix(self):
+        # Each result shares memory with its parent, and its matrix is
+        # exactly the parent's, reordered by permute_subsystems.
+        rng = np.random.default_rng(14)
+        p = random_process(rng, System((2, 3)), System((2, 4)))
+        dims = p.factor_dims
+        cases = [
+            (rewire(p, [3, 0], [2, 1]), (3, 0, 2, 1)),
+            (permute_input_factors(p, (1, 0)), (1, 0, 2, 3)),
+            (permute_output_factors(p, (1, 0)), (0, 1, 3, 2)),
+            (move_boundary(p, 3), (0, 1, 2, 3)),
+            (relabel(p, (6,), (8,)), (0, 1, 2, 3)),
+        ]
+        for got, order in cases:
+            assert np.shares_memory(got.tensor, p.tensor)
+            assert np.array_equal(got.choi, permute_subsystems(p.choi, dims, order))
+            with pytest.raises(ValueError):
+                got.choi[0, 0] = 1
+
+    @pytest.mark.parametrize("ins, outs", [([0, 0], [1]), ([0, 2], [1]), ([0], [1, -1]), ([0], [])])
+    def test_rewire_rejects_repeated_missing_and_out_of_range_positions(self, ins, outs):
+        p = random_process(np.random.default_rng(15), A, B)
+        with pytest.raises(DimensionError):
+            rewire(p, ins, outs)
+
+
 class TestRandomChannels:
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -326,6 +370,14 @@ class TestWireFormat:
         back = process_from_dict(process_to_dict(ch))
         assert processes_close(back, ch, 1e-12)
         assert back.cp_flag is True
+
+    def test_loading_validates_and_copies_once(self, monkeypatch):
+        calls = []
+        check = Process.__post_init__
+        monkeypatch.setattr(Process, "__post_init__", lambda p, c: calls.append(p) or check(p, c))
+        back = process_from_dict(process_to_dict(identity_process(A)))
+        assert len(calls) == 1 and back.cp_flag is True
+        assert np.shares_memory(back.tensor, calls[0].tensor)
 
     def test_non_cp_choi_is_accepted_and_flagged(self):
         p = Process(A, UNIT, np.diag([1.0, -1.0]))

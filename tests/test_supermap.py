@@ -11,6 +11,7 @@ from soclab.extras import quantum_switch
 from soclab.predicates import is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
+    _omega,
     compose_par,
     compose_seq,
     identity_process,
@@ -37,7 +38,7 @@ from soclab.supermap import (
     supermap_from_process,
     supermap_to_dict,
 )
-from soclab.tensor import System
+from soclab.tensor import System, kron, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -198,7 +199,32 @@ class TestLinkAgainstReference:
         assert abs(closed.residual - oracle.residual) <= 1e-9 * max(1.0, closed.residual)
 
 
+def fixed_order_bodies_reference(a_in, a_out, b_in, b_out):
+    """The kron-then-permute construction of both fixed-order bodies that
+    the 0/1 wiring patterns replaced, kept as a reference; a body is None
+    where its order cannot chain the slots."""
+    ab = ba = None
+    if a_out == b_in:
+        raw = kron(_omega(a_in), _omega(a_out), _omega(b_out))
+        # kron factor order [A1, C1, A2, B1, B2, C2] -> [A1, A2, B1, B2, C1, C2]
+        ab = permute_subsystems(raw, (a_in, a_in, a_out, b_in, b_out, b_out), (0, 2, 3, 4, 1, 5))
+    if b_out == a_in:
+        raw = kron(_omega(b_in), _omega(b_out), _omega(a_out))
+        # kron factor order [B1, C1, B2, A1, A2, C2] -> [A1, A2, B1, B2, C1, C2]
+        ba = permute_subsystems(raw, (b_in, b_in, b_out, a_in, a_out, a_out), (3, 4, 0, 2, 1, 5))
+    return ab, ba
+
+
 class TestFixedOrders:
+    @pytest.mark.parametrize("slots", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3), (3, 2, 2, 4)])
+    def test_bodies_are_byte_identical_to_the_kron_reference(self, slots):
+        ab, ba = fixed_order_bodies_reference(*slots)
+        assert ab is not None
+        for order, want in ((fixed_order_a_then_b, ab), (fixed_order_b_then_a, ba)):
+            if want is not None:
+                got = order(*slots).body.choi
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_a_then_b_is_sequential_composition(self, seed):
