@@ -5,21 +5,10 @@ lists.  On top of that sit bipartite supermaps with typed holes, decision
 procedures for causality, no-signalling, and order preservation (each with
 an independent brute-force twin), randomized closure harnesses, affine
 combinations of product channels, and a small diagram language with a
-command line front end.
+command line front end.  This namespace holds the documented entry
+points; everything else comes from its submodule (``soclab.process``, ...).
 """
 
-from .affine import (
-    AffineCombination,
-    DecompositionResult,
-    controlled_local_channel,
-    decompose_nonsignalling,
-    nonsignalling_direction_dim,
-    pseudo_state,
-    random_product_span,
-    realize_affine,
-)
-from .dsl import evaluate as evaluate_diagram
-from .dsl import parse as parse_diagram
 from .errors import (
     DiagramSyntaxError,
     DiagramTypeError,
@@ -27,167 +16,54 @@ from .errors import (
     ReconstructionError,
     WireMismatchError,
 )
-from .harness import (
-    HarnessConfig,
-    HarnessReport,
-    TrialRecord,
-    report_to_jsonl,
-    verify_corollary1,
-    verify_theorem1,
-)
+from .harness import HarnessConfig, HarnessReport, verify_corollary1, verify_theorem1
 from .predicates import (
     CausalVerdict,
-    causal_affine_basis,
     is_causal,
     is_nonsignalling,
-    is_nonsignalling_a_to_b,
-    is_nonsignalling_b_to_a,
     is_soc,
     is_soc2,
     is_soc2_oracle,
     is_soc_oracle,
-    make_strongly_nonsignalling,
-    probe_states,
-    reconstruct_from_causal_states,
 )
-from .process import (
-    Process,
-    apply_to_state,
-    bend,
-    cap,
-    channel_from_kraus,
-    channel_from_unitary,
-    compose_par,
-    compose_seq,
-    cup,
-    discard_process,
-    identity_process,
-    make_effect,
-    make_state,
-    move_boundary,
-    permute_input_factors,
-    permute_output_factors,
-    process_from_dict,
-    process_to_dict,
-    processes_close,
-    random_causal_channel,
-    random_density,
-    relabel,
-    rewire,
-    swap_process,
-    unbend,
-)
+from .process import Process, random_causal_channel
 from .supermap import (
     BipartiteSupermap,
-    InsertionResult,
-    dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
     insert,
     insert_merged,
     insert_with_ancilla,
-    merged_slot_process,
-    mix,
-    supermap_from_dict,
-    supermap_from_process,
-    supermap_to_dict,
 )
-from .tensor import (
-    DEFAULT_EPS,
-    System,
-    UNIT,
-    frobenius_distance,
-    hermitian_basis,
-    is_hermitian,
-    is_psd,
-    kron,
-    partial_trace,
-    permute_subsystems,
-)
+from .tensor import DEFAULT_EPS, System
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCombination",
     "BipartiteSupermap",
     "CausalVerdict",
     "DEFAULT_EPS",
-    "DecompositionResult",
     "DiagramSyntaxError",
     "DiagramTypeError",
     "DimensionError",
     "HarnessConfig",
     "HarnessReport",
-    "InsertionResult",
     "Process",
     "ReconstructionError",
     "System",
-    "TrialRecord",
-    "UNIT",
     "WireMismatchError",
-    "apply_to_state",
-    "bend",
-    "cap",
-    "causal_affine_basis",
-    "channel_from_kraus",
-    "channel_from_unitary",
-    "compose_par",
-    "compose_seq",
-    "controlled_local_channel",
-    "cup",
-    "decompose_nonsignalling",
-    "discard_process",
-    "dress_slots",
-    "evaluate_diagram",
     "fixed_order_a_then_b",
     "fixed_order_b_then_a",
-    "frobenius_distance",
-    "hermitian_basis",
-    "identity_process",
     "insert",
     "insert_merged",
     "insert_with_ancilla",
     "is_causal",
-    "is_hermitian",
     "is_nonsignalling",
-    "is_nonsignalling_a_to_b",
-    "is_nonsignalling_b_to_a",
-    "is_psd",
     "is_soc",
     "is_soc2",
     "is_soc2_oracle",
     "is_soc_oracle",
-    "kron",
-    "make_effect",
-    "make_state",
-    "make_strongly_nonsignalling",
-    "merged_slot_process",
-    "mix",
-    "move_boundary",
-    "nonsignalling_direction_dim",
-    "parse_diagram",
-    "partial_trace",
-    "permute_input_factors",
-    "permute_output_factors",
-    "permute_subsystems",
-    "probe_states",
-    "process_from_dict",
-    "process_to_dict",
-    "processes_close",
-    "pseudo_state",
     "random_causal_channel",
-    "random_density",
-    "random_product_span",
-    "realize_affine",
-    "reconstruct_from_causal_states",
-    "relabel",
-    "report_to_jsonl",
-    "rewire",
-    "supermap_from_dict",
-    "supermap_from_process",
-    "supermap_to_dict",
-    "swap_process",
-    "unbend",
     "verify_corollary1",
     "verify_theorem1",
 ]

@@ -136,36 +136,22 @@ def make_strongly_nonsignalling(
     return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
 
 
-@dataclass(frozen=True)
-class CausalAffineBasis:
-    """Affine chart for the Choi matrices of trace-preserving maps."""
-
-    base: np.ndarray
-    directions: tuple[np.ndarray, ...]
-
-    def points(self) -> np.ndarray:
-        """The base point, then the base point moved along each direction,
-        as one stack."""
-        return self.base + np.stack((np.zeros_like(self.base),) + self.directions)
-
-
 @lru_cache(maxsize=None)
-def causal_affine_basis(d_in: int, d_out: int) -> CausalAffineBasis:
-    """Base point plus orthonormal traceless-on-output directions.
+def causal_affine_basis(d_in: int, d_out: int) -> np.ndarray:
+    """Affine basis of the Choi matrices of trace-preserving maps, as one
+    read-only ``(K, side, side)`` stack.
 
-    The base point is the Choi matrix of total depolarization; adding any
-    real combination of the directions stays trace preserving, and the
-    affine hull of the causal channels is exactly this chart.
+    Row 0 is the base point, the Choi matrix of total depolarization; each
+    later row is the base point moved along one of the orthonormal
+    traceless-on-output directions.  Adding any real combination of the
+    directions stays trace preserving, and the affine hull of the causal
+    channels is exactly the hull of these rows.
     """
-    base = np.kron(np.eye(d_in, dtype=complex), np.eye(d_out, dtype=complex)) / d_out
-    base.setflags(write=False)
-    dirs = []
-    for g in hermitian_basis(d_in):
-        for h in hermitian_basis(d_out)[1:]:
-            m = np.kron(g, h)
-            m.setflags(write=False)
-            dirs.append(m)
-    return CausalAffineBasis(base, tuple(dirs))
+    base = np.eye(d_in * d_out, dtype=complex) / d_out
+    dirs = [np.kron(g, h) for g in hermitian_basis(d_in) for h in hermitian_basis(d_out)[1:]]
+    points = base + np.stack([np.zeros_like(base), *dirs])
+    points.setflags(write=False)
+    return points
 
 
 def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -190,7 +176,7 @@ def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float 
     basis of causal arguments through the hole and checking every output.
     The whole basis goes through the hole as one stack."""
     si, so, ci, co = _sides(w, in_split, out_split)
-    outs = apply_to_state(w, causal_affine_basis(si, so).points())
+    outs = apply_to_state(w, causal_affine_basis(si, so))
     wit = partial_trace(outs, (ci, co), keep=(0,)) - np.eye(ci)
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
@@ -223,9 +209,7 @@ def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerd
     """Same predicate as :func:`is_soc2`, decided by filling both holes with
     affine bases of causal channels through the public insertion path.
     Every pair of basis arguments is filled by one stacked insertion."""
-    args_a = causal_affine_basis(w.a_in, w.a_out).points()
-    args_b = causal_affine_basis(w.b_in, w.b_out).points()
-    grid = insert_stacked(w, args_a, args_b)
+    grid = insert_stacked(w, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
     wit = partial_trace(grid, (w.c_in, w.c_out), keep=(0,)) - np.eye(w.c_in)
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
@@ -259,29 +243,12 @@ def probe_states(d: int) -> list[np.ndarray]:
 def reconstruct_from_causal_states(black_box, in_sys: System, out_sys: System, probes=None) -> Process:
     """Recover a process from its action on states alone.
 
-    With the default probes the Choi matrix is assembled by explicit
-    recombination; with a caller-supplied family a least-squares system is
-    solved instead, and a family that does not span state space raises
-    :class:`ReconstructionError`.
+    The responses to a family of probe states (:func:`probe_states` by
+    default) fix the Choi matrix through one least-squares system; a family
+    that does not span state space raises :class:`ReconstructionError`.
     """
     d, dout = in_sys.total, out_sys.total
-    if probes is None:
-        states = probe_states(d)
-        resp = [np.asarray(black_box(s), dtype=complex) for s in states]
-        choi4 = np.zeros((d, dout, d, dout), dtype=complex)
-        for i in range(d):
-            choi4[i, :, i, :] = resp[i]
-        k = d
-        for i in range(d):
-            for j in range(i + 1, d):
-                r_plus, r_phase = resp[k], resp[k + 1]
-                k += 2
-                corner = resp[i] + resp[j]
-                choi4[i, :, j, :] = r_plus + 1j * r_phase - (1 + 1j) / 2 * corner
-                choi4[j, :, i, :] = r_plus - 1j * r_phase - (1 - 1j) / 2 * corner
-        return Process(in_sys, out_sys, choi4.reshape(d * dout, d * dout))
-
-    probes = [np.asarray(p, dtype=complex) for p in probes]
+    probes = [np.asarray(p, dtype=complex) for p in (probe_states(d) if probes is None else probes)]
     a = np.stack([p.ravel() for p in probes])
     s = np.linalg.svd(a, compute_uv=False)
     rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0])) if s.size else 0

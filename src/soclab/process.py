@@ -9,14 +9,14 @@ Conventions, fixed once for the whole package:
 * States are processes from the empty system; effects are processes to it.
 * Moving a factor between the input and output lists while keeping its
   position in the concatenated list does not change the Choi data at all,
-  which is what :func:`bend` and :func:`unbend` exploit.
+  which is what :func:`move_boundary` and :func:`bend` exploit.
 
 A process stores its data once, as a read-only *factor tensor* with one row
 axis and one column axis per factor (shape ``factor_dims + factor_dims``).
 Reordering or regrouping factors returns a strided view of that tensor, not
 a copy, and the 2-D :attr:`Process.choi` is made from it on first use.  The
 public constructor copies the caller's array, so no caller can change a
-process after the fact.
+process after the fact, and rejects non-finite entries.
 
 Processes are not forced to be completely positive: ``cp_flag`` records
 whether positivity is known (True), known to fail (False), or untracked
@@ -52,6 +52,8 @@ class Process:
         side = self.in_sys.total * self.out_sys.total
         dims = self.factor_dims
         t = as_matrix(choi, side).copy().reshape(dims + dims)
+        if not np.isfinite(t).all():
+            raise DimensionError("choi entries must be finite numbers")
         t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
@@ -193,10 +195,6 @@ def bend(p: Process) -> Process:
     return move_boundary(p, 0)
 
 
-def unbend(p: Process, n_in: int) -> Process:
-    return move_boundary(p, n_in)
-
-
 def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Process:
     """Regroup factors (merge or split) without reordering the underlying
     basis; a view of ``p``'s tensor when that tensor is contiguous."""
@@ -208,11 +206,19 @@ def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Proc
     return Process._adopt(System(tuple(in_dims)), System(tuple(out_dims)), p.tensor, cp_flag=p.cp_flag)
 
 
+def _split_groups(sys: System, first: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The factors of ``sys`` before and from position ``first``."""
+    if not 0 <= first <= len(sys):
+        raise DimensionError(f"split {first} out of range for {len(sys)} factors")
+    return sys.dims[:first], sys.dims[first:]
+
+
 def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, int]:
     """Totals ``(A-in, B-in, A-out, B-out)`` of ``p`` read as a bipartite
     map whose first ``in_split`` inputs and ``out_split`` outputs are A's."""
-    ins, outs = p.in_sys.dims, p.out_sys.dims
-    return prod(ins[:in_split]), prod(ins[in_split:]), prod(outs[:out_split]), prod(outs[out_split:])
+    a_in, b_in = _split_groups(p.in_sys, in_split)
+    a_out, b_out = _split_groups(p.out_sys, out_split)
+    return prod(a_in), prod(b_in), prod(a_out), prod(b_out)
 
 
 def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]) -> Process:

@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, apply_to_state, process_from_dict, process_to_dict, relabel, rewire
+from .process import Process, _split_groups, process_from_dict, process_to_dict, relabel, rewire
 from .tensor import DEFAULT_EPS, MAX_SIDE, System, as_stack, link
 
 
@@ -108,12 +108,6 @@ def supermap_from_dict(d: dict) -> BipartiteSupermap:
     if p.in_sys.dims != a + b:
         raise DimensionError(f"process inputs {p.in_sys.dims} do not match slots {a + b}")
     return BipartiteSupermap(p)
-
-
-def _split_groups(sys: System, first: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not 0 <= first <= len(sys):
-        raise DimensionError(f"split {first} out of range for {len(sys)} factors")
-    return sys.dims[:first], sys.dims[first:]
 
 
 def _fit_holes(w: BipartiteSupermap, parts: tuple[int, ...], what: str) -> None:
@@ -296,8 +290,3 @@ def merged_slot_process(w: BipartiteSupermap) -> Process:
     ``A1 (x) B1 -> A2 (x) B2`` hole; inputs ``[A1, B1, A2, B2]``, outputs
     ``[C1, C2]``."""
     return rewire(w.body, [0, 2, 1, 3], [4, 5])
-
-
-def apply_body_to_joint(w: BipartiteSupermap, joint_choi: np.ndarray) -> np.ndarray:
-    """Contract the body against a raw Choi matrix on ``[A1, A2, B1, B2]``."""
-    return apply_to_state(w.body, joint_choi)

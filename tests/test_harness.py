@@ -101,6 +101,16 @@ class TestTheorem1Harness:
         assert np.allclose(got, lifted)
 
 
+class TestHarnessConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("ancilla_dim", 0), ("ancilla_dim", -2), ("eps", -1e-3), ("eps", float("nan")), ("eps", float("inf"))],
+    )
+    def test_bad_sizes_and_tolerances_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HarnessConfig(**{field: value})
+
+
 class TestCorollary1Harness:
     def test_good_supermap_passes_all_trials(self):
         report = verify_corollary1(W_GOOD, HarnessConfig(trials=10, seed=5))
@@ -114,9 +124,11 @@ class TestCorollary1Harness:
         assert not report.all_causal
 
     def test_open_route_equals_merged_insertion(self):
-        # The harness closes the memory wires after threading the halves
-        # through the holes; inserting the assembled non-signalling channel
-        # as one joint filling must give the same process.
+        # The reference route of the proof: thread each half through its
+        # hole with the memory wires left open, then close them with the
+        # shared state.  The harness inserts the assembled strongly
+        # non-signalling channel as one joint filling; both must give the
+        # same process.
         w = W_GOOD
         rng = np.random.default_rng(9)
         psi_a = random_causal_channel(System((2, 2)), System((2,)), seed=rng)

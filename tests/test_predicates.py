@@ -155,13 +155,13 @@ def is_soc2_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalV
 # differential references: one apply_to_state, or one insertion, per argument.
 def is_soc_oracle_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     si, so, ci, co = _sides(w, in_split, out_split)
-    basis = causal_affine_basis(si, so)
+    points = causal_affine_basis(si, so)
 
     def witness(x):
         out = Process(System((ci,)), System((co,)), apply_to_state(w, x))
         return is_causal(out, eps).witness
 
-    wit = np.array([witness(basis.base)] + [witness(basis.base + d) for d in basis.directions])
+    wit = np.array([witness(x) for x in points])
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
     residual = float(np.linalg.norm(wit))
@@ -169,12 +169,8 @@ def is_soc_oracle_reference(w: Process, in_split: int = 1, out_split: int = 1, e
 
 
 def is_soc2_oracle_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    basis_a = causal_affine_basis(w.a_in, w.a_out)
-    basis_b = causal_affine_basis(w.b_in, w.b_out)
-    args_a = [basis_a.base] + [basis_a.base + d for d in basis_a.directions]
-    args_b = [basis_b.base] + [basis_b.base + d for d in basis_b.directions]
-    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in args_a]
-    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in args_b]
+    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in causal_affine_basis(w.a_in, w.a_out)]
+    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in causal_affine_basis(w.b_in, w.b_out)]
     wit = np.array([[insert(w, pa, pb, eps=eps).causal.witness for pb in procs_b] for pa in procs_a])
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
@@ -308,6 +304,24 @@ class TestNonSignalling:
         assert is_causal(f).holds
         assert is_nonsignalling(f).residual < 1e-10
 
+    @pytest.mark.parametrize(
+        "check,split",
+        [
+            (is_nonsignalling, (5, 1)),
+            (is_nonsignalling_b_to_a, (1, 3)),
+            (is_nonsignalling_a_to_b, (-1, 1)),
+            (is_soc, (-1, 1)),
+            (is_soc, (1, -1)),
+            (is_soc_oracle, (3, 1)),
+        ],
+    )
+    def test_out_of_range_splits_are_rejected(self, check, split):
+        # Two inputs and two outputs: a split is in range from 0 to 2 on
+        # each side; -1 must not read as "all but the last factor".
+        f = compose_par(random_causal_channel(Q, Q, seed=1), random_causal_channel(Q, Q, seed=2))
+        with pytest.raises(DimensionError, match="out of range"):
+            check(f, *split)
+
     def test_memory_shape_is_validated(self):
         psi_a = random_causal_channel(System((2, 2)), Q, seed=0)
         psi_b = random_causal_channel(System((2, 2)), Q, seed=1)
@@ -319,18 +333,16 @@ class TestNonSignalling:
 class TestCausalAffineBasis:
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2)])
     def test_chart_stays_trace_preserving(self, d_in, d_out):
-        basis = causal_affine_basis(d_in, d_out)
-        assert len(basis.directions) == d_in**2 * (d_out**2 - 1)
-        base = Process(System((d_in,)), System((d_out,)), basis.base)
-        assert is_causal(base).holds
-        for d in basis.directions[:: max(1, len(basis.directions) // 7)]:
-            shifted = Process(System((d_in,)), System((d_out,)), basis.base + d)
-            assert is_causal(shifted).holds
+        points = causal_affine_basis(d_in, d_out)
+        assert points.shape == (d_in**2 * (d_out**2 - 1) + 1, d_in * d_out, d_in * d_out)
+        assert not points.flags.writeable
+        for x in points[:: max(1, len(points) // 7)]:
+            assert is_causal(Process(System((d_in,)), System((d_out,)), x)).holds
 
     def test_base_point_is_total_depolarization(self):
-        basis = causal_affine_basis(2, 2)
+        points = causal_affine_basis(2, 2)
         rho = random_density(Q, seed=3)
-        out = apply_to_state(Process(Q, Q, basis.base), rho)
+        out = apply_to_state(Process(Q, Q, points[0]), rho)
         assert np.allclose(out, np.eye(2) / 2)
 
 
@@ -523,11 +535,13 @@ class TestReconstruction:
         )
         assert processes_close(got, Process(ch.in_sys, ch.out_sys, ch.choi), 1e-9)
 
-    def test_custom_probe_path_agrees_with_assembly(self):
+    def test_explicit_probes_agree_with_the_default(self):
         ch = random_causal_channel(Q, System((3,)), seed=11)
         black_box = lambda rho: apply_to_state(ch, rho)
         direct = reconstruct_from_causal_states(black_box, Q, System((3,)))
-        solved = reconstruct_from_causal_states(black_box, Q, System((3,)), probes=probe_states(2))
+        # An overcomplete family of random states, not the default probes.
+        probes = [random_density(Q, seed=k) for k in range(6)]
+        solved = reconstruct_from_causal_states(black_box, Q, System((3,)), probes=probes)
         assert processes_close(direct, solved, 1e-9)
         assert processes_close(direct, ch, 1e-9)
 

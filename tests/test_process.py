@@ -333,6 +333,13 @@ class TestStorage:
             with pytest.raises(ValueError):
                 got.choi[0, 0] = 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_constructor_rejects_non_finite_entries(self, bad):
+        c = np.eye(6, dtype=complex)
+        c[1, 4] = bad
+        with pytest.raises(DimensionError, match="finite"):
+            Process(A, B, c)
+
     @pytest.mark.parametrize("ins, outs", [([0, 0], [1]), ([0, 2], [1]), ([0], [1, -1]), ([0], [])])
     def test_rewire_rejects_repeated_missing_and_out_of_range_positions(self, ins, outs):
         p = random_process(np.random.default_rng(15), A, B)

@@ -12,6 +12,7 @@ from soclab.predicates import is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
     _omega,
+    _split_groups,
     compose_par,
     compose_seq,
     identity_process,
@@ -24,7 +25,6 @@ from soclab.process import (
 )
 from soclab.supermap import (
     BipartiteSupermap,
-    _split_groups,
     dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
