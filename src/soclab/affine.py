@@ -2,15 +2,15 @@
 
 Bipartite non-signalling channels are exactly the affine hull of product
 channels.  :func:`realize_affine` builds an affine combination as one
-concrete process by summing its product terms.  :func:`pseudo_state` and
+concrete process from one matrix of product columns.  :func:`pseudo_state` and
 :func:`controlled_local_channel` are the parts of the other construction:
 a diagonal pseudo-state (a classically correlated state whose weights may
 be negative) routed to a pair of controlled local channels.  The tests wire
 those parts up and check that they give the same process.
 
 The inverse direction fits coefficients over a given spanning family of
-product channel pairs by constrained least squares, and reports whether
-the family falls short of the hull, whose dimension has a closed form.
+product channel pairs by constrained least squares in one factorization,
+whose rank tells whether the family falls short of the hull (a closed form).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _sides, compose_par, random_causal_channel, relabel
+from .process import Process, _sides, random_causal_channel
 from .tensor import System, UNIT
 
 
@@ -85,9 +85,19 @@ class AffineCombination:
         return tuple(r for r, _, _ in self.terms)
 
 
+def _product_columns(pairs: Sequence[tuple[Process, Process]]) -> np.ndarray:
+    """``vec(Phi_k) (x) vec(Psi_k)`` for each pair, as the columns of one
+    matrix.  Its rows run over ``[A1, A2, A1', A2', B1, B2, B1', B2']``
+    (row and column indices of each side's Choi matrix), not over the
+    product channel's ``[A1, B1, A2, B2]`` order."""
+    phis = np.stack([phi.choi.ravel() for phi, _ in pairs], axis=1)
+    psis = np.stack([psi.choi.ravel() for _, psi in pairs], axis=1)
+    return (phis[:, None, :] * psis[None, :, :]).reshape(-1, len(pairs))
+
+
 def realize_affine(comb: AffineCombination) -> Process:
     """Build the bipartite process ``sum_x r_x Phi_x (x) Psi_x`` on
-    ``A1 (x) B1 -> A2 (x) B2`` by summing the product terms.
+    ``A1 (x) B1 -> A2 (x) B2`` as one weighted sum of product columns.
 
     It is flagged CP when every weight is non-negative and every channel is
     flagged CP; otherwise positivity is left untracked.
@@ -95,12 +105,11 @@ def realize_affine(comb: AffineCombination) -> Process:
     _, f0, g0 = comb.terms[0]
     a1, a2 = f0.in_sys.total, f0.out_sys.total
     b1, b2 = g0.in_sys.total, g0.out_sys.total
-    acc = np.zeros((a1 * b1 * a2 * b2,) * 2, dtype=complex)
-    for r, f, g in comb.terms:
-        pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
-        acc = acc + r * pair.choi
+    acc = _product_columns([(f, g) for _, f, g in comb.terms]) @ np.array(comb.coeffs)
+    side = a1 * b1 * a2 * b2
+    choi = acc.reshape(a1, a2, a1, a2, b1, b2, b1, b2).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(side, side)
     cp = all(r >= 0 and f.cp_flag and g.cp_flag for r, f, g in comb.terms)
-    return Process(System((a1, b1)), System((a2, b2)), acc, cp_flag=True if cp else None)
+    return Process(System((a1, b1)), System((a2, b2)), choi, cp_flag=True if cp else None)
 
 
 @dataclass(frozen=True)
@@ -155,35 +164,21 @@ def decompose_nonsignalling(
     if not pairs:
         raise DimensionError("need a non-empty spanning family")
     ai, bi, ao, bo = _sides(f, in_split, out_split)
-    cols = []
-    for phi, psi in pairs:
-        if (
-            phi.in_sys.total != ai
-            or phi.out_sys.total != ao
-            or psi.in_sys.total != bi
-            or psi.out_sys.total != bo
-        ):
-            raise WireMismatchError("spanning pair does not match the target's shape")
-        pair = compose_par(relabel(phi, (ai,), (ao,)), relabel(psi, (bi,), (bo,)))
-        v = pair.choi.ravel()
-        cols.append(np.concatenate([v.real, v.imag]))
-    a = np.stack(cols, axis=1)
-    target = f.choi.ravel()
+    if any((phi.in_sys.total, phi.out_sys.total, psi.in_sys.total, psi.out_sys.total) != (ai, ao, bi, bo) for phi, psi in pairs):
+        raise WireMismatchError("spanning pair does not match the target's shape")
+    cols = _product_columns(pairs)
+    a = np.concatenate([cols.real, cols.imag])
+    # The target's Choi matrix in the product columns' row order.
+    target = f.choi.reshape(ai, bi, ao, bo, ai, bi, ao, bo).transpose(0, 2, 4, 6, 1, 3, 5, 7).ravel()
     b = np.concatenate([target.real, target.imag])
 
+    # Coefficients summing to one: the uniform point plus a step along the
+    # differences between the first pair and each other one.  A lone pair
+    # leaves no direction, which the solve takes as zero columns.
     n = len(pairs)
     base = np.full(n, 1.0 / n)
-    z = np.zeros((n, n - 1))
-    z[0, :] = -1.0
-    z[1:, :] = np.eye(n - 1)
-    if n == 1:
-        r = base
-    else:
-        y, *_ = np.linalg.lstsq(a @ z, b - a @ base, rcond=None)
-        r = base + z @ y
+    y, _, span_rank, _ = np.linalg.lstsq(a[:, 1:] - a[:, :1], b - a @ base, rcond=None)
+    r = base + np.concatenate([[-y.sum()], y])
     residual = float(np.linalg.norm(a @ r - b))
-
-    directions = a[:, 1:] - a[:, :1]
-    span_rank = int(np.linalg.matrix_rank(directions)) if n > 1 else 0
-    deficient = span_rank < nonsignalling_direction_dim(ai, bi, ao, bo)
+    deficient = bool(span_rank < nonsignalling_direction_dim(ai, bi, ao, bo))
     return DecompositionResult(tuple(float(x) for x in r), residual, deficient)

@@ -51,13 +51,16 @@ def _defect(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
     return (t - mean * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(m.shape)
 
 
-def _marginal(f: Process, out_split: int, side_a: bool) -> np.ndarray:
-    """Trace of ``f`` over the outputs of one side, from its tensor in place:
-    the result keeps every input and the A-side outputs (the first
-    ``out_split``) when ``side_a``, else the B-side ones."""
+def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """The marginal on every input and one side's outputs (the A side's, the
+    first ``out_split``, when ``side_a``), traced from ``f``'s tensor in
+    place; its dims; and how far it depends on the other side's input."""
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
     outs = list(range(f.n_in, len(f.factor_dims)))
     kept = outs[:out_split] if side_a else outs[out_split:]
-    return partial_trace(f.tensor, f.factor_dims, keep=[*range(f.n_in), *kept])
+    m = partial_trace(f.tensor, f.factor_dims, keep=[*range(f.n_in), *kept])
+    dims = (ai, bi, ao if side_a else bo)
+    return m, dims, float(np.linalg.norm(_defect(m, dims, 1 if side_a else 0)))
 
 
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -71,31 +74,17 @@ def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
     return CausalVerdict(residual <= eps, residual, witness)
 
 
-def is_nonsignalling_b_to_a(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    """The A-side marginal output cannot depend on the B-side input.
+def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    """No signalling in either direction: ``parts`` holds how far the A-side
+    marginal output depends on the B-side input (``b_to_a``) and the converse.
 
     ``f`` acts on a bipartite system; ``in_split``/``out_split`` count how
     many leading input/output factors belong to side A.
     """
-    ai, bi, ao, bo = _sides(f, in_split, out_split)
-    m = _marginal(f, out_split, side_a=True)
-    residual = float(np.linalg.norm(_defect(m, (ai, bi, ao), 1)))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_nonsignalling_a_to_b(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    ai, bi, ao, bo = _sides(f, in_split, out_split)
-    m = _marginal(f, out_split, side_a=False)
-    residual = float(np.linalg.norm(_defect(m, (ai, bi, bo), 0)))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    """No signalling in either direction; residual combines both checks."""
-    va = is_nonsignalling_b_to_a(f, in_split, out_split, eps)
-    vb = is_nonsignalling_a_to_b(f, in_split, out_split, eps)
-    residual = hypot(va.residual, vb.residual)
-    return CausalVerdict(residual <= eps, residual, None, {"b_to_a": va.residual, "a_to_b": vb.residual})
+    b_to_a = _signalling_gap(f, in_split, out_split, side_a=True)[2]
+    a_to_b = _signalling_gap(f, in_split, out_split, side_a=False)[2]
+    residual = hypot(b_to_a, a_to_b)
+    return CausalVerdict(residual <= eps, residual, None, {"b_to_a": b_to_a, "a_to_b": a_to_b})
 
 
 def make_strongly_nonsignalling(
@@ -163,9 +152,8 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     ``out_split``).  Holds iff filling the hole with any causal channel
     yields a causal channel.
     """
-    si, so, ci, co = _sides(w, in_split, out_split)
-    m = _marginal(w, out_split, side_a=True)
-    gap_slot = float(np.linalg.norm(_defect(m, (si, so, ci), 1)))
+    # The slot output must not signal to the channel input; the rest must be normalized.
+    m, (si, so, ci), gap_slot = _signalling_gap(w, in_split, out_split, side_a=True)
     gap_norm = frobenius_distance(partial_trace(m, (si, so, ci), keep=(2,)) / so, np.eye(ci))
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None, {"gap_slot": gap_slot, "gap_norm": gap_norm})
@@ -246,15 +234,15 @@ def reconstruct_from_causal_states(black_box, in_sys: System, out_sys: System, p
     The responses to a family of probe states (:func:`probe_states` by
     default) fix the Choi matrix through one least-squares system; a family
     that does not span state space raises :class:`ReconstructionError`.
+    The rank comes from that same solve, so the black box is queried on
+    every probe before a deficient family is rejected.
     """
     d, dout = in_sys.total, out_sys.total
     probes = [np.asarray(p, dtype=complex) for p in (probe_states(d) if probes is None else probes)]
     a = np.stack([p.ravel() for p in probes])
-    s = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0])) if s.size else 0
+    b = np.stack([np.asarray(black_box(p), dtype=complex).ravel() for p in probes])
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < d * d:
         raise ReconstructionError(f"probe family spans {rank} of {d * d} dimensions")
-    b = np.stack([np.asarray(black_box(p), dtype=complex).ravel() for p in probes])
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
     choi4 = x.reshape(d, d, dout, dout).transpose(0, 2, 1, 3)
     return Process(in_sys, out_sys, choi4.reshape(d * dout, d * dout))

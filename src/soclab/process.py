@@ -138,14 +138,14 @@ def make_effect(e: np.ndarray, sys: System) -> Process:
 
 
 def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: System) -> Process:
-    c = np.zeros((in_sys.total * out_sys.total,) * 2, dtype=complex)
-    for k in kraus:
-        k = np.asarray(k, dtype=complex)
-        if k.shape != (out_sys.total, in_sys.total):
-            raise DimensionError(f"Kraus operator shape {k.shape} does not match {out_sys.total}x{in_sys.total}")
-        v = k.T.ravel()
-        c += np.outer(v, v.conj())
-    return Process._adopt(in_sys, out_sys, c, cp_flag=True)
+    d_in, d_out = in_sys.total, out_sys.total
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    for k in ops:
+        if k.shape != (d_out, d_in):
+            raise DimensionError(f"Kraus operator shape {k.shape} does not match {d_out}x{d_in}")
+    # Column k of v is vec(K_k^T); the Choi matrix is the sum of their outer products.
+    v = np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in).transpose(2, 1, 0).reshape(d_in * d_out, len(ops))
+    return Process._adopt(in_sys, out_sys, v @ v.conj().T, cp_flag=True)
 
 
 def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Process:
@@ -277,7 +277,7 @@ def random_causal_channel(in_sys: System, out_sys: System, env_dim: int | None =
     diag[np.abs(diag) == 0] = 1.0
     q = q * (diag / np.abs(diag))
     v = q.reshape(d_out, env, d_in)
-    return channel_from_kraus([v[:, k, :] for k in range(env)], in_sys, out_sys)
+    return channel_from_kraus(v.transpose(1, 0, 2), in_sys, out_sys)
 
 
 def process_to_dict(p: Process) -> dict:

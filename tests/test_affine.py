@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_predicates import _embed_identity
 
 from soclab.affine import (
     AffineCombination,
+    DecompositionResult,
     controlled_local_channel,
     decompose_nonsignalling,
     nonsignalling_direction_dim,
@@ -15,6 +18,7 @@ from soclab.errors import DimensionError, WireMismatchError
 from soclab.predicates import is_causal, is_nonsignalling
 from soclab.process import (
     Process,
+    _sides,
     apply_to_state,
     channel_from_unitary,
     compose_par,
@@ -52,6 +56,61 @@ def realize_by_wiring(comb):
     prep = compose_par(pseudo_state(comb.coeffs), identity_process(System((a1, b1))))
     arranged = permute_output_factors(prep, (0, 2, 1, 3))
     return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
+
+
+# The per-pair routes that realize_affine and decompose_nonsignalling
+# replaced, kept verbatim as differential references: one compose_par of
+# two relabelled channels per pair, and a fit that factorizes its direction
+# matrix twice (once as a @ z in the solve, once for the rank).
+def realize_affine_by_pairs(comb):
+    _, f0, g0 = comb.terms[0]
+    a1, a2 = f0.in_sys.total, f0.out_sys.total
+    b1, b2 = g0.in_sys.total, g0.out_sys.total
+    acc = np.zeros((a1 * b1 * a2 * b2,) * 2, dtype=complex)
+    for r, f, g in comb.terms:
+        pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
+        acc = acc + r * pair.choi
+    cp = all(r >= 0 and f.cp_flag and g.cp_flag for r, f, g in comb.terms)
+    return Process(System((a1, b1)), System((a2, b2)), acc, cp_flag=True if cp else None)
+
+
+def decompose_by_two_factorizations(f, span_pairs, in_split=1, out_split=1):
+    pairs = list(span_pairs)
+    if not pairs:
+        raise DimensionError("need a non-empty spanning family")
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
+    cols = []
+    for phi, psi in pairs:
+        if (
+            phi.in_sys.total != ai
+            or phi.out_sys.total != ao
+            or psi.in_sys.total != bi
+            or psi.out_sys.total != bo
+        ):
+            raise WireMismatchError("spanning pair does not match the target's shape")
+        pair = compose_par(relabel(phi, (ai,), (ao,)), relabel(psi, (bi,), (bo,)))
+        v = pair.choi.ravel()
+        cols.append(np.concatenate([v.real, v.imag]))
+    a = np.stack(cols, axis=1)
+    target = f.choi.ravel()
+    b = np.concatenate([target.real, target.imag])
+
+    n = len(pairs)
+    base = np.full(n, 1.0 / n)
+    z = np.zeros((n, n - 1))
+    z[0, :] = -1.0
+    z[1:, :] = np.eye(n - 1)
+    if n == 1:
+        r = base
+    else:
+        y, *_ = np.linalg.lstsq(a @ z, b - a @ base, rcond=None)
+        r = base + z @ y
+    residual = float(np.linalg.norm(a @ r - b))
+
+    directions = a[:, 1:] - a[:, :1]
+    span_rank = int(np.linalg.matrix_rank(directions)) if n > 1 else 0
+    deficient = span_rank < nonsignalling_direction_dim(ai, bi, ao, bo)
+    return DecompositionResult(tuple(float(x) for x in r), residual, deficient)
 
 
 def nonsignalling_direction_dim_by_rank(ai, bi, ao, bo):
@@ -300,3 +359,37 @@ class TestDecompose:
         res = decompose_nonsignalling(w, span)
         assert res.residual < 1e-8
         assert np.allclose(np.array(res.coeffs), r, atol=1e-5)
+
+
+class TestProductColumnsMatchThePairRoutes:
+    # Per shape (a1, a2, b1, b2): a lone pair, a family too small to span
+    # the hull, and at qubits one that spans it (168 directions).
+    CASES = [
+        ((2, 2, 2, 2), 1, True),
+        ((2, 2, 2, 2), 7, True),
+        ((2, 2, 2, 2), 180, False),
+        ((2, 3, 3, 2), 1, True),
+        ((2, 3, 3, 2), 9, True),
+        ((3, 2, 2, 4), 1, True),
+        ((3, 2, 2, 4), 12, True),
+    ]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CASES))
+    @settings(max_examples=20, deadline=None)
+    def test_realize_and_decompose_match_the_references(self, seed, case):
+        dims, n, deficient = case
+        a1, a2, b1, b2 = dims
+        rng = np.random.default_rng(seed)
+        comb = random_combination(rng, 3, dims=dims)
+        target = realize_affine(comb)
+        want = realize_affine_by_pairs(comb)
+        assert target.in_sys == want.in_sys and target.out_sys == want.out_sys
+        assert target.cp_flag is want.cp_flag
+        assert np.linalg.norm(target.choi - want.choi) <= 1e-10
+
+        span = random_product_span(n, in_dims=(a1, b1), out_dims=(a2, b2), seed=rng)
+        got, ref = decompose_nonsignalling(target, span), decompose_by_two_factorizations(target, span)
+        assert type(got.span_deficient) is bool
+        assert got.span_deficient is ref.span_deficient is deficient
+        assert np.max(np.abs(np.subtract(got.coeffs, ref.coeffs))) <= 1e-10
+        assert abs(got.residual - ref.residual) <= 1e-10

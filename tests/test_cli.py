@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -80,6 +82,16 @@ class TestGoldenCorpus:
         got = process_from_dict(json.loads(out))
         want = compose_seq(cap(System((3,))), cup(System((3,))))
         assert processes_close(got, want, eps=1e-12)
+
+    def test_eval_output_bytes_are_pinned(self, capsys):
+        # One write of the whole document: the same bytes as streaming it
+        # through json.dump, and the same bytes as ever for this corpus file.
+        _, out, _ = run(["eval", str(GOLDEN / "cap_then_cup.diag")], capsys)
+        streamed = io.StringIO()
+        json.dump(json.loads(out), streamed, indent=2, sort_keys=True)
+        assert out == streamed.getvalue() + "\n"
+        assert len(out.encode()) == 276_610
+        assert hashlib.sha256(out.encode()).hexdigest() == "d5dfc3f5dac4a78f757b6781e06f96badb4d5c8f629e4c383b22bba29c0c1c4c"
 
     def test_syntax_error_names_position(self, capsys):
         _, _, err = run(["eval", str(GOLDEN / "bad_syntax.diag")], capsys)

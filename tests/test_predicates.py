@@ -13,8 +13,6 @@ from soclab.predicates import (
     causal_affine_basis,
     is_causal,
     is_nonsignalling,
-    is_nonsignalling_a_to_b,
-    is_nonsignalling_b_to_a,
     is_soc,
     is_soc2,
     is_soc2_oracle,
@@ -243,14 +241,15 @@ class TestDefectMatchesEmbeddingReference:
         body = Process(in_sys, out_sys, base + (1e-3 if causal else 1.0) * bump)
 
         def close(got, want):
-            assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
 
-        close(is_soc2(BipartiteSupermap(body)), is_soc2_reference(BipartiteSupermap(body)))
+        close(is_soc2(BipartiteSupermap(body)).residual, is_soc2_reference(BipartiteSupermap(body)).residual)
         for in_split in (1, 2, 3):
             for out_split in (0, 1, 2):
-                close(is_nonsignalling_b_to_a(body, in_split, out_split), is_nonsignalling_b_to_a_reference(body, in_split, out_split))
-                close(is_nonsignalling_a_to_b(body, in_split, out_split), is_nonsignalling_a_to_b_reference(body, in_split, out_split))
-                close(is_soc(body, in_split, out_split), is_soc_reference(body, in_split, out_split))
+                parts = is_nonsignalling(body, in_split, out_split).parts
+                close(parts["b_to_a"], is_nonsignalling_b_to_a_reference(body, in_split, out_split).residual)
+                close(parts["a_to_b"], is_nonsignalling_a_to_b_reference(body, in_split, out_split).residual)
+                close(is_soc(body, in_split, out_split).residual, is_soc_reference(body, in_split, out_split).residual)
 
 
 class TestIsCausal:
@@ -275,22 +274,26 @@ class TestIsCausal:
         assert bool(is_causal(identity_process(Q)))
 
 
+def signals(f: Process) -> dict[str, bool]:
+    """Which directions of ``f`` signal, read from ``is_nonsignalling``'s parts."""
+    return {k: gap > DEFAULT_EPS for k, gap in is_nonsignalling(f).parts.items()}
+
+
 class TestNonSignalling:
     def test_product_channels_do_not_signal(self):
         f = compose_par(random_causal_channel(Q, Q, seed=1), random_causal_channel(Q, System((3,)), seed=2))
-        assert is_nonsignalling_b_to_a(f).holds
-        assert is_nonsignalling_a_to_b(f).holds
+        assert signals(f) == {"b_to_a": False, "a_to_b": False}
         assert is_nonsignalling(f).holds
 
     def test_swap_signals_both_ways(self):
         f = swap_process(Q, Q)
-        assert not is_nonsignalling_b_to_a(f).holds
-        assert not is_nonsignalling_a_to_b(f).holds
+        assert signals(f) == {"b_to_a": True, "a_to_b": True}
+        assert not is_nonsignalling(f).holds
 
     def test_classical_copy_signals_one_way_only(self):
         f = classical_copy_channel()
-        assert is_nonsignalling_b_to_a(f).holds
-        assert not is_nonsignalling_a_to_b(f).holds
+        assert signals(f) == {"b_to_a": False, "a_to_b": True}
+        assert not is_nonsignalling(f).holds
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
@@ -308,8 +311,8 @@ class TestNonSignalling:
         "check,split",
         [
             (is_nonsignalling, (5, 1)),
-            (is_nonsignalling_b_to_a, (1, 3)),
-            (is_nonsignalling_a_to_b, (-1, 1)),
+            (is_nonsignalling, (1, 3)),
+            (is_nonsignalling, (-1, 1)),
             (is_soc, (-1, 1)),
             (is_soc, (1, -1)),
             (is_soc_oracle, (3, 1)),
@@ -548,7 +551,7 @@ class TestReconstruction:
     def test_deficient_probes_are_rejected(self):
         ch = random_causal_channel(Q, Q, seed=12)
         diag_only = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        with pytest.raises(ReconstructionError):
+        with pytest.raises(ReconstructionError, match="probe family spans 2 of 4 dimensions"):
             reconstruct_from_causal_states(
                 lambda rho: apply_to_state(ch, rho), Q, Q, probes=diag_only
             )

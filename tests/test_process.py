@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,19 @@ def compose_par_kron(f, g):
     return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm), cp_flag=cp)
 
 
+def channel_from_kraus_loop(kraus, in_sys, out_sys):
+    """The sum of outer products that channel_from_kraus replaced, kept
+    verbatim as its reference."""
+    c = np.zeros((in_sys.total * out_sys.total,) * 2, dtype=complex)
+    for k in kraus:
+        k = np.asarray(k, dtype=complex)
+        if k.shape != (out_sys.total, in_sys.total):
+            raise DimensionError(f"Kraus operator shape {k.shape} does not match {out_sys.total}x{in_sys.total}")
+        v = k.T.ravel()
+        c += np.outer(v, v.conj())
+    return Process(in_sys, out_sys, c, cp_flag=True)
+
+
 def assert_same_process(got, want, tol=1e-12):
     assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
     assert got.cp_flag is want.cp_flag
@@ -131,6 +146,34 @@ class TestGenerators:
         rho = random_matrix(rng, 2)
         assert np.allclose(apply_to_state(ch, rho), k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T)
         assert ch.cp_flag is True
+
+    @given(seeds, st.sampled_from([(A, A), (A, B), (B, A), (A + A, B)]), st.integers(0, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_kraus_product_matches_the_loop(self, seed, shape, count):
+        in_sys, out_sys = shape
+        rng = np.random.default_rng(seed)
+        kraus = [rng.standard_normal((out_sys.total, in_sys.total)) + 1j * rng.standard_normal((out_sys.total, in_sys.total)) for _ in range(count)]
+        assert_same_process(channel_from_kraus(kraus, in_sys, out_sys), channel_from_kraus_loop(kraus, in_sys, out_sys))
+        # A stacked array of operators reads as the list of its rows.
+        if count:
+            assert_same_process(channel_from_kraus(np.stack(kraus), in_sys, out_sys), channel_from_kraus_loop(kraus, in_sys, out_sys))
+
+    def test_empty_kraus_list_is_the_zero_map(self):
+        ch = channel_from_kraus([], A, B)
+        assert ch.choi.shape == (6, 6) and ch.choi.dtype == complex
+        assert not ch.choi.any()
+
+    @pytest.mark.parametrize(
+        "kraus,shape",
+        [([np.eye(3)], "(3, 3)"), ([np.zeros((3, 2)), np.eye(3)], "(3, 3)"), ([np.zeros((3, 2)), np.zeros(4)], "(4,)")],
+        ids=["mis_shaped", "ragged", "flat"],
+    )
+    def test_mis_shaped_kraus_operators_are_rejected(self, kraus, shape):
+        # Every operator is checked before any is stacked, so numpy never
+        # sees a ragged list; the message is the loop's.
+        for build in (channel_from_kraus, channel_from_kraus_loop):
+            with pytest.raises(DimensionError, match=re.escape(f"Kraus operator shape {shape} does not match 3x2")):
+                build(kraus, A, B)
 
     def test_swap_exchanges_factors(self):
         rng = np.random.default_rng(3)
