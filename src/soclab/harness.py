@@ -2,7 +2,9 @@
 
 Each verifier first evaluates the structural premise on the supermap,
 then runs seeded trials that build random arguments, push them through
-the public insertion machinery, and check the output for causality.
+the public insertion machinery, and check the output for causality.  That
+check traces the outputs first, so a trial never builds the filled
+process, and the supermap's body is traced once a run.
 Theorem 1's trials fill each hole with a channel that drags an ancilla
 through it; the corollary's fill both holes with one strongly
 non-signalling channel, made of local channels on a shared state.

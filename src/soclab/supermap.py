@@ -7,19 +7,26 @@ factors ``[C1, C2]``; filling the holes contracts the slot factors of the
 body against the Choi matrices of the inserted channels.  Because the
 body is an ordinary process, supermaps can be mixed, dressed, and probed
 with non-CP arguments without any extra machinery.
+
+An insertion checks its types at once and contracts nothing until asked.
+Its ``causal`` verdict traces first: discarding commutes with filling (the
+link product is associative), so ``C2`` is traced out of the body, once
+per supermap, and the ancilla outputs out of the arguments, before the
+small marginals are linked.  The filled ``process`` is built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _split_groups, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, MAX_SIDE, System, as_stack, link
+from .tensor import DEFAULT_EPS, MAX_SIDE, UNIT, System, as_stack, link, partial_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +64,13 @@ class BipartiteSupermap:
     def c_out(self) -> int:
         return self.body.out_sys[1]
 
+    @cached_property
+    def _discarded(self) -> "BipartiteSupermap":
+        """This supermap with ``C2`` traced out of its body: the output
+        factor is kept with dimension 1, so every filling still applies."""
+        marginal = partial_trace(self.body.tensor, self.body.factor_dims, keep=range(5))
+        return BipartiteSupermap(Process._adopt(self.body.in_sys, System((self.c_in, 1)), marginal))
+
     def __repr__(self) -> str:
         return (
             f"BipartiteSupermap(a={self.a_in}->{self.a_out}, "
@@ -66,16 +80,35 @@ class BipartiteSupermap:
 
 @dataclass(eq=False)
 class InsertionResult:
-    """A filled supermap, with the causality check deferred until asked for."""
+    """A filled supermap: the holes are typed when it is made, and nothing
+    is contracted until asked for.
 
-    process: Process
+    :attr:`causal` traces first.  It discards ``C2`` from the body and the
+    ancilla outputs from the arguments, links what is left into the
+    marginal on ``in_sys``, and reads that marginal as ``is_causal`` reads
+    one; it never builds :attr:`process`.  :attr:`process`, the filled map
+    ``in_sys -> out_sys``, is built on first use.  ``_fill(discard)`` makes
+    either contraction: the filled Choi matrix, or with ``discard`` the
+    marginal.
+    """
+
+    in_sys: System
+    out_sys: System
+    cp_flag: bool | None
+    _fill: Callable[[bool], np.ndarray] = field(repr=False)
     eps: float = DEFAULT_EPS
+
+    @cached_property
+    def process(self) -> Process:
+        return Process._adopt(self.in_sys, self.out_sys, self._fill(False), cp_flag=self.cp_flag)
 
     @cached_property
     def causal(self):
         from .predicates import is_causal
 
-        return is_causal(self.process, eps=self.eps)
+        # Filling and then discarding every output is an effect on the
+        # inputs; the filled process is causal when that effect is the discard.
+        return is_causal(Process._adopt(self.in_sys, UNIT, self._fill(True)), eps=self.eps)
 
 
 def supermap_from_process(p: Process, a_dims: tuple[int, int], b_dims: tuple[int, int]) -> BipartiteSupermap:
@@ -134,10 +167,15 @@ def insert_stacked(
     one filling.  Filling is linear in each hole, so every pair takes the
     same two contractions.  Each result keeps the side wires open: inputs
     ``[a ancilla, b ancilla, C1]``, outputs ``[a ancilla, b ancilla, C2]``.
+    The result's size is checked before the first contraction.
     """
     a_dims = (a_ancilla[0], w.a_in, a_ancilla[1], w.a_out)
     b_dims = (b_ancilla[0], w.b_in, b_ancilla[1], w.b_out)
     pa, pb = as_stack(pa, prod(a_dims)), as_stack(pb, prod(b_dims))
+    side = prod(a_ancilla) * prod(b_ancilla) * w.c_in * w.c_out
+    shape = pa.shape[:-2] + pb.shape[:-2] + (side, side)
+    if prod(shape) > MAX_SIDE * MAX_SIDE:
+        raise DimensionError(f"filled result of shape {shape} exceeds limit of {MAX_SIDE}**2 elements")
     # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
     # never formed.  Free factors after the first link:
     # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
@@ -162,22 +200,34 @@ def insert_with_ancilla(
     factors on each side (``pb`` likewise).  The result keeps the side
     wires open: inputs ``[pa ancillas, pb ancillas, C1]``, outputs
     ``[pa ancillas, pb ancillas, C2]``.  This is :func:`insert_stacked`
-    on one pair.
+    on one pair, or, for the causality check, on the discarded supermap
+    and arguments.
     """
     a_anc_in, a_slot_in = _split_groups(pa.in_sys, a_split[0])
     a_anc_out, a_slot_out = _split_groups(pa.out_sys, a_split[1])
     b_anc_in, b_slot_in = _split_groups(pb.in_sys, b_split[0])
     b_anc_out, b_slot_out = _split_groups(pb.out_sys, b_split[1])
     _fit_holes(w, (prod(a_slot_in), prod(a_slot_out), prod(b_slot_in), prod(b_slot_out)), "slot parts")
-    # Merging adjacent factors leaves the data as it is, so each channel
-    # reads [ancilla in, slot in, ancilla out, slot out].
-    c = insert_stacked(
-        w, pa.choi, pb.choi, (prod(a_anc_in), prod(a_anc_out)), (prod(b_anc_in), prod(b_anc_out))
-    )
+    ai, ao, bi, bo = prod(a_anc_in), prod(a_anc_out), prod(b_anc_in), prod(b_anc_out)
+
+    def fill(discard: bool) -> np.ndarray:
+        # Merging adjacent factors leaves the data as it is, so each channel
+        # reads [ancilla in, slot in, ancilla out, slot out]; a traced-out
+        # factor stays there with dimension 1.
+        if not discard:
+            return insert_stacked(w, pa.choi, pb.choi, (ai, ao), (bi, bo))
+        qa, qb = _discard_outputs(pa, a_split[1]), _discard_outputs(pb, b_split[1])
+        return insert_stacked(w._discarded, qa, qb, (ai, 1), (bi, 1))
+
     cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
-    return InsertionResult(Process._adopt(in_sys, out_sys, c, cp_flag=cp), eps=eps)
+    return InsertionResult(in_sys, out_sys, cp, fill, eps=eps)
+
+
+def _discard_outputs(p: Process, n: int) -> np.ndarray:
+    """``p``'s Choi matrix with its first ``n`` output factors traced out."""
+    return partial_trace(p.tensor, p.factor_dims, keep=[*range(p.n_in), *range(p.n_in + n, len(p.factor_dims))])
 
 
 def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:
@@ -203,9 +253,13 @@ def insert_merged(
     _fit_holes(w, (prod(a_in_fs), prod(a_out_fs), prod(b_in_fs), prod(b_out_fs)), "joint channel parts")
     # phi's factors merged per hole wire are [A1, B1, A2, B2].
     phi_dims = (w.a_in, w.b_in, w.a_out, w.b_out)
-    c = link(w.body.choi, w.body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
+
+    def fill(discard: bool) -> np.ndarray:
+        body = (w._discarded if discard else w).body
+        return link(body.choi, body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
+
     cp = True if (phi.cp_flag and w.body.cp_flag) else None
-    return InsertionResult(Process._adopt(System((w.c_in,)), System((w.c_out,)), c, cp_flag=cp), eps=eps)
+    return InsertionResult(System((w.c_in,)), System((w.c_out,)), cp, fill, eps=eps)
 
 
 def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:

@@ -129,6 +129,20 @@ class TestGoldenCorpus:
             assert set(rec) == {"trial", "causal", "residual", "seed"}
         assert lines[4]["summary"]["all_causal"] is True
 
+    def test_verify_with_ancillas_too_large_to_fill_out(self, capsys):
+        # Each filled process would be 40000 x 40000; the trials only link
+        # traced marginals, so the run completes.
+        code, out, err = run(
+            ["verify", "theorem1", str(GOLDEN / "fixed_order_a_then_b.json"),
+             "--trials", "2", "--seed", "1", "--dims", "10"],
+            capsys,
+        )
+        assert code == 0 and not err
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert [rec["causal"] for rec in lines[1:3]] == [True, True]
+        summary = lines[3]["summary"]
+        assert summary["trials"] == 2 and summary["all_causal"] is True and summary["max_residual"] < 1e-9
+
     def test_decompose_coefficients_are_affine(self, capsys):
         code, out, _ = run(
             ["decompose", str(GOLDEN / "ns_mix.json"), "--span-size", "180", "--seed", "2"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from test_process import assert_same_process, compose_par_kron, compose_seq_einsum
 
 from soclab.errors import DimensionError, WireMismatchError
-from soclab.extras import quantum_switch
-from soclab.predicates import is_soc2, is_soc2_oracle
+from soclab.extras import quantum_switch, spoiled_supermap
+from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
     _omega,
@@ -121,7 +122,7 @@ def supermap_on(kind, dims, rng):
     if kind == "b_then_a" and b2 == a1:
         return fixed_order_b_then_a(*dims)
     base = {"a_then_b": fixed_order_a_then_b, "b_then_a": fixed_order_b_then_a}
-    w = base[kind](2, 2, 2, 2) if kind in base else quantum_switch(2)
+    w = base[kind](2, 2, 2, 2) if kind in base else {"switch": quantum_switch, "spoiled": spoiled_supermap}[kind](2)
     chans = [
         random_causal_channel(Q, System((a1,)), seed=rng),
         random_causal_channel(System((a2,)), Q, seed=rng),
@@ -197,6 +198,91 @@ class TestLinkAgainstReference:
         closed, oracle = is_soc2(w), is_soc2_oracle(w)
         assert closed.holds is oracle.holds is (not spoil)
         assert abs(closed.residual - oracle.residual) <= 1e-9 * max(1.0, closed.residual)
+
+
+SPLITS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def assert_same_verdict(got, want):
+    """``got`` must read as ``want``: same verdict, residual to 1e-12
+    (relative), and the same witness, shape and factor order included."""
+    assert got.holds is want.holds
+    assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+    assert got.witness.shape == want.witness.shape
+    scale = max(1.0, np.abs(want.witness).max())
+    assert np.allclose(got.witness, want.witness, rtol=0, atol=1e-12 * scale)
+
+
+class TestTraceEarlyCausality:
+    # The full path builds the filled process and traces all its outputs;
+    # .causal traces C2 and the ancilla outputs first.  They must agree.
+    @given(
+        seeds,
+        st.sampled_from(KINDS + ["spoiled"]),
+        st.sampled_from(HETERO_DIMS),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(SPLITS),
+        st.sampled_from(SPLITS),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ancilla_insertion_equals_tracing_the_filled_process(self, seed, kind, dims, m, a_split, b_split, causal):
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        a1, a2, b1, b2 = dims
+
+        def arg(split, d_in, d_out):
+            ins, outs = System((m,) * split[0] + (d_in,)), System((m,) * split[1] + (d_out,))
+            return random_causal_channel(ins, outs, seed=rng) if causal else random_process(rng, ins, outs)
+
+        res = insert_with_ancilla(w, arg(a_split, a1, a2), arg(b_split, b1, b2), a_split, b_split)
+        got = res.causal
+        assert "process" not in vars(res)
+        assert_same_verdict(got, is_causal(res.process))
+
+    @given(seeds, st.sampled_from(KINDS + ["spoiled"]), st.sampled_from(HETERO_DIMS), st.sampled_from(["product", "swap"]))
+    @settings(max_examples=20, deadline=None)
+    def test_merged_insertion_equals_tracing_the_filled_process(self, seed, kind, dims, joint):
+        a1, a2, b1, b2 = dims
+        assume(joint == "product" or (a2, b2) == (b1, a1))
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        if joint == "swap":
+            phi = swap_process(System((a1,)), System((b1,)))
+        else:
+            pa = random_causal_channel(System((a1,)), System((a2,)), seed=rng)
+            phi = compose_par(pa, random_causal_channel(System((b1,)), System((b2,)), seed=rng))
+        res = insert_merged(w, phi)
+        got = res.causal
+        assert "process" not in vars(res)
+        assert_same_verdict(got, is_causal(res.process))
+
+    def test_a_filling_too_large_to_build_is_still_checked(self):
+        # Ancillas of dimension 10 on qubit slots: the filled process would
+        # be 40000 x 40000 complex (about 26 GB), its marginal 200 x 200.
+        w = fixed_order_a_then_b(2, 2, 2, 2)
+        big = System((10, 2))
+        pa = random_causal_channel(big, big, seed=0)
+        pb = random_causal_channel(big, big, seed=1)
+        res = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1))
+        assert res.causal.holds and res.causal.residual < 1e-9
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                res.process
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_body_is_traced_once_per_supermap(self):
+        w = fixed_order_a_then_b(2, 2, 2, 2)
+        q = identity_process(Q)
+        assert insert(w, q, q).causal.holds
+        traced = w._discarded
+        assert insert_merged(w, compose_par(q, q)).causal.holds
+        assert w._discarded is traced
+        assert traced.body.out_sys.dims == (2, 1) and not traced.body.tensor.flags.writeable
 
 
 def fixed_order_bodies_reference(a_in, a_out, b_in, b_out):
