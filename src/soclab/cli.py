@@ -127,7 +127,10 @@ def _cmd_soc2(args) -> int:
     data = _load_json(args.file)
     if args.slots is not None:
         a1, a2, b1, b2 = args.slots
-        w = supermap_from_process(process_from_dict(data), (a1, a2), (b1, b2))
+        p = process_from_dict(data)
+        if a1 * a2 * b1 * b2 != p.in_sys.total:
+            raise ValueError(f"--slots {a1} {a2} {b1} {b2} do not multiply to the file's input dimension {p.in_sys.total}")
+        w = supermap_from_process(p, (a1, a2), (b1, b2))
     else:
         w = supermap_from_dict(data)
     verdict = is_soc2(w, eps=_resolve_eps(args))
@@ -193,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("soc2", help="check that a two-slot supermap sends causal pairs to causal channels")
     p2.add_argument("file")
-    p2.add_argument("--slots", nargs=4, type=int, metavar=("A1", "A2", "B1", "B2"), default=None,
+    p2.add_argument("--slots", nargs=4, type=_positive_int, metavar=("A1", "A2", "B1", "B2"), default=None,
                     help="slot dimensions when the file holds a plain process")
     _add_eps(p2)
     p2.set_defaults(func=_cmd_soc2)

@@ -9,11 +9,13 @@ closed form on the body's marginals, and an oracle that actually fills
 the holes with a spanning family of arguments and checks every output.
 Both compute the same residual up to floating point error.
 
-The no-signalling and order-preservation closed forms all ask one
-question of a marginal of the Choi matrix: does it act as the identity on
-one factor?  :func:`_defect` measures how far it is from doing so.  The
-marginals are traced from the factor tensor in place, so a rewired process
-(a strided view) is never copied into its new order.
+Every check reads a discarded body: the marginal that
+``process._discard_outputs`` traces from the factor tensor in place, so a
+rewired process (a strided view) is never copied into its new order.  The
+oracles fill the body with the produced channel's output already
+discarded, so each filling is the effect it leaves on the channel input.
+The closed forms ask one question of such a marginal: does it act as the
+identity on one factor?  :func:`_defect` measures how far it is from it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from math import hypot, prod, sqrt
 import numpy as np
 
 from .errors import DimensionError, ReconstructionError
-from .process import Process, _sides, apply_to_state
+from .process import Process, _discard_outputs, _sides, apply_to_state
 from .supermap import BipartiteSupermap, insert_stacked
-from .tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
+from .tensor import DEFAULT_EPS, MAX_SIDE, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,8 @@ def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> 
     first ``out_split``, when ``side_a``), traced from ``f``'s tensor in
     place; its dims; and how far it depends on the other side's input."""
     ai, bi, ao, bo = _sides(f, in_split, out_split)
-    outs = list(range(f.n_in, len(f.factor_dims)))
-    kept = outs[:out_split] if side_a else outs[out_split:]
-    m = partial_trace(f.tensor, f.factor_dims, keep=[*range(f.n_in), *kept])
+    outs = range(len(f.out_sys))
+    m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split]).choi
     dims = (ai, bi, ao if side_a else bo)
     return m, dims, float(np.linalg.norm(_defect(m, dims, 1 if side_a else 0)))
 
@@ -68,7 +69,7 @@ def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
 
     For states (no inputs) this is normalization.
     """
-    marginal = partial_trace(f.tensor, f.factor_dims, keep=range(f.n_in))
+    marginal = _discard_outputs(f, range(len(f.out_sys))).choi
     witness = marginal - np.eye(f.in_sys.total)
     residual = float(np.linalg.norm(witness))
     return CausalVerdict(residual <= eps, residual, witness)
@@ -87,40 +88,33 @@ def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: flo
     return CausalVerdict(residual <= eps, residual, None, {"b_to_a": b_to_a, "a_to_b": a_to_b})
 
 
-def make_strongly_nonsignalling(
-    psi_a: Process,
-    psi_b: Process,
-    shared: Process,
-    a_mem: int = 1,
-    b_mem: int = 1,
-) -> Process:
+def make_strongly_nonsignalling(psi_a: Process, psi_b: Process, shared: Process) -> Process:
     """Local channels consuming the two halves of one pre-shared state.
 
-    ``psi_a`` takes ``[A1..., memory...]`` (memory factors last), ``psi_b``
-    takes ``[memory'..., B1...]`` (memory factors first), and ``shared`` is
-    a state on ``memory + memory'``.  The result is a bipartite channel
-    ``A1 (x) B1 -> A2 (x) B2``; channels of this shape cannot signal in
-    either direction.
+    ``psi_a`` takes ``[A1..., memory]`` (its last input factor is its
+    memory), ``psi_b`` takes ``[memory', B1...]`` (its first), and
+    ``shared`` is a state on ``[memory, memory']``; a memory made of
+    several factors is merged into one first.  The result is a bipartite
+    channel ``A1 (x) B1 -> A2 (x) B2``; channels of this shape cannot
+    signal in either direction.
     """
     if shared.in_sys != UNIT:
         raise DimensionError("the shared resource must be a state (no inputs)")
-    mem_a = psi_a.in_sys.dims[psi_a.n_in - a_mem:]
-    mem_b = psi_b.in_sys.dims[:b_mem]
+    mem_a, mem_b = psi_a.in_sys.dims[-1:], psi_b.in_sys.dims[:1]
     if shared.out_sys.dims != mem_a + mem_b:
         raise DimensionError(
             f"shared state on {shared.out_sys.dims} does not match memories {mem_a + mem_b}"
         )
-    a1 = psi_a.in_sys.dims[: psi_a.n_in - a_mem]
-    b1 = psi_b.in_sys.dims[b_mem:]
+    a1, b1 = psi_a.in_sys.dims[:-1], psi_b.in_sys.dims[1:]
     # Merge adjacent factors, which leaves the data as it is, so that the
-    # channels read [A1, memory..., A2] and [memory'..., B1, B2].
+    # channels read [A1, memory, A2] and [memory', B1, B2].
     a_dims = (prod(a1),) + mem_a + (psi_a.out_sys.total,)
     b_dims = mem_b + (prod(b1), psi_b.out_sys.total)
-    # Feed each half of the shared state into its channel's memory inputs.
-    # Free factors after the first link: [memory'..., A1, A2]; after the
+    # Feed each half of the shared state into its channel's memory input.
+    # Free factors after the first link: [memory', A1, A2]; after the
     # second, [A1, A2, B1, B2], gathered into [A1, B1, A2, B2].
-    c = link(shared.choi, mem_a + mem_b, range(a_mem), psi_a.choi, a_dims, range(1, 1 + a_mem))
-    c = link(c, mem_b + (a_dims[0], a_dims[-1]), range(b_mem), psi_b.choi, b_dims, range(b_mem), (0, 2, 1, 3))
+    c = link(shared.choi, mem_a + mem_b, [0], psi_a.choi, a_dims, [1])
+    c = link(c, mem_b + (a_dims[0], a_dims[-1]), [0], psi_b.choi, b_dims, [0], (0, 2, 1, 3))
     cp = True if (shared.cp_flag and psi_a.cp_flag and psi_b.cp_flag) else None
     return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
 
@@ -134,11 +128,17 @@ def causal_affine_basis(d_in: int, d_out: int) -> np.ndarray:
     later row is the base point moved along one of the orthonormal
     traceless-on-output directions.  Adding any real combination of the
     directions stays trace preserving, and the affine hull of the causal
-    channels is exactly the hull of these rows.
+    channels is exactly the hull of these rows.  A stack over ``MAX_SIDE**2``
+    elements raises :class:`DimensionError` before anything is allocated.
     """
-    base = np.eye(d_in * d_out, dtype=complex) / d_out
-    dirs = [np.kron(g, h) for g in hermitian_basis(d_in) for h in hermitian_basis(d_out)[1:]]
-    points = base + np.stack([np.zeros_like(base), *dirs])
+    side, k = d_in * d_out, d_in * d_in * (d_out * d_out - 1) + 1
+    if k * side * side > MAX_SIDE * MAX_SIDE:
+        raise DimensionError(f"causal basis of {k} points of side {side} exceeds limit of {MAX_SIDE}**2 elements")
+    g, h = np.stack(hermitian_basis(d_in)), np.stack(hermitian_basis(d_out))[1:]
+    points = np.zeros((k, side, side), dtype=complex)
+    # Row 1 + a (d_out**2 - 1) + b is kron(g_a, h_b), written in place.
+    np.multiply(g[:, None, :, None, :, None], h[None, :, None, :, None, :], out=points[1:].reshape(len(g), len(h), d_in, d_out, d_in, d_out))
+    points += np.eye(side) / d_out
     points.setflags(write=False)
     return points
 
@@ -162,10 +162,11 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
 def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Same predicate as :func:`is_soc`, decided by exhausting an affine
     basis of causal arguments through the hole and checking every output.
-    The whole basis goes through the hole as one stack."""
+    The whole basis goes through the hole as one stack, into the body with
+    the channel output discarded: each output is an effect on its input."""
     si, so, ci, co = _sides(w, in_split, out_split)
-    outs = apply_to_state(w, causal_affine_basis(si, so))
-    wit = partial_trace(outs, (ci, co), keep=(0,)) - np.eye(ci)
+    basis = causal_affine_basis(si, so)  # first, so that an oversized basis raises before any trace
+    wit = apply_to_state(_discard_outputs(w, range(out_split, len(w.out_sys))), basis) - np.eye(ci)
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
     residual = float(np.linalg.norm(wit))
@@ -177,7 +178,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     to either hole independently) must come out causal.  Closed form."""
     a1, a2, b1, b2, c1 = w.a_in, w.a_out, w.b_in, w.b_out, w.c_in
     d5 = (a1, a2, b1, b2, c1)
-    m = partial_trace(w.body.tensor, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
+    m = _discard_outputs(w.body, [1]).choi
 
     gap_a = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1)))
     gap_b = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1)))
@@ -196,9 +197,10 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
 def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Same predicate as :func:`is_soc2`, decided by filling both holes with
     affine bases of causal channels through the public insertion path.
-    Every pair of basis arguments is filled by one stacked insertion."""
-    grid = insert_stacked(w, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
-    wit = partial_trace(grid, (w.c_in, w.c_out), keep=(0,)) - np.eye(w.c_in)
+    Every pair of basis arguments is filled by one stacked insertion into
+    the body with ``C2`` discarded: a ``(Ka, Kb, C1, C1)`` grid of effects."""
+    grid = insert_stacked(w._discarded, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
+    wit = grid - np.eye(w.c_in)
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
     # differences inside.

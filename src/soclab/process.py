@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link
+from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -219,6 +219,17 @@ def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, in
     a_in, b_in = _split_groups(p.in_sys, in_split)
     a_out, b_out = _split_groups(p.out_sys, out_split)
     return prod(a_in), prod(b_in), prod(a_out), prod(b_out)
+
+
+def _discard_outputs(p: Process, drop: Sequence[int]) -> Process:
+    """``p`` with the output factors at positions ``drop`` traced out of its
+    tensor in place, each kept as a factor of dimension 1, so whatever wiring
+    fits ``p`` fits the result.  The one place soclab discards outputs."""
+    if not drop:
+        return p
+    keep = [*range(p.n_in), *[p.n_in + j for j in range(len(p.out_sys)) if j not in drop]]
+    out_sys = System(tuple([1 if j in drop else d for j, d in enumerate(p.out_sys.dims)]))
+    return Process._adopt(p.in_sys, out_sys, partial_trace(p.tensor, p.factor_dims, keep), cp_flag=True if p.cp_flag else None)
 
 
 def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]) -> Process:

@@ -8,11 +8,11 @@ body against the Choi matrices of the inserted channels.  Because the
 body is an ordinary process, supermaps can be mixed, dressed, and probed
 with non-CP arguments without any extra machinery.
 
-An insertion checks its types at once and contracts nothing until asked.
-Its ``causal`` verdict traces first: discarding commutes with filling (the
-link product is associative), so ``C2`` is traced out of the body, once
-per supermap, and the ancilla outputs out of the arguments, before the
-small marginals are linked.  The filled ``process`` is built on first use.
+Causality is decided on the discarded body: discarding commutes with
+filling (the link product is associative), so an insertion's ``causal``
+and both oracles trace ``C2`` out of the body (once per supermap) and the
+ancilla outputs out of the arguments before they link the small marginals.
+An insertion checks its types at once and builds ``process`` on first use.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _split_groups, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, MAX_SIDE, UNIT, System, as_stack, link, partial_trace
+from .process import Process, _discard_outputs, _split_groups, process_from_dict, process_to_dict, relabel, rewire
+from .tensor import DEFAULT_EPS, MAX_SIDE, UNIT, System, as_stack, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +66,8 @@ class BipartiteSupermap:
 
     @cached_property
     def _discarded(self) -> "BipartiteSupermap":
-        """This supermap with ``C2`` traced out of its body: the output
-        factor is kept with dimension 1, so every filling still applies."""
-        marginal = partial_trace(self.body.tensor, self.body.factor_dims, keep=range(5))
-        return BipartiteSupermap(Process._adopt(self.body.in_sys, System((self.c_in, 1)), marginal))
+        """This supermap with ``C2`` discarded from its body."""
+        return BipartiteSupermap(_discard_outputs(self.body, [1]))
 
     def __repr__(self) -> str:
         return (
@@ -80,17 +78,10 @@ class BipartiteSupermap:
 
 @dataclass(eq=False)
 class InsertionResult:
-    """A filled supermap: the holes are typed when it is made, and nothing
-    is contracted until asked for.
-
-    :attr:`causal` traces first.  It discards ``C2`` from the body and the
-    ancilla outputs from the arguments, links what is left into the
-    marginal on ``in_sys``, and reads that marginal as ``is_causal`` reads
-    one; it never builds :attr:`process`.  :attr:`process`, the filled map
-    ``in_sys -> out_sys``, is built on first use.  ``_fill(discard)`` makes
-    either contraction: the filled Choi matrix, or with ``discard`` the
-    marginal.
-    """
+    """A filled supermap, typed when made and contracted only when asked:
+    ``_fill(discard)`` gives the filled Choi matrix (:attr:`process`), or
+    with ``discard`` the marginal on ``in_sys`` that :attr:`causal` reads as
+    ``is_causal`` reads one, so :attr:`causal` never builds :attr:`process`."""
 
     in_sys: System
     out_sys: System
@@ -112,13 +103,10 @@ class InsertionResult:
 
 
 def supermap_from_process(p: Process, a_dims: tuple[int, int], b_dims: tuple[int, int]) -> BipartiteSupermap:
-    """Read a process as a supermap body, flattening its slot factors."""
+    """Read a process as a supermap body, flattening its slot factors; slots
+    whose product is not the input dimension raise :class:`DimensionError`."""
     if len(p.out_sys) != 2:
         raise DimensionError(f"supermap body needs exactly two output factors, got {len(p.out_sys)}")
-    if p.in_sys.total != prod(a_dims) * prod(b_dims):
-        raise DimensionError(
-            f"input dimension {p.in_sys.total} does not match slots {a_dims} and {b_dims}"
-        )
     return BipartiteSupermap(relabel(p, a_dims + b_dims, p.out_sys.dims))
 
 
@@ -216,18 +204,13 @@ def insert_with_ancilla(
         # factor stays there with dimension 1.
         if not discard:
             return insert_stacked(w, pa.choi, pb.choi, (ai, ao), (bi, bo))
-        qa, qb = _discard_outputs(pa, a_split[1]), _discard_outputs(pb, b_split[1])
-        return insert_stacked(w._discarded, qa, qb, (ai, 1), (bi, 1))
+        qa, qb = _discard_outputs(pa, range(a_split[1])), _discard_outputs(pb, range(b_split[1]))
+        return insert_stacked(w._discarded, qa.choi, qb.choi, (ai, 1), (bi, 1))
 
     cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
     return InsertionResult(in_sys, out_sys, cp, fill, eps=eps)
-
-
-def _discard_outputs(p: Process, n: int) -> np.ndarray:
-    """``p``'s Choi matrix with its first ``n`` output factors traced out."""
-    return partial_trace(p.tensor, p.factor_dims, keep=[*range(p.n_in), *range(p.n_in + n, len(p.factor_dims))])
 
 
 def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:

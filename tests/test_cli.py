@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import soclab
 from soclab.cli import main
 from soclab.extras import spoiled_supermap
 from soclab.process import (
@@ -291,6 +293,17 @@ class TestOtherRoutes:
         assert code == 0
         assert json.loads(out)["soc2"]["holds"] is True
 
+    @pytest.mark.parametrize(
+        "slots", [["0", "2", "2", "2"], ["-2", "-2", "2", "2"], ["3", "3", "2", "2"]], ids=["zero", "negative", "wrong-product"]
+    )
+    def test_soc2_slots_that_do_not_fit_are_argument_errors(self, slots, tmp_path, capsys):
+        # A zero or negative slot, or slots whose product is not the file's
+        # input dimension (16 here), is a bad argument, not a bad file.
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(process_to_dict(fixed_order_a_then_b(2, 2, 2, 2).body)))
+        code, out, err = run(["soc2", str(path), "--slots", *slots], capsys)
+        assert code == 2 and not out and "--slots" in err
+
     def test_verify_corollary(self, capsys):
         code, out, _ = run(
             ["verify", "corollary1", str(GOLDEN / "fixed_order_a_then_b.json"),
@@ -323,10 +336,13 @@ class TestOtherRoutes:
         assert json.loads(out)["residual"] > 0.5
 
     def test_module_runs_standalone(self):
+        # The child imports the same soclab as this test, installed or not.
+        src = str(Path(soclab.__file__).parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "soclab.cli", "classify", str(GOLDEN / "identity_channel.json")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["causal"]["holds"] is True

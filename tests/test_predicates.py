@@ -41,11 +41,12 @@ from soclab.supermap import (
     fixed_order_b_then_a,
     insert,
     insert_merged,
+    insert_stacked,
     merged_slot_process,
     mix,
     supermap_from_process,
 )
-from soclab.tensor import DEFAULT_EPS, System, frobenius_distance, is_psd, kron, partial_trace, permute_subsystems
+from soclab.tensor import DEFAULT_EPS, System, frobenius_distance, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -179,6 +180,31 @@ def is_soc2_oracle_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> 
     return CausalVerdict(residual <= eps, residual, None)
 
 
+# The stacked oracles as they were before they discarded the channel output
+# first: they fill the whole body and trace C2 out of every filling.  Kept
+# verbatim as differential references.
+def is_soc_oracle_fill_then_trace(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    si, so, ci, co = _sides(w, in_split, out_split)
+    outs = apply_to_state(w, causal_affine_basis(si, so))
+    wit = partial_trace(outs, (ci, co), keep=(0,)) - np.eye(ci)
+    # The base point's witness, then each direction's change from it.
+    wit[1:] -= wit[:1]
+    residual = float(np.linalg.norm(wit))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
+def is_soc2_oracle_fill_then_trace(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
+    grid = insert_stacked(w, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
+    wit = partial_trace(grid, (w.c_in, w.c_out), keep=(0,)) - np.eye(w.c_in)
+    # Successive differences leave the base pair's witness at [0, 0], each
+    # hole's first-order changes along the edges, and the mixed second
+    # differences inside.
+    wit[1:] -= wit[:1]
+    wit[:, 1:] -= wit[:, :1]
+    residual = float(np.linalg.norm(wit))
+    return CausalVerdict(residual <= eps, residual, None)
+
+
 class TestStackedOraclesMatchPerPairReference:
     @given(seeds, st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 4)]), st.sampled_from(["random", "a_then_b", "b_then_a"]), st.booleans())
     @settings(max_examples=5, deadline=None)
@@ -207,9 +233,11 @@ class TestStackedOraclesMatchPerPairReference:
             assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
 
         same(is_soc2_oracle(w), is_soc2_oracle_reference(w))
+        same(is_soc2_oracle(w), is_soc2_oracle_fill_then_trace(w))
         # The one-hole oracle on the merged slot A1 B1 -> A2 B2.
         merged = merged_slot_process(w)
         same(is_soc_oracle(merged, 2, 1), is_soc_oracle_reference(merged, 2, 1))
+        same(is_soc_oracle(merged, 2, 1), is_soc_oracle_fill_then_trace(merged, 2, 1))
 
     @pytest.mark.parametrize("w", [fixed_order_a_then_b(3, 3, 3, 3), fixed_order_b_then_a(3, 3, 3, 3), spoiled_supermap(3)], ids=["a_then_b", "b_then_a", "spoiled"])
     def test_qutrit_oracle_agrees_with_the_closed_form(self, w):
@@ -333,7 +361,19 @@ class TestNonSignalling:
             make_strongly_nonsignalling(psi_a, psi_b, shared)
 
 
+def causal_affine_basis_by_kron(d_in: int, d_out: int) -> np.ndarray:
+    """The basis as it was built before it was written in place: one kron
+    per direction, stacked, kept verbatim as a reference."""
+    base = np.eye(d_in * d_out, dtype=complex) / d_out
+    dirs = [np.kron(g, h) for g in hermitian_basis(d_in) for h in hermitian_basis(d_out)[1:]]
+    return base + np.stack([np.zeros_like(base), *dirs])
+
+
 class TestCausalAffineBasis:
+    @pytest.mark.parametrize("d_in,d_out", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (4, 3)])
+    def test_equals_the_kron_construction(self, d_in, d_out):
+        assert np.array_equal(causal_affine_basis(d_in, d_out), causal_affine_basis_by_kron(d_in, d_out))
+
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2)])
     def test_chart_stays_trace_preserving(self, d_in, d_out):
         points = causal_affine_basis(d_in, d_out)
@@ -341,6 +381,21 @@ class TestCausalAffineBasis:
         assert not points.flags.writeable
         for x in points[:: max(1, len(points) // 7)]:
             assert is_causal(Process(System((d_in,)), System((d_out,)), x)).holds
+
+    def test_a_basis_too_large_to_hold_raises_before_allocating(self):
+        # 65 281 points of side 256 would take 68 GB.  The one-hole oracle
+        # on a 16 x 16 slot asks for that basis before it traces its body
+        # (16 MB, whose traced marginal alone would take 4 MB).
+        body = Process(System((16, 16)), System((2, 2)), np.zeros((1024, 1024)))
+        tracemalloc.start()
+        try:
+            for ask in (lambda: causal_affine_basis(16, 16), lambda: is_soc_oracle(body)):
+                with pytest.raises(DimensionError, match="exceeds limit"):
+                    ask()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_base_point_is_total_depolarization(self):
         points = causal_affine_basis(2, 2)
@@ -519,6 +574,32 @@ class TestMarginalsReadInPlace:
         v = view(self.W)
         want = decide(Process(v.in_sys, v.out_sys, v.choi))
         assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+
+    @pytest.mark.parametrize(
+        "oracle, closed, slot",
+        [
+            (is_soc2_oracle, is_soc2, (3, 3)),
+            (lambda w: is_soc_oracle(merged_slot_process(w), 2, 1), lambda w: is_soc(merged_slot_process(w), 2, 1), (9, 9)),
+        ],
+        ids=["soc2_oracle", "soc_oracle_merged"],
+    )
+    def test_oracles_fill_the_discarded_body_within_half_of_it(self, oracle, closed, slot):
+        # Both oracles trace the channel output out of the body before they
+        # fill it, so their fillings are 9 times smaller than the body's.  A
+        # fresh supermap, so that the window pays for that trace; the basis
+        # (the merged slot's is 680 MB) is built before it.
+        w = fixed_order_a_then_b(3, 3, 3, 3)
+        causal_affine_basis(*slot)
+        tracemalloc.start()
+        try:
+            got = oracle(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            causal_affine_basis.cache_clear()
+        assert peak < w.body.choi.nbytes / 2
+        want = closed(w)
+        assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-9 * max(1.0, want.residual)
 
 
 class TestReconstruction:

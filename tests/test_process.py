@@ -1,4 +1,5 @@
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.process import (
     Process,
+    _discard_outputs,
     apply_to_state,
     bend,
     cap,
@@ -338,6 +340,27 @@ class TestFactorPermutation:
             apply_to_state(g, rho),
             permute_subsystems(apply_to_state(f, rho), (2, 3), (1, 0)),
         )
+
+
+class TestDiscardOutputs:
+    @given(seeds, st.sampled_from([(), (0,), (2,), (0, 2), (0, 1, 2)]), st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_equals_composing_with_the_discard(self, seed, drop, view):
+        # Each dropped output is traced out and stays as a factor of
+        # dimension 1; a rewired view is read in place like a contiguous process.
+        p = random_process(np.random.default_rng(seed), System((2, 3)), System((2, 3, 2)))
+        if view:
+            p = rewire(p, [1, 0], [4, 2, 3])
+        after = [discard_process(System((d,))) if j in drop else identity_process(System((d,))) for j, d in enumerate(p.out_sys)]
+        want = compose_seq(p, reduce(compose_par, after))
+        got = _discard_outputs(p, drop)
+        assert got.in_sys == p.in_sys
+        assert got.out_sys.dims == tuple(1 if j in drop else d for j, d in enumerate(p.out_sys))
+        assert np.linalg.norm(got.choi - want.choi) <= 1e-12 * max(1.0, np.linalg.norm(want.choi))
+
+    def test_positivity_stays_known_only_when_it_holds(self):
+        assert _discard_outputs(random_causal_channel(A, System((2, 3)), seed=0), [0]).cp_flag is True
+        assert _discard_outputs(Process(A, A, -np.eye(4), cp_flag=False), [0]).cp_flag is None
 
 
 class TestStorage:
