@@ -1,7 +1,13 @@
 """Regenerate the fixed input corpus under tests/golden/.
 
-Everything here is seeded, so reruns are byte-stable apart from float
-formatting, and the test suite treats the directory as read-only.
+Everything here is seeded, so a rerun writes the same files with the same
+diagrams, keys and dims, but not always the same bytes: the Choi entries of
+the files built from random channels (boxes/noise.json,
+product_channel.json, cup_loop.json, ns_mix.json) can differ in the last
+bit, by up to about 1e-16, with the linear-algebra library that computes
+them.  tests/test_golden.py regenerates into a temporary directory and
+checks the result against the corpus to 1e-12; the rest of the test suite
+treats the directory as read-only.
 """
 
 import json

@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from soclab.cli import _positive_int
 from soclab.extras import spoiled_supermap
 from soclab.harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
-from soclab.process import random_causal_channel
+from soclab.process import _random_causal_channels
 from soclab.supermap import (
     dress_slots,
     fixed_order_a_then_b,
@@ -44,18 +44,7 @@ def build_generators(seed: int, n_mixes: int, n_dressed: int):
         gens.append((f"affine_mix_{k}[t={t:.3f}]", mix([(t, ab), (1.0 - t, ba)])))
     for k in range(n_dressed):
         base = gens[k % len(gens)][1]
-        gens.append(
-            (
-                f"dressed_{k}",
-                dress_slots(
-                    base,
-                    random_causal_channel(q, q, seed=rng),
-                    random_causal_channel(q, q, seed=rng),
-                    random_causal_channel(q, q, seed=rng),
-                    random_causal_channel(q, q, seed=rng),
-                ),
-            )
-        )
+        gens.append((f"dressed_{k}", dress_slots(base, *_random_causal_channels(rng, [(q, q, None)] * 4, 1)[0])))
     return gens
 
 

@@ -11,6 +11,8 @@ those parts up and check that they give the same process.
 The inverse direction fits coefficients over a given spanning family of
 product channel pairs by constrained least squares in one factorization,
 whose rank tells whether the family falls short of the hull (a closed form).
+:func:`random_product_span` draws such a family of random causal pairs in
+one stacked batch, the same channels as drawing each pair in turn.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _sides, random_causal_channel
+from .process import Process, _random_causal_channels, _sides
 from .tensor import System, UNIT
 
 
@@ -137,14 +139,11 @@ def random_product_span(
     out_dims: tuple[int, int] = (2, 2),
     seed=None,
 ) -> list[tuple[Process, Process]]:
-    rng = np.random.default_rng(seed)
-    return [
-        (
-            random_causal_channel(System((in_dims[0],)), System((out_dims[0],)), seed=rng),
-            random_causal_channel(System((in_dims[1],)), System((out_dims[1],)), seed=rng),
-        )
-        for _ in range(n)
-    ]
+    """``n`` pairs ``(Phi_k, Psi_k)`` of random causal channels, ``Phi_k``
+    on ``in_dims[0] -> out_dims[0]`` and ``Psi_k`` on ``in_dims[1] ->
+    out_dims[1]``, drawn in one stacked batch."""
+    specs = [(System((d_in,)), System((d_out,)), None) for d_in, d_out in zip(in_dims, out_dims)]
+    return _random_causal_channels(np.random.default_rng(seed), specs, n)
 
 
 def decompose_nonsignalling(

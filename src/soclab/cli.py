@@ -39,7 +39,7 @@ from .errors import (
 )
 from .harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
 from .predicates import is_causal, is_nonsignalling, is_soc, is_soc2
-from .process import _sides, process_from_dict, process_to_dict
+from .process import Process, _sides, process_from_dict
 from .supermap import supermap_from_dict, supermap_from_process
 from .tensor import DEFAULT_EPS
 
@@ -88,6 +88,28 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _dims_document(dims) -> str:
+    return "[\n    " + ",\n    ".join(map(str, dims)) + "\n  ]" if dims else "[]"
+
+
+def _process_document(p: Process) -> str:
+    """``json.dumps(process_to_dict(p), indent=2, sort_keys=True)``, byte for
+    byte.  ``indent`` sends ``json`` to its pure-Python encoder, so the
+    numbers come from one compact (C-encoded) ``dumps`` of the entries and
+    are laid out in the indented form by one string template."""
+    side = p.choi.shape[0]
+    # A complex array read as floats interleaves each entry's re and im.
+    tokens = json.dumps(p.choi.ravel().view(float).tolist())[1:-1].split(", ")
+    # Separators between an entry's [re, im], between entries, and between rows.
+    pair = "%s,\n        %s"
+    row = "\n      ],\n      [\n        ".join([pair] * side)
+    body = "\n      ]\n    ],\n    [\n      [\n        ".join([row] * side) % tuple(tokens)
+    return (
+        '{\n  "choi": [\n    [\n      [\n        ' + body + '\n      ]\n    ]\n  ],\n'
+        f'  "in": {_dims_document(p.in_sys.dims)},\n  "out": {_dims_document(p.out_sys.dims)}\n}}'
+    )
+
+
 def _cmd_eval(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
@@ -95,7 +117,7 @@ def _cmd_eval(args) -> int:
     if proc is None:
         print("error: diagram holds only declarations, nothing to evaluate", file=sys.stderr)
         return 2
-    _emit(process_to_dict(proc))
+    sys.stdout.write(_process_document(proc) + "\n")
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predicates import is_soc2, make_strongly_nonsignalling
-from .process import make_state, random_causal_channel, random_density
+from .process import _random_causal_channels, make_state, random_density
 from .supermap import BipartiteSupermap, insert_merged, insert_with_ancilla
 from .tensor import DEFAULT_EPS, System
 
@@ -89,10 +89,10 @@ def verify_theorem1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig(
     ancilla through, and check the resulting extended channel is causal.
     """
     m = config.ancilla_dim
+    specs = [(System((m, w.a_in)), System((m, w.a_out)), None), (System((m, w.b_in)), System((m, w.b_out)), None)]
 
     def fill(rng):
-        pa = random_causal_channel(System((m, w.a_in)), System((m, w.a_out)), seed=rng)
-        pb = random_causal_channel(System((m, w.b_in)), System((m, w.b_out)), seed=rng)
+        ((pa, pb),) = _random_causal_channels(rng, specs, 1)
         return insert_with_ancilla(w, pa, pb, (1, 1), (1, 1), eps=config.eps)
 
     return _run(w, config, fill)
@@ -108,11 +108,12 @@ def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfi
     :func:`insert_merged`, and check the output for causality.
     """
     m = config.ancilla_dim
+    memories = System((m, m))
+    specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
 
     def fill(rng):
-        psi_a = random_causal_channel(System((w.a_in, m)), System((w.a_out,)), seed=rng)
-        psi_b = random_causal_channel(System((m, w.b_in)), System((w.b_out,)), seed=rng)
-        shared = make_state(random_density(System((m, m)), seed=rng), System((m, m)))
+        ((psi_a, psi_b),) = _random_causal_channels(rng, specs, 1)
+        shared = make_state(random_density(memories, seed=rng), memories)
         return insert_merged(w, make_strongly_nonsignalling(psi_a, psi_b, shared), eps=config.eps)
 
     return _run(w, config, fill)

@@ -21,6 +21,12 @@ process after the fact, and rejects non-finite entries.
 Processes are not forced to be completely positive: ``cp_flag`` records
 whether positivity is known (True), known to fail (False), or untracked
 (None).  Several constructions here deliberately produce non-CP data.
+
+Random causal channels have one construction, which works on a stack: a
+Haar-random isometry from the phase-fixed QR of a complex Gaussian matrix
+(Mezzadri, math-ph/0609050), drawn for a whole batch of channels at once
+from a Gaussian stream laid out as if they were drawn one at a time.
+:func:`random_causal_channel` is its one-channel case.
 """
 
 from __future__ import annotations
@@ -274,21 +280,49 @@ def random_density(sys: System, seed=None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _random_causal_channels(
+    rng: np.random.Generator, specs: Sequence[tuple[System, System, int | None]], n: int
+) -> list[tuple[Process, ...]]:
+    """``n`` rows of Haar-style random causal channels, one per spec
+    ``(in_sys, out_sys, env_dim)`` in each row, built from random isometries
+    ``C^{d_in} -> C^{d_out} (x) C^{env}`` (``env`` defaults to ``d_in * d_out``).
+
+    Every Gaussian comes from one ``rng.standard_normal`` call whose layout
+    is that of drawing the channels one at a time, row by row and spec by
+    spec (real part, then imaginary part), so the stream and the channels
+    do not depend on how the draw is batched.  Each spec then takes one
+    stacked QR, one stacked phase fix (which makes the isometry Haar
+    distributed) and one stacked ``v v^dagger``.  A spec whose environment
+    cannot embed its input raises before anything is drawn.
+    """
+    shapes = []
+    for in_sys, out_sys, env_dim in specs:
+        d_in, d_out = in_sys.total, out_sys.total
+        env = env_dim if env_dim is not None else d_in * d_out
+        if d_out * env < d_in:
+            raise DimensionError(f"environment {env} too small to embed input {d_in}")
+        shapes.append((d_in, d_out, env))
+    draws = rng.standard_normal((n, sum(2 * d_in * d_out * env for d_in, d_out, env in shapes)))
+    columns, start = [], 0
+    for (in_sys, out_sys, _), (d_in, d_out, env) in zip(specs, shapes):
+        stop = start + 2 * d_in * d_out * env
+        g = draws[:, start:stop].reshape(n, 2, d_out * env, d_in)
+        start = stop
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2).copy()
+        diag[np.abs(diag) == 0] = 1.0
+        q = q * (diag / np.abs(diag))[:, None, :]
+        # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
+        v = q.reshape(n, d_out, env, d_in).transpose(0, 3, 1, 2).reshape(n, d_in * d_out, env)
+        chois = v @ v.conj().transpose(0, 2, 1)
+        columns.append([Process._adopt(in_sys, out_sys, c, cp_flag=True) for c in chois])
+    return list(zip(*columns))
+
+
 def random_causal_channel(in_sys: System, out_sys: System, env_dim: int | None = None, seed=None) -> Process:
     """Haar-style random trace-preserving CP map via a random isometry."""
-    rng = np.random.default_rng(seed)
-    d_in, d_out = in_sys.total, out_sys.total
-    env = env_dim if env_dim is not None else d_in * d_out
-    if d_out * env < d_in:
-        raise DimensionError(f"environment {env} too small to embed input {d_in}")
-    g = rng.standard_normal((d_out * env, d_in)) + 1j * rng.standard_normal((d_out * env, d_in))
-    q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity so the column span is a proper isometry draw.
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) == 0] = 1.0
-    q = q * (diag / np.abs(diag))
-    v = q.reshape(d_out, env, d_in)
-    return channel_from_kraus(v.transpose(1, 0, 2), in_sys, out_sys)
+    ((p,),) = _random_causal_channels(np.random.default_rng(seed), [(in_sys, out_sys, env_dim)], 1)
+    return p
 
 
 def process_to_dict(p: Process) -> dict:

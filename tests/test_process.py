@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclab.affine import random_product_span
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.process import (
     Process,
     _discard_outputs,
+    _random_causal_channels,
     apply_to_state,
     bend,
     cap,
@@ -102,6 +104,24 @@ def channel_from_kraus_loop(kraus, in_sys, out_sys):
         v = k.T.ravel()
         c += np.outer(v, v.conj())
     return Process(in_sys, out_sys, c, cp_flag=True)
+
+
+def random_causal_channel_one_at_a_time(in_sys, out_sys, env_dim=None, seed=None):
+    """The one-channel-per-call draw that the stacked draw replaced, kept
+    verbatim as its reference."""
+    rng = np.random.default_rng(seed)
+    d_in, d_out = in_sys.total, out_sys.total
+    env = env_dim if env_dim is not None else d_in * d_out
+    if d_out * env < d_in:
+        raise DimensionError(f"environment {env} too small to embed input {d_in}")
+    g = rng.standard_normal((d_out * env, d_in)) + 1j * rng.standard_normal((d_out * env, d_in))
+    q, r = np.linalg.qr(g)
+    # Fix the phase ambiguity so the column span is a proper isometry draw.
+    diag = np.diagonal(r).copy()
+    diag[np.abs(diag) == 0] = 1.0
+    q = q * (diag / np.abs(diag))
+    v = q.reshape(d_out, env, d_in)
+    return channel_from_kraus(v.transpose(1, 0, 2), in_sys, out_sys)
 
 
 def assert_same_process(got, want, tol=1e-12):
@@ -435,6 +455,60 @@ class TestRandomChannels:
         rho = random_density(B, seed=4)
         assert np.isclose(np.trace(rho), 1.0)
         assert np.linalg.eigvalsh(rho).min() > 0
+
+
+
+# (in_sys, out_sys, env_dim) of the stacked-draw reference checks.
+CHANNEL_SPECS = [
+    (System((1,)), System((2,)), None),
+    (System((2,)), System((3,)), None),
+    (System((3,)), System((2,)), None),
+    (System((2, 2)), System((2, 2)), None),
+    (System((2,)), System((2,)), 3),
+]
+
+
+def assert_bit_equal(got, want):
+    assert got.in_sys == want.in_sys and got.out_sys == want.out_sys and got.cp_flag is want.cp_flag
+    assert np.array_equal(got.choi, want.choi)
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("spec", CHANNEL_SPECS, ids=lambda s: f"{s[0].dims}->{s[1].dims} env={s[2]}")
+    def test_equals_drawing_one_at_a_time(self, spec):
+        got = _random_causal_channels(np.random.default_rng(5), [spec], 4)
+        rng = np.random.default_rng(5)
+        for (p,) in got:
+            assert_bit_equal(p, random_causal_channel_one_at_a_time(*spec, seed=rng))
+        assert_bit_equal(random_causal_channel(*spec, seed=6), random_causal_channel_one_at_a_time(*spec, seed=6))
+
+    def test_rows_of_mixed_specs_follow_the_sequential_stream(self):
+        got = _random_causal_channels(np.random.default_rng(8), CHANNEL_SPECS, 3)
+        rng = np.random.default_rng(8)
+        want = [[random_causal_channel_one_at_a_time(*spec, seed=rng) for spec in CHANNEL_SPECS] for _ in range(3)]
+        assert len(got) == 3
+        for row, want_row in zip(got, want):
+            for p, q in zip(row, want_row, strict=True):
+                assert_bit_equal(p, q)
+
+    @pytest.mark.parametrize("in_dims,out_dims", [((2, 2), (2, 2)), ((2, 3), (3, 2)), ((1, 2), (2, 1))])
+    def test_product_span_equals_drawing_pairs_one_at_a_time(self, in_dims, out_dims):
+        got = random_product_span(6, in_dims, out_dims, seed=9)
+        rng = np.random.default_rng(9)
+        assert len(got) == 6
+        for phi, psi in got:
+            assert_bit_equal(phi, random_causal_channel_one_at_a_time(System((in_dims[0],)), System((out_dims[0],)), seed=rng))
+            assert_bit_equal(psi, random_causal_channel_one_at_a_time(System((in_dims[1],)), System((out_dims[1],)), seed=rng))
+
+    def test_an_environment_too_small_raises_before_drawing(self):
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionError, match="too small"):
+            _random_causal_channels(rng, [CHANNEL_SPECS[0], (System((3,)), System((2,)), 1)], 2)
+        assert rng.bit_generator.state == state
+        with pytest.raises(DimensionError, match="too small"):
+            random_causal_channel(System((3,)), System((2,)), env_dim=1, seed=rng)
+        assert rng.bit_generator.state == state
 
 
 class TestWireFormat:
