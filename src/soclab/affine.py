@@ -6,7 +6,9 @@ concrete process from one matrix of product columns.  :func:`pseudo_state` and
 :func:`controlled_local_channel` are the parts of the other construction:
 a diagonal pseudo-state (a classically correlated state whose weights may
 be negative) routed to a pair of controlled local channels.  The tests wire
-those parts up and check that they give the same process.
+those parts up and check that they give the same process.  A negative
+weight makes either construction non-CP; nothing here tracks that, and
+``tensor.is_psd`` decides it when asked.
 
 The inverse direction fits coefficients over a given spanning family of
 product channel pairs by constrained least squares in one factorization,
@@ -30,7 +32,7 @@ from .tensor import System, UNIT
 
 def pseudo_state(coeffs: Sequence[float]) -> Process:
     """Diagonal two-register state ``sum_x r_x |xx><xx|`` with real weights
-    summing to one; negative weights are allowed and flagged as non-CP."""
+    summing to one; negative weights are allowed, which makes it non-CP."""
     coeffs = tuple(float(c) for c in coeffs)
     n = len(coeffs)
     if n == 0:
@@ -40,7 +42,7 @@ def pseudo_state(coeffs: Sequence[float]) -> Process:
     diag = np.zeros(n * n, dtype=complex)
     for x, c in enumerate(coeffs):
         diag[x * n + x] = c
-    return Process(UNIT, System((n, n)), np.diag(diag), cp_flag=all(c >= 0 for c in coeffs))
+    return Process(UNIT, System((n, n)), np.diag(diag))
 
 
 def controlled_local_channel(channels: Sequence[Process]) -> Process:
@@ -57,8 +59,7 @@ def controlled_local_channel(channels: Sequence[Process]) -> Process:
     for x, c in enumerate(channels):
         out[x, :, :, x, :, :] = c.choi.reshape(din, dout, din, dout)
     side = n * din * dout
-    cp = all(c.cp_flag for c in channels)
-    return Process(System((n, din)), System((dout,)), out.reshape(side, side), cp_flag=True if cp else None)
+    return Process(System((n, din)), System((dout,)), out.reshape(side, side))
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,14 @@ def _product_columns(pairs: Sequence[tuple[Process, Process]]) -> np.ndarray:
 
 def realize_affine(comb: AffineCombination) -> Process:
     """Build the bipartite process ``sum_x r_x Phi_x (x) Psi_x`` on
-    ``A1 (x) B1 -> A2 (x) B2`` as one weighted sum of product columns.
-
-    It is flagged CP when every weight is non-negative and every channel is
-    flagged CP; otherwise positivity is left untracked.
-    """
+    ``A1 (x) B1 -> A2 (x) B2`` as one weighted sum of product columns."""
     _, f0, g0 = comb.terms[0]
     a1, a2 = f0.in_sys.total, f0.out_sys.total
     b1, b2 = g0.in_sys.total, g0.out_sys.total
     acc = _product_columns([(f, g) for _, f, g in comb.terms]) @ np.array(comb.coeffs)
     side = a1 * b1 * a2 * b2
     choi = acc.reshape(a1, a2, a1, a2, b1, b2, b1, b2).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(side, side)
-    cp = all(r >= 0 and f.cp_flag and g.cp_flag for r, f, g in comb.terms)
-    return Process(System((a1, b1)), System((a2, b2)), choi, cp_flag=True if cp else None)
+    return Process(System((a1, b1)), System((a2, b2)), choi)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ environment variable, else 1e-9.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,7 +195,10 @@ def _add_eps(sub) -> None:
     sub.add_argument("--eps", type=_tolerance, default=None, help="comparison tolerance")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then reused:
+    ``parse_args`` leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="soclab", description="causality checks for processes and supermaps")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -15,14 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError
 from .process import Process
 from .supermap import BipartiteSupermap, fixed_order_a_then_b
-from .tensor import System
+from .tensor import MAX_SIDE, System
 
 
 def quantum_switch(d: int = 2) -> BipartiteSupermap:
     """Both slots carry ``d``-dimensional wires; the global wires are a
-    control qubit joined with the target, flattened to one factor of 2d."""
+    control qubit joined with the target, flattened to one factor of 2d.
+    A body whose side ``4 d**6`` passes ``MAX_SIDE`` raises
+    :class:`DimensionError` before anything is allocated."""
+    side = d**4 * (2 * d) ** 2
+    if side > MAX_SIDE:
+        raise DimensionError(f"switch body side {side} exceeds limit {MAX_SIDE}")
     v = np.zeros((d, d, d, d, 2 * d, 2 * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -32,13 +38,7 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
                 # control 1: the same wires in the other order
                 v[k, j, i, k, d + i, d + j] += 1.0
     vec = v.reshape(-1)
-    body = Process._adopt(
-        System((d, d, d, d)),
-        System((2 * d, 2 * d)),
-        np.outer(vec, vec.conj()),
-        cp_flag=True,
-    )
-    return BipartiteSupermap(body)
+    return BipartiteSupermap(Process._adopt(System((d, d, d, d)), System((2 * d, 2 * d)), np.outer(vec, vec.conj())))
 
 
 def spoiled_supermap(d: int = 2) -> BipartiteSupermap:

@@ -27,7 +27,7 @@ from math import hypot, prod, sqrt
 import numpy as np
 
 from .errors import DimensionError, ReconstructionError
-from .process import Process, _discard_outputs, _sides, apply_to_state
+from .process import Process, _discard_outputs, _sides
 from .supermap import BipartiteSupermap, insert_stacked
 from .tensor import DEFAULT_EPS, MAX_SIDE, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
 
@@ -59,7 +59,7 @@ def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> 
     place; its dims; and how far it depends on the other side's input."""
     ai, bi, ao, bo = _sides(f, in_split, out_split)
     outs = range(len(f.out_sys))
-    m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split]).choi
+    m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split])
     dims = (ai, bi, ao if side_a else bo)
     return m, dims, float(np.linalg.norm(_defect(m, dims, 1 if side_a else 0)))
 
@@ -69,7 +69,7 @@ def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
 
     For states (no inputs) this is normalization.
     """
-    marginal = _discard_outputs(f, range(len(f.out_sys))).choi
+    marginal = _discard_outputs(f, range(len(f.out_sys)))
     witness = marginal - np.eye(f.in_sys.total)
     residual = float(np.linalg.norm(witness))
     return CausalVerdict(residual <= eps, residual, witness)
@@ -115,8 +115,7 @@ def make_strongly_nonsignalling(psi_a: Process, psi_b: Process, shared: Process)
     # second, [A1, A2, B1, B2], gathered into [A1, B1, A2, B2].
     c = link(shared.choi, mem_a + mem_b, [0], psi_a.choi, a_dims, [1])
     c = link(c, mem_b + (a_dims[0], a_dims[-1]), [0], psi_b.choi, b_dims, [0], (0, 2, 1, 3))
-    cp = True if (shared.cp_flag and psi_a.cp_flag and psi_b.cp_flag) else None
-    return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c, cp_flag=cp)
+    return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +165,8 @@ def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float 
     the channel output discarded: each output is an effect on its input."""
     si, so, ci, co = _sides(w, in_split, out_split)
     basis = causal_affine_basis(si, so)  # first, so that an oversized basis raises before any trace
-    wit = apply_to_state(_discard_outputs(w, range(out_split, len(w.out_sys))), basis) - np.eye(ci)
+    m = _discard_outputs(w, range(out_split, len(w.out_sys)))
+    wit = link(basis, (si * so,), [0], m, (si * so, ci), [0]) - np.eye(ci)
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
     residual = float(np.linalg.norm(wit))
@@ -178,7 +178,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     to either hole independently) must come out causal.  Closed form."""
     a1, a2, b1, b2, c1 = w.a_in, w.a_out, w.b_in, w.b_out, w.c_in
     d5 = (a1, a2, b1, b2, c1)
-    m = _discard_outputs(w.body, [1]).choi
+    m = _discard_outputs(w.body, [1])
 
     gap_a = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1)))
     gap_b = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1)))

@@ -18,9 +18,9 @@ a copy, and the 2-D :attr:`Process.choi` is made from it on first use.  The
 public constructor copies the caller's array, so no caller can change a
 process after the fact, and rejects non-finite entries.
 
-Processes are not forced to be completely positive: ``cp_flag`` records
-whether positivity is known (True), known to fail (False), or untracked
-(None).  Several constructions here deliberately produce non-CP data.
+Processes are not forced to be completely positive, and several
+constructions here deliberately produce non-CP data.  Positivity is not
+tracked: whoever needs it asks ``tensor.is_psd(p.choi)``.
 
 Random causal channels have one construction, which works on a stack: a
 Haar-random isometry from the phase-fixed QR of a complex Gaussian matrix
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, is_psd, link, partial_trace
+from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, link, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -47,10 +47,9 @@ class Process:
     in_sys: System
     out_sys: System
     tensor: np.ndarray = field(repr=False)
-    cp_flag: bool | None = None
 
-    def __init__(self, in_sys: System, out_sys: System, choi: np.ndarray, cp_flag: bool | None = None):
-        _set_fields(self, in_sys, out_sys, None, cp_flag)
+    def __init__(self, in_sys: System, out_sys: System, choi: np.ndarray):
+        _set_fields(self, in_sys, out_sys, None)
         self.__post_init__(choi)
 
     def __post_init__(self, choi: np.ndarray):
@@ -64,7 +63,7 @@ class Process:
         object.__setattr__(self, "tensor", t)
 
     @classmethod
-    def _adopt(cls, in_sys: System, out_sys: System, data: np.ndarray, cp_flag: bool | None = None) -> "Process":
+    def _adopt(cls, in_sys: System, out_sys: System, data: np.ndarray) -> "Process":
         """The no-copy constructor, for a complex array that soclab has just
         made or for a view of a frozen parent's tensor.  ``data`` is the Choi
         matrix or any array of its size in factor-tensor order; it is
@@ -72,7 +71,7 @@ class Process:
         frozen, so nobody may write to it afterwards."""
         p = object.__new__(cls)
         dims = in_sys.dims + out_sys.dims
-        _set_fields(p, in_sys, out_sys, data.reshape(dims + dims), cp_flag)
+        _set_fields(p, in_sys, out_sys, data.reshape(dims + dims))
         p.tensor.setflags(write=False)
         return p
 
@@ -95,11 +94,11 @@ class Process:
         return len(self.in_sys)
 
     def __repr__(self) -> str:
-        return f"Process(in={self.in_sys.dims}, out={self.out_sys.dims}, cp={self.cp_flag})"
+        return f"Process(in={self.in_sys.dims}, out={self.out_sys.dims})"
 
 
-def _set_fields(p: Process, in_sys: System, out_sys: System, tensor, cp_flag) -> None:
-    for name, value in (("in_sys", in_sys), ("out_sys", out_sys), ("tensor", tensor), ("cp_flag", cp_flag)):
+def _set_fields(p: Process, in_sys: System, out_sys: System, tensor) -> None:
+    for name, value in (("in_sys", in_sys), ("out_sys", out_sys), ("tensor", tensor)):
         object.__setattr__(p, name, value)
 
 
@@ -116,22 +115,22 @@ def _omega(total: int) -> np.ndarray:
 
 
 def identity_process(sys: System) -> Process:
-    return Process._adopt(sys, sys, _omega(sys.total), cp_flag=True)
+    return Process._adopt(sys, sys, _omega(sys.total))
 
 
 def cup(sys: System) -> Process:
     """State on ``sys + sys`` whose halves are maximally correlated (unnormalized)."""
-    return Process._adopt(UNIT, sys + sys, _omega(sys.total), cp_flag=True)
+    return Process._adopt(UNIT, sys + sys, _omega(sys.total))
 
 
 def cap(sys: System) -> Process:
     """Effect on ``sys + sys`` pairing the two halves; the partner of :func:`cup`."""
-    return Process._adopt(sys + sys, UNIT, _omega(sys.total), cp_flag=True)
+    return Process._adopt(sys + sys, UNIT, _omega(sys.total))
 
 
 def discard_process(sys: System) -> Process:
     """The trace effect: sends any state on ``sys`` to its trace."""
-    return Process._adopt(sys, UNIT, np.eye(sys.total, dtype=complex), cp_flag=True)
+    return Process._adopt(sys, UNIT, np.eye(sys.total, dtype=complex))
 
 
 def make_state(rho: np.ndarray, sys: System) -> Process:
@@ -151,7 +150,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: Sys
             raise DimensionError(f"Kraus operator shape {k.shape} does not match {d_out}x{d_in}")
     # Column k of v is vec(K_k^T); the Choi matrix is the sum of their outer products.
     v = np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in).transpose(2, 1, 0).reshape(d_in * d_out, len(ops))
-    return Process._adopt(in_sys, out_sys, v @ v.conj().T, cp_flag=True)
+    return Process._adopt(in_sys, out_sys, v @ v.conj().T)
 
 
 def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Process:
@@ -171,8 +170,7 @@ def compose_seq(f: Process, g: Process) -> Process:
         raise WireMismatchError(f"cannot plug output {f.out_sys.dims} into input {g.in_sys.dims}")
     x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
     c = link(f.choi, (x, y), [1], g.choi, (y, z), [0])
-    cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process._adopt(f.in_sys, g.out_sys, c, cp_flag=cp)
+    return Process._adopt(f.in_sys, g.out_sys, c)
 
 
 def compose_par(f: Process, g: Process) -> Process:
@@ -180,8 +178,7 @@ def compose_par(f: Process, g: Process) -> Process:
     fd, gd = (f.in_sys.total, f.out_sys.total), (g.in_sys.total, g.out_sys.total)
     # Free factors [f.in, f.out, g.in, g.out], gathered into [ins | outs].
     c = link(f.choi, fd, [], g.choi, gd, [], (0, 2, 1, 3))
-    cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process._adopt(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c, cp_flag=cp)
+    return Process._adopt(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c)
 
 
 def move_boundary(p: Process, n_in: int) -> Process:
@@ -193,7 +190,7 @@ def move_boundary(p: Process, n_in: int) -> Process:
     dims = p.factor_dims
     if not 0 <= n_in <= len(dims):
         raise DimensionError(f"n_in={n_in} out of range for {len(dims)} factors")
-    return Process._adopt(System(dims[:n_in]), System(dims[n_in:]), p.tensor, cp_flag=p.cp_flag)
+    return Process._adopt(System(dims[:n_in]), System(dims[n_in:]), p.tensor)
 
 
 def bend(p: Process) -> Process:
@@ -209,7 +206,7 @@ def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Proc
             f"relabel to in={tuple(in_dims)} out={tuple(out_dims)} changes totals "
             f"{p.in_sys.total}x{p.out_sys.total}"
         )
-    return Process._adopt(System(tuple(in_dims)), System(tuple(out_dims)), p.tensor, cp_flag=p.cp_flag)
+    return Process._adopt(System(tuple(in_dims)), System(tuple(out_dims)), p.tensor)
 
 
 def _split_groups(sys: System, first: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -227,15 +224,15 @@ def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, in
     return prod(a_in), prod(b_in), prod(a_out), prod(b_out)
 
 
-def _discard_outputs(p: Process, drop: Sequence[int]) -> Process:
-    """``p`` with the output factors at positions ``drop`` traced out of its
-    tensor in place, each kept as a factor of dimension 1, so whatever wiring
-    fits ``p`` fits the result.  The one place soclab discards outputs."""
+def _discard_outputs(p: Process, drop: Sequence[int]) -> np.ndarray:
+    """The Choi matrix of ``p`` with the output factors at positions ``drop``
+    traced out of its tensor in place (``p.choi`` when ``drop`` is empty).
+    Each dropped factor reads as a factor of dimension 1, so whatever wiring
+    fits ``p`` fits the marginal.  The one place soclab discards outputs."""
     if not drop:
-        return p
+        return p.choi
     keep = [*range(p.n_in), *[p.n_in + j for j in range(len(p.out_sys)) if j not in drop]]
-    out_sys = System(tuple([1 if j in drop else d for j, d in enumerate(p.out_sys.dims)]))
-    return Process._adopt(p.in_sys, out_sys, partial_trace(p.tensor, p.factor_dims, keep), cp_flag=True if p.cp_flag else None)
+    return partial_trace(p.tensor, p.factor_dims, keep)
 
 
 def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]) -> Process:
@@ -254,7 +251,7 @@ def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]
     view = p.tensor.transpose(order + tuple(n + q for q in order))
     new_in = System(tuple(dims[q] for q in in_positions))
     new_out = System(tuple(dims[q] for q in out_positions))
-    return Process._adopt(new_in, new_out, view, cp_flag=p.cp_flag)
+    return Process._adopt(new_in, new_out, view)
 
 
 def permute_input_factors(p: Process, perm: Sequence[int]) -> Process:
@@ -315,7 +312,7 @@ def _random_causal_channels(
         # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
         v = q.reshape(n, d_out, env, d_in).transpose(0, 3, 1, 2).reshape(n, d_in * d_out, env)
         chois = v @ v.conj().transpose(0, 2, 1)
-        columns.append([Process._adopt(in_sys, out_sys, c, cp_flag=True) for c in chois])
+        columns.append([Process._adopt(in_sys, out_sys, c) for c in chois])
     return list(zip(*columns))
 
 
@@ -342,5 +339,4 @@ def process_from_dict(d: dict) -> Process:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DimensionError("choi entries must be finite numbers")
-    p = Process(in_sys, out_sys, arr[..., 0] + 1j * arr[..., 1])
-    return Process._adopt(p.in_sys, p.out_sys, p.tensor, cp_flag=is_psd(p.choi))
+    return Process(in_sys, out_sys, arr[..., 0] + 1j * arr[..., 1])

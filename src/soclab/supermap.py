@@ -12,7 +12,9 @@ Causality is decided on the discarded body: discarding commutes with
 filling (the link product is associative), so an insertion's ``causal``
 and both oracles trace ``C2`` out of the body (once per supermap) and the
 ancilla outputs out of the arguments before they link the small marginals.
-An insertion checks its types at once and builds ``process`` on first use.
+A discard returns its marginal as a plain matrix; only the cached discarded
+body wraps it as a process again.  An insertion checks its types at once and
+builds ``process`` on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class BipartiteSupermap:
     @cached_property
     def _discarded(self) -> "BipartiteSupermap":
         """This supermap with ``C2`` discarded from its body."""
-        return BipartiteSupermap(_discard_outputs(self.body, [1]))
+        return BipartiteSupermap(Process._adopt(self.body.in_sys, System((self.c_in, 1)), _discard_outputs(self.body, [1])))
 
     def __repr__(self) -> str:
         return (
@@ -85,13 +87,12 @@ class InsertionResult:
 
     in_sys: System
     out_sys: System
-    cp_flag: bool | None
     _fill: Callable[[bool], np.ndarray] = field(repr=False)
     eps: float = DEFAULT_EPS
 
     @cached_property
     def process(self) -> Process:
-        return Process._adopt(self.in_sys, self.out_sys, self._fill(False), cp_flag=self.cp_flag)
+        return Process._adopt(self.in_sys, self.out_sys, self._fill(False))
 
     @cached_property
     def causal(self):
@@ -205,12 +206,11 @@ def insert_with_ancilla(
         if not discard:
             return insert_stacked(w, pa.choi, pb.choi, (ai, ao), (bi, bo))
         qa, qb = _discard_outputs(pa, range(a_split[1])), _discard_outputs(pb, range(b_split[1]))
-        return insert_stacked(w._discarded, qa.choi, qb.choi, (ai, 1), (bi, 1))
+        return insert_stacked(w._discarded, qa, qb, (ai, 1), (bi, 1))
 
-    cp = True if (pa.cp_flag and pb.cp_flag and w.body.cp_flag) else None
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
-    return InsertionResult(in_sys, out_sys, cp, fill, eps=eps)
+    return InsertionResult(in_sys, out_sys, fill, eps=eps)
 
 
 def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:
@@ -241,8 +241,7 @@ def insert_merged(
         body = (w._discarded if discard else w).body
         return link(body.choi, body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
 
-    cp = True if (phi.cp_flag and w.body.cp_flag) else None
-    return InsertionResult(System((w.c_in,)), System((w.c_out,)), cp, fill, eps=eps)
+    return InsertionResult(System((w.c_in,)), System((w.c_out,)), fill, eps=eps)
 
 
 def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:
@@ -261,7 +260,7 @@ def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:
         rows = np.add.outer(rows, np.arange(dims[i]) * (strides[i] + strides[j])).ravel()
     c = np.zeros((side, side), dtype=complex)
     c[np.ix_(rows, rows)] = 1
-    return Process._adopt(in_sys, out_sys, c, cp_flag=True)
+    return Process._adopt(in_sys, out_sys, c)
 
 
 def fixed_order_a_then_b(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
@@ -289,14 +288,11 @@ def mix(pairs) -> BipartiteSupermap:
         raise DimensionError("cannot mix an empty collection of supermaps")
     first = pairs[0][1].body
     acc = np.zeros_like(first.choi)
-    convex = True
     for weight, w in pairs:
         if w.body.in_sys.dims != first.in_sys.dims or w.body.out_sys.dims != first.out_sys.dims:
             raise WireMismatchError("mixed supermaps must share slot and output types")
         acc = acc + weight * w.body.choi
-        convex = convex and weight >= 0 and w.body.cp_flag is True
-    body = Process._adopt(first.in_sys, first.out_sys, acc, cp_flag=True if convex else None)
-    return BipartiteSupermap(body)
+    return BipartiteSupermap(Process._adopt(first.in_sys, first.out_sys, acc))
 
 
 def dress_slots(
@@ -318,8 +314,7 @@ def dress_slots(
         ch_dims = (ch.in_sys.total, ch.out_sys.total)
         c = link(c, dims, [3], ch.choi, ch_dims, [end], (5, 0, 1, 2, 3, 4))
         dims = (ch_dims[1 - end],) + dims[:3] + dims[4:]
-    cp = True if all(p.cp_flag for p in (w.body, pre_a, post_a, pre_b, post_b)) else None
-    return BipartiteSupermap(Process._adopt(System(dims[:4]), w.body.out_sys, c, cp_flag=cp))
+    return BipartiteSupermap(Process._adopt(System(dims[:4]), w.body.out_sys, c))
 
 
 def merged_slot_process(w: BipartiteSupermap) -> Process:

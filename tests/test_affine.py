@@ -70,8 +70,7 @@ def realize_affine_by_pairs(comb):
     for r, f, g in comb.terms:
         pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
         acc = acc + r * pair.choi
-    cp = all(r >= 0 and f.cp_flag and g.cp_flag for r, f, g in comb.terms)
-    return Process(System((a1, b1)), System((a2, b2)), acc, cp_flag=True if cp else None)
+    return Process(System((a1, b1)), System((a2, b2)), acc)
 
 
 def decompose_by_two_factorizations(f, span_pairs, in_split=1, out_split=1):
@@ -137,13 +136,11 @@ def nonsignalling_direction_dim_by_rank(ai, bi, ao, bo):
 class TestPseudoState:
     def test_classical_mixture_is_a_state(self):
         p = pseudo_state([0.25, 0.75])
-        assert p.cp_flag is True
         assert is_psd(p.choi)
         assert np.isclose(np.trace(p.choi), 1.0)
 
     def test_negative_weights_flagged(self):
         p = pseudo_state([1.5, -0.5])
-        assert p.cp_flag is False
         assert not is_psd(p.choi)
         assert np.isclose(np.trace(p.choi), 1.0)
 
@@ -198,7 +195,6 @@ class TestRealize:
             wired = realize_by_wiring(comb)
             direct = realize_affine(comb)
             assert processes_close(wired, direct, eps=1e-9)
-            assert direct.cp_flag == wired.cp_flag
 
     def test_routes_agree_heterogeneous(self):
         rng = np.random.default_rng(12)
@@ -206,19 +202,19 @@ class TestRealize:
         wired = realize_by_wiring(comb)
         direct = realize_affine(comb)
         assert processes_close(wired, direct, eps=1e-9)
-        assert direct.cp_flag == wired.cp_flag
         assert wired.in_sys.dims == direct.in_sys.dims == (2, 3)
         assert wired.out_sys.dims == direct.out_sys.dims == (3, 2)
 
-    def test_cp_flag_follows_weights_and_channels(self):
+    def test_positivity_follows_the_weights(self):
+        # Both routes realize a convex mix of channels as a CP map, and this
+        # negative weight as a map that is not CP.
         rng = np.random.default_rng(17)
         f, g, h = (random_causal_channel(System((2,)), System((2,)), seed=rng) for _ in range(3))
         convex = AffineCombination(((0.25, f, g), (0.75, g, h)))
         affine = AffineCombination(((1.5, f, g), (-0.5, g, h)))
-        unflagged = AffineCombination(((0.25, f, g), (0.75, Process(g.in_sys, g.out_sys, g.choi), h)))
-        for comb, want in ((convex, True), (affine, None), (unflagged, None)):
-            assert realize_affine(comb).cp_flag is want
-            assert realize_by_wiring(comb).cp_flag is want
+        for comb, want in ((convex, True), (affine, False)):
+            assert is_psd(realize_affine(comb).choi) is want
+            assert is_psd(realize_by_wiring(comb).choi) is want
 
     def test_convex_case_acts_pointwise(self):
         rng = np.random.default_rng(13)
@@ -384,7 +380,6 @@ class TestProductColumnsMatchThePairRoutes:
         target = realize_affine(comb)
         want = realize_affine_by_pairs(comb)
         assert target.in_sys == want.in_sys and target.out_sys == want.out_sys
-        assert target.cp_flag is want.cp_flag
         assert np.linalg.norm(target.choi - want.choi) <= 1e-10
 
         span = random_product_span(n, in_dims=(a1, b1), out_dims=(a2, b2), seed=rng)

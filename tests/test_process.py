@@ -1,5 +1,6 @@
 import re
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from soclab.process import (
     rewire,
     swap_process,
 )
-from soclab.tensor import System, UNIT, kron, partial_trace, permute_subsystems
+from soclab.tensor import System, UNIT, is_psd, kron, partial_trace, permute_subsystems
 
 A = System((2,))
 B = System((3,))
@@ -73,8 +74,7 @@ def compose_seq_einsum(f, g):
     f4 = f.choi.reshape(x, y, x, y)
     g4 = g.choi.reshape(y, z, y, z)
     c = np.einsum("apcq,psqt->asct", f4, g4).reshape(x * z, x * z)
-    cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process(f.in_sys, g.out_sys, c, cp_flag=cp)
+    return Process(f.in_sys, g.out_sys, c)
 
 
 def compose_par_kron(f, g):
@@ -89,8 +89,7 @@ def compose_par_kron(f, g):
         + list(range(a, a + b))
         + list(range(a + b + c, a + b + c + d))
     )
-    cp = True if (f.cp_flag and g.cp_flag) else None
-    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm), cp_flag=cp)
+    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm))
 
 
 def channel_from_kraus_loop(kraus, in_sys, out_sys):
@@ -103,7 +102,7 @@ def channel_from_kraus_loop(kraus, in_sys, out_sys):
             raise DimensionError(f"Kraus operator shape {k.shape} does not match {out_sys.total}x{in_sys.total}")
         v = k.T.ravel()
         c += np.outer(v, v.conj())
-    return Process(in_sys, out_sys, c, cp_flag=True)
+    return Process(in_sys, out_sys, c)
 
 
 def random_causal_channel_one_at_a_time(in_sys, out_sys, env_dim=None, seed=None):
@@ -126,7 +125,6 @@ def random_causal_channel_one_at_a_time(in_sys, out_sys, env_dim=None, seed=None
 
 def assert_same_process(got, want, tol=1e-12):
     assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
-    assert got.cp_flag is want.cp_flag
     assert np.linalg.norm(got.choi - want.choi) <= tol * max(1.0, np.linalg.norm(want.choi))
 
 
@@ -167,7 +165,7 @@ class TestGenerators:
         rng = np.random.default_rng(2)
         rho = random_matrix(rng, 2)
         assert np.allclose(apply_to_state(ch, rho), k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T)
-        assert ch.cp_flag is True
+        assert is_psd(ch.choi)
 
     @given(seeds, st.sampled_from([(A, A), (A, B), (B, A), (A + A, B)]), st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
@@ -374,13 +372,24 @@ class TestDiscardOutputs:
         after = [discard_process(System((d,))) if j in drop else identity_process(System((d,))) for j, d in enumerate(p.out_sys)]
         want = compose_seq(p, reduce(compose_par, after))
         got = _discard_outputs(p, drop)
-        assert got.in_sys == p.in_sys
-        assert got.out_sys.dims == tuple(1 if j in drop else d for j, d in enumerate(p.out_sys))
-        assert np.linalg.norm(got.choi - want.choi) <= 1e-12 * max(1.0, np.linalg.norm(want.choi))
+        assert got.shape == want.choi.shape
+        assert np.linalg.norm(got - want.choi) <= 1e-12 * max(1.0, np.linalg.norm(want.choi))
 
-    def test_positivity_stays_known_only_when_it_holds(self):
-        assert _discard_outputs(random_causal_channel(A, System((2, 3)), seed=0), [0]).cp_flag is True
-        assert _discard_outputs(Process(A, A, -np.eye(4), cp_flag=False), [0]).cp_flag is None
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "rewired"])
+    def test_returns_the_traced_choi_matrix_for_every_subset(self, view):
+        # The marginal is a plain matrix, equal to tracing the 2-D Choi
+        # matrix; discarding nothing hands back the Choi matrix itself.
+        p = random_process(np.random.default_rng(16), System((2, 3)), System((2, 3, 2)))
+        if view:
+            p = rewire(p, [1, 0], [4, 2, 3])
+        n_in, n_out = p.n_in, len(p.out_sys)
+        for k in range(n_out + 1):
+            for drop in combinations(range(n_out), k):
+                got = _discard_outputs(p, drop)
+                keep = [*range(n_in), *[n_in + j for j in range(n_out) if j not in drop]]
+                assert type(got) is np.ndarray
+                assert np.allclose(got, partial_trace(p.choi, p.factor_dims, keep), rtol=0, atol=1e-12)
+        assert _discard_outputs(p, ()) is p.choi
 
 
 class TestStorage:
@@ -469,7 +478,7 @@ CHANNEL_SPECS = [
 
 
 def assert_bit_equal(got, want):
-    assert got.in_sys == want.in_sys and got.out_sys == want.out_sys and got.cp_flag is want.cp_flag
+    assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
     assert np.array_equal(got.choi, want.choi)
 
 
@@ -516,20 +525,27 @@ class TestWireFormat:
         ch = random_causal_channel(A, B, seed=5)
         back = process_from_dict(process_to_dict(ch))
         assert processes_close(back, ch, 1e-12)
-        assert back.cp_flag is True
+        assert is_psd(back.choi)
 
     def test_loading_validates_and_copies_once(self, monkeypatch):
         calls = []
         check = Process.__post_init__
         monkeypatch.setattr(Process, "__post_init__", lambda p, c: calls.append(p) or check(p, c))
-        back = process_from_dict(process_to_dict(identity_process(A)))
-        assert len(calls) == 1 and back.cp_flag is True
-        assert np.shares_memory(back.tensor, calls[0].tensor)
+        record = process_to_dict(identity_process(A))
+        # Loading decides nothing about positivity: no eigendecomposition.
+        eig = np.linalg.eigvalsh
+        eig_calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eig_calls.append(a) or eig(*a, **k))
+        back = process_from_dict(record)
+        assert eig_calls == []
+        assert len(calls) == 1 and back is calls[0]
+        assert is_psd(back.choi)
 
     def test_non_cp_choi_is_accepted_and_flagged(self):
         p = Process(A, UNIT, np.diag([1.0, -1.0]))
         back = process_from_dict(process_to_dict(p))
-        assert back.cp_flag is False
+        assert np.array_equal(back.choi, p.choi)
+        assert not is_psd(back.choi)
 
     @pytest.mark.parametrize(
         "record",

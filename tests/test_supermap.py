@@ -39,7 +39,7 @@ from soclab.supermap import (
     supermap_from_process,
     supermap_to_dict,
 )
-from soclab.tensor import System, kron, permute_subsystems
+from soclab.tensor import System, is_psd, kron, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -158,7 +158,8 @@ class TestLinkAgainstReference:
         pa, pb = arg(a_split, a1, a2), arg(b_split, b1, b2)
         got = insert_with_ancilla(w, pa, pb, a_split, b_split).process
         assert_same_process(got, insert_with_ancilla_reference(w, pa, pb, a_split, b_split))
-        assert got.cp_flag is (True if causal else None)
+        if causal:
+            assert is_psd(got.choi)
 
     @given(
         seeds,
@@ -284,6 +285,30 @@ class TestTraceEarlyCausality:
         assert w._discarded is traced
         assert traced.body.out_sys.dims == (2, 1) and not traced.body.tensor.flags.writeable
 
+    def test_an_ancilla_filling_builds_one_process_to_decide_causality(self, monkeypatch):
+        # The discards hand back bare marginals; only the effect that
+        # is_causal reads is wrapped as a process.
+        w = fixed_order_a_then_b(2, 2, 2, 2)
+        w._discarded
+        big = System((2, 2))
+        pa, pb = random_causal_channel(big, big, seed=2), random_causal_channel(big, big, seed=3)
+        calls = []
+        adopt = Process._adopt.__func__
+        monkeypatch.setattr(Process, "_adopt", classmethod(lambda cls, *a, **k: calls.append(a) or adopt(cls, *a, **k)))
+        assert insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).causal.holds
+        assert len(calls) <= 1
+
+    def test_an_oversized_switch_raises_before_allocating(self):
+        # d = 4 gives a body of side 4 * 4**6 = 16384, about 4.3 GB complex.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                quantum_switch(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def fixed_order_bodies_reference(a_in, a_out, b_in, b_out):
     """The kron-then-permute construction of both fixed-order bodies that
@@ -338,7 +363,7 @@ class TestFixedOrders:
             fixed_order_b_then_a(3, 2, 2, 2)
 
     def test_bodies_are_cp(self):
-        assert fixed_order_a_then_b(2, 2, 2, 2).body.cp_flag is True
+        assert is_psd(fixed_order_a_then_b(2, 2, 2, 2).body.choi)
         w = np.linalg.eigvalsh(fixed_order_b_then_a(2, 2, 2, 2).body.choi)
         assert w.min() > -1e-12
 
