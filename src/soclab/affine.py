@@ -7,7 +7,7 @@ concrete process from one matrix of product columns.  :func:`pseudo_state` and
 a diagonal pseudo-state (a classically correlated state whose weights may
 be negative) routed to a pair of controlled local channels.  The tests wire
 those parts up and check that they give the same process.  A negative
-weight makes either construction non-CP; nothing here tracks that, and
+weight can make the result non-CP; nothing here tracks that, and
 ``tensor.is_psd`` decides it when asked.
 
 The inverse direction fits coefficients over a given spanning family of
