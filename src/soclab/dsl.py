@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DiagramSyntaxError, DiagramTypeError
 from .process import (
@@ -41,14 +42,21 @@ from .process import (
 from .tensor import System
 
 KEYWORDS = ("system", "box")
-BUILTIN_ARITY = {"id": 1, "swap": 2, "cup": 1, "cap": 1, "discard": 1}
-RESERVED = set(KEYWORDS) | set(BUILTIN_ARITY) | {"I"}
+# name -> (constructor, number of system arguments)
+BUILTINS = {"id": (identity_process, 1), "swap": (swap_process, 2), "cup": (cup, 1), "cap": (cap, 1), "discard": (discard_process, 1)}
+RESERVED = {*KEYWORDS, *BUILTINS, "I"}
 
-PUNCT = ("->", "=", ";", ":", "@", "*", "(", ")", "[", "]", ",")
+# One alternative per token class, tried in order at each position.  A name
+# may start with any word character that is not a digit; ``tokenize`` then
+# refuses one whose first character is not a letter or ``_``.
+_TOKEN = re.compile(
+    r'(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)|"(?P<string>[^"\n]*)"'
+    r"|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>->|[=;:@*()\[\],])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -58,57 +66,19 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     toks = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise DiagramSyntaxError("unterminated string", line, col)
-            toks.append(Token("string", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise DiagramSyntaxError(f"unexpected character {c!r}", line, col)
+        if kind == "bad" or kind == "name" and not (value[0].isalpha() or value[0] == "_"):
+            message = "unterminated string" if value == '"' else f"unexpected character {value[0]!r}"
+            raise DiagramSyntaxError(message, line, col)
+        if kind not in ("blank", "comment"):
+            toks.append(Token(value if kind == "punct" else kind, value, line, col))
+        if kind != "comment":  # a comment does not move the column: an eof after one keeps its start
+            col += m.end() - m.start()
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -257,14 +227,14 @@ class _Parser:
             shown = t.value or t.kind
             raise DiagramSyntaxError(f"expected an expression, found {shown!r}", t.line, t.col)
         self.advance()
-        if t.value in BUILTIN_ARITY:
+        if t.value in BUILTINS:
             self.expect("[")
             args = [self.expect("name").value]
             while self.peek().kind == ",":
                 self.advance()
                 args.append(self.expect("name").value)
             self.expect("]")
-            want = BUILTIN_ARITY[t.value]
+            want = BUILTINS[t.value][1]
             if len(args) != want:
                 raise DiagramSyntaxError(
                     f"{t.value} takes {want} system argument{'s' if want > 1 else ''}, got {len(args)}",
@@ -303,45 +273,38 @@ def unparse_expr(e: Expr) -> str:
     return f"({unparse_expr(e.left)} * {unparse_expr(e.right)})"
 
 
-class Environment:
-    """Declared systems and boxes of one diagram, ready for evaluation."""
-
-    def __init__(self):
-        self.systems: dict[str, int] = {}
-        self.boxes: dict[str, Process] = {}
-
-    def resolve_type(self, names: tuple[str, ...], line: int, col: int) -> System:
-        dims = []
-        for n in names:
-            if n not in self.systems:
-                raise DiagramTypeError(f"unknown system {n!r}", line, col)
-            dims.append(self.systems[n])
-        return System(tuple(dims))
+def _resolve(systems: dict[str, int], names: tuple[str, ...], line: int, col: int) -> System:
+    for n in names:
+        if n not in systems:
+            raise DiagramTypeError(f"unknown system {n!r}", line, col)
+    return System(tuple(systems[n] for n in names))
 
 
-def build_environment(program: Program, base_dir: str = ".") -> Environment:
-    """Process the declarations, loading each box body from its file.
+def build_environment(program: Program, base_dir: str = ".") -> tuple[dict[str, int], dict[str, Process]]:
+    """Process the declarations into the ``systems`` (name -> dimension) and
+    ``boxes`` (name -> process) of the diagram, loading each box body from
+    its file.
 
     File and serialization problems propagate as-is (``OSError``,
     ``json.JSONDecodeError``, :class:`~soclab.errors.DimensionError`); a
     body whose wires disagree with the declared type is a
     :class:`~soclab.errors.DiagramTypeError`.
     """
-    env = Environment()
+    systems: dict[str, int] = {}
+    boxes: dict[str, Process] = {}
     for d in program.decls:
         if d.name in RESERVED:
             raise DiagramTypeError(f"{d.name!r} is reserved", d.line, d.col)
-        if d.name in env.systems or d.name in env.boxes:
+        if d.name in systems or d.name in boxes:
             raise DiagramTypeError(f"{d.name!r} declared twice", d.line, d.col)
         if isinstance(d, SystemDecl):
             if d.size < 1:
                 raise DiagramTypeError(f"system {d.name!r} must have positive dimension", d.line, d.col)
-            env.systems[d.name] = d.size
+            systems[d.name] = d.size
             continue
-        in_sys = env.resolve_type(d.in_type, d.line, d.col)
-        out_sys = env.resolve_type(d.out_type, d.line, d.col)
-        path = d.path if os.path.isabs(d.path) else os.path.join(base_dir, d.path)
-        with open(path) as fh:
+        in_sys = _resolve(systems, d.in_type, d.line, d.col)
+        out_sys = _resolve(systems, d.out_type, d.line, d.col)
+        with open(os.path.join(base_dir, d.path)) as fh:  # an absolute path stays as it is
             body = process_from_dict(json.load(fh))
         if body.in_sys.dims != in_sys.dims or body.out_sys.dims != out_sys.dims:
             raise DiagramTypeError(
@@ -350,47 +313,33 @@ def build_environment(program: Program, base_dir: str = ".") -> Environment:
                 d.line,
                 d.col,
             )
-        env.boxes[d.name] = body
-    return env
+        boxes[d.name] = body
+    return systems, boxes
 
 
-def eval_expr(e: Expr, env: Environment) -> Process:
+def eval_expr(e: Expr, systems: dict[str, int], boxes: dict[str, Process]) -> Process:
     if isinstance(e, Ref):
-        if e.name not in env.boxes:
-            hint = " (it names a system)" if e.name in env.systems else ""
+        if e.name not in boxes:
+            hint = " (it names a system)" if e.name in systems else ""
             raise DiagramTypeError(f"unknown box {e.name!r}{hint}", e.line, e.col)
-        return env.boxes[e.name]
+        return boxes[e.name]
     if isinstance(e, Builtin):
-        systems = [env.resolve_type((a,), e.line, e.col) for a in e.args]
-        if e.kind == "id":
-            return identity_process(systems[0])
-        if e.kind == "swap":
-            return swap_process(systems[0], systems[1])
-        if e.kind == "cup":
-            return cup(systems[0])
-        if e.kind == "cap":
-            return cap(systems[0])
-        return discard_process(systems[0])
-    if isinstance(e, SeqComp):
-        left = eval_expr(e.left, env)
-        right = eval_expr(e.right, env)
-        if left.out_sys.dims != right.in_sys.dims:
-            raise DiagramTypeError(
-                f"cannot chain: left side produces {left.out_sys.dims}, "
-                f"right side expects {right.in_sys.dims}",
-                e.line,
-                e.col,
-            )
-        return compose_seq(left, right)
-    left = eval_expr(e.left, env)
-    right = eval_expr(e.right, env)
-    return compose_par(left, right)
+        make, _ = BUILTINS[e.kind]
+        return make(*(_resolve(systems, (a,), e.line, e.col) for a in e.args))
+    left, right = eval_expr(e.left, systems, boxes), eval_expr(e.right, systems, boxes)
+    if isinstance(e, ParComp):
+        return compose_par(left, right)
+    if left.out_sys.dims != right.in_sys.dims:
+        raise DiagramTypeError(
+            f"cannot chain: left side produces {left.out_sys.dims}, right side expects {right.in_sys.dims}",
+            e.line,
+            e.col,
+        )
+    return compose_seq(left, right)
 
 
 def evaluate(text: str, base_dir: str = ".") -> Process | None:
     """Parse and run a diagram; ``None`` when it only holds declarations."""
     program = parse(text)
-    env = build_environment(program, base_dir)
-    if program.expr is None:
-        return None
-    return eval_expr(program.expr, env)
+    systems, boxes = build_environment(program, base_dir)
+    return None if program.expr is None else eval_expr(program.expr, systems, boxes)

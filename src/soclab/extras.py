@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .process import Process
 from .supermap import BipartiteSupermap, fixed_order_a_then_b
-from .tensor import MAX_SIDE, System
+from .tensor import System, check_size
 
 
 def quantum_switch(d: int = 2) -> BipartiteSupermap:
@@ -27,8 +26,7 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
     A body whose side ``4 d**6`` passes ``MAX_SIDE`` raises
     :class:`DimensionError` before anything is allocated."""
     side = d**4 * (2 * d) ** 2
-    if side > MAX_SIDE:
-        raise DimensionError(f"switch body side {side} exceeds limit {MAX_SIDE}")
+    check_size((side, side), "switch body")
     v = np.zeros((d, d, d, d, 2 * d, 2 * d), dtype=complex)
     for i in range(d):
         for j in range(d):

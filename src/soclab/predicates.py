@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionError, ReconstructionError
 from .process import Process, _discard_outputs, _sides
 from .supermap import BipartiteSupermap, insert_stacked
-from .tensor import DEFAULT_EPS, MAX_SIDE, System, UNIT, frobenius_distance, hermitian_basis, link, partial_trace
+from .tensor import DEFAULT_EPS, System, UNIT, check_size, frobenius_distance, hermitian_basis, link, partial_trace
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,10 @@ def make_strongly_nonsignalling(psi_a: Process, psi_b: Process, shared: Process)
     return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c)
 
 
-@lru_cache(maxsize=None)
+# A two-hole verdict asks for two bases.  The bound lets a large basis, such
+# as the (9, 9) one (680 MB), be evicted instead of kept for the life of the
+# process.
+@lru_cache(maxsize=4)
 def causal_affine_basis(d_in: int, d_out: int) -> np.ndarray:
     """Affine basis of the Choi matrices of trace-preserving maps, as one
     read-only ``(K, side, side)`` stack.
@@ -131,8 +134,7 @@ def causal_affine_basis(d_in: int, d_out: int) -> np.ndarray:
     elements raises :class:`DimensionError` before anything is allocated.
     """
     side, k = d_in * d_out, d_in * d_in * (d_out * d_out - 1) + 1
-    if k * side * side > MAX_SIDE * MAX_SIDE:
-        raise DimensionError(f"causal basis of {k} points of side {side} exceeds limit of {MAX_SIDE}**2 elements")
+    check_size((k, side, side), "causal basis")
     g, h = np.stack(hermitian_basis(d_in)), np.stack(hermitian_basis(d_out))[1:]
     points = np.zeros((k, side, side), dtype=complex)
     # Row 1 + a (d_out**2 - 1) + b is kron(g_a, h_b), written in place.

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, frobenius_distance, link, partial_trace
+from .tensor import System, UNIT, as_matrix, as_stack, check_size, frobenius_distance, link, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -110,6 +110,7 @@ def processes_close(f: Process, g: Process, eps: float) -> bool:
 
 
 def _omega(total: int) -> np.ndarray:
+    check_size((total * total, total * total), "wire body")
     v = np.eye(total, dtype=complex).ravel()
     return np.outer(v, v)
 
@@ -130,6 +131,7 @@ def cap(sys: System) -> Process:
 
 def discard_process(sys: System) -> Process:
     """The trace effect: sends any state on ``sys`` to its trace."""
+    check_size((sys.total, sys.total), "discard effect")
     return Process._adopt(sys, UNIT, np.eye(sys.total, dtype=complex))
 
 
@@ -148,6 +150,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: Sys
     for k in ops:
         if k.shape != (d_out, d_in):
             raise DimensionError(f"Kraus operator shape {k.shape} does not match {d_out}x{d_in}")
+    check_size((d_in * d_out, d_in * d_out), "channel")
     # Column k of v is vec(K_k^T); the Choi matrix is the sum of their outer products.
     v = np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in).transpose(2, 1, 0).reshape(d_in * d_out, len(ops))
     return Process._adopt(in_sys, out_sys, v @ v.conj().T)
@@ -160,6 +163,7 @@ def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Proc
 def swap_process(a: System, b: System) -> Process:
     """The channel conjugating by the swap unitary ``A (x) B -> B (x) A``."""
     da, db = a.total, b.total
+    check_size(((da * db) ** 2, (da * db) ** 2), "swap channel")
     u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
     return channel_from_unitary(u, a + b, b + a)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _discard_outputs, _split_groups, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, MAX_SIDE, UNIT, System, as_stack, link
+from .tensor import DEFAULT_EPS, UNIT, System, as_stack, check_size, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +162,7 @@ def insert_stacked(
     b_dims = (b_ancilla[0], w.b_in, b_ancilla[1], w.b_out)
     pa, pb = as_stack(pa, prod(a_dims)), as_stack(pb, prod(b_dims))
     side = prod(a_ancilla) * prod(b_ancilla) * w.c_in * w.c_out
-    shape = pa.shape[:-2] + pb.shape[:-2] + (side, side)
-    if prod(shape) > MAX_SIDE * MAX_SIDE:
-        raise DimensionError(f"filled result of shape {shape} exceeds limit of {MAX_SIDE}**2 elements")
+    check_size(pa.shape[:-2] + pb.shape[:-2] + (side, side), "filled result")
     # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
     # never formed.  Free factors after the first link:
     # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
@@ -252,8 +250,7 @@ def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:
     those vectors and 0 elsewhere."""
     dims = in_sys.dims + out_sys.dims
     side = prod(dims)
-    if side > MAX_SIDE:
-        raise DimensionError(f"wiring body side {side} exceeds limit {MAX_SIDE}")
+    check_size((side, side), "wiring body")
     strides = [prod(dims[k + 1 :]) for k in range(len(dims))]
     rows = np.zeros(1, dtype=np.intp)
     for i, j in wires:

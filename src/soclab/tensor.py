@@ -22,6 +22,13 @@ DEFAULT_EPS = 1e-9
 MAX_SIDE = 1 << 13
 
 
+def check_size(shape: Sequence[int], what: str) -> None:
+    """Raise :class:`DimensionError` when an array of ``shape`` would hold
+    more than ``MAX_SIDE**2`` elements; call it before allocating one."""
+    if prod(shape) > MAX_SIDE * MAX_SIDE:
+        raise DimensionError(f"{what} of shape {tuple(shape)} exceeds limit of {MAX_SIDE}**2 elements")
+
+
 @dataclass(frozen=True)
 class System:
     """An ordered list of tensor factors, e.g. ``System((2, 3))``."""
@@ -69,8 +76,7 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     if not mats:
         return np.eye(1, dtype=complex)
     side = prod(m.shape[0] for m in mats)
-    if side > MAX_SIDE:
-        raise DimensionError(f"kron result side {side} exceeds limit {MAX_SIDE}")
+    check_size((side, side), "kron result")
     return reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
 
 
@@ -113,8 +119,7 @@ def link(
     side = prod(free)
     pb, qb = p.shape[:-2], q.shape[:-2]
     shape = pb + qb + (side, side)
-    if prod(shape) > MAX_SIDE * MAX_SIDE:
-        raise DimensionError(f"link result of shape {shape} exceeds limit of {MAX_SIDE}**2 elements")
+    check_size(shape, "link result")
     n, m = len(p_dims), len(q_dims)
     pt, qt = p.reshape(pb + p_dims + p_dims), q.reshape(qb + q_dims + q_dims)
     if p_wires:

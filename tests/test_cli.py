@@ -304,6 +304,21 @@ class TestErrorPaths:
         assert code == 3 and not out and "finite" in err
 
 
+    def test_a_digit_int_cannot_read_is_a_syntax_error(self, tmp_path, capsys):
+        d = tmp_path / "superscript.diag"
+        d.write_text("system Q = \u00b2 ;\nid[Q]\n")
+        code, out, err = run(["eval", str(d)], capsys)
+        assert (code, out, err) == (2, "", "error: 1:12: unexpected character '\u00b2'\n")
+
+    def test_oversized_system_is_a_dimension_error(self, tmp_path, capsys):
+        # The identity on a million dimensions must be refused before numpy
+        # is asked for it, not die with a MemoryError traceback.
+        d = tmp_path / "huge.diag"
+        d.write_text("system Q = 1000000 ;\nid[Q]\n")
+        code, out, err = run(["eval", str(d)], capsys)
+        assert code == 3 and not out and "exceeds limit" in err
+
+
 class TestEpsPrecedence:
     @pytest.fixture
     def slightly_off(self, tmp_path):

@@ -1,8 +1,11 @@
 import json
+import string
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclab.dsl import (
@@ -12,12 +15,13 @@ from soclab.dsl import (
     Ref,
     SeqComp,
     SystemDecl,
+    Token,
     evaluate,
     parse,
     tokenize,
     unparse,
 )
-from soclab.errors import DiagramSyntaxError, DiagramTypeError
+from soclab.errors import DiagramSyntaxError, DiagramTypeError, DimensionError
 from soclab.process import (
     cap,
     compose_par,
@@ -34,6 +38,83 @@ from soclab.tensor import System
 
 def write_box(path, proc):
     path.write_text(json.dumps(process_to_dict(proc)))
+
+
+# The character-at-a-time tokenizer the regular-expression one replaced, kept
+# as it was as a reference.
+PUNCT = ("->", "=", ";", ":", "@", "*", "(", ")", "[", "]", ",")
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise DiagramSyntaxError("unterminated string", line, col)
+            toks.append(Token("string", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in PUNCT:
+            if text.startswith(p, i):
+                toks.append(Token(p, p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise DiagramSyntaxError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def outcome(tokenizer, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenizer(text)]
+    except DiagramSyntaxError as err:
+        return str(err)
+
+
+# Printable ASCII plus letters, a decimal digit and numerals outside ASCII:
+# 'Ä' and 'ö' start names, '٣' is an int, and '½' and 'Ⅻ' may only continue
+# a name.
+TEXT_CHARS = string.printable + "Äö٣½Ⅻ"
+PIECES = ["system", "Q", "_x1", "Äö", "2", "٣", "½", "Ⅻ", " ", "\t", "\r", "\n", "# c", '"s"', '"', "->", "-", "*", ";", "[", ","]
 
 
 class TestTokenizer:
@@ -66,6 +147,22 @@ class TestTokenizer:
     def test_unterminated_string(self):
         with pytest.raises(DiagramSyntaxError):
             tokenize('box f : Q -> Q @ "oops\n;')
+
+    def test_blanks_advance_the_column_and_a_comment_does_not(self):
+        toks = tokenize("a\t\r b # note")
+        assert [(t.kind, t.col) for t in toks] == [("name", 1), ("name", 5), ("eof", 7)]
+
+    def test_a_digit_int_cannot_read_is_a_syntax_error(self):
+        # '²' is a digit to str.isdigit but not to int(); it must not become
+        # an int token that fails later without a position.
+        with pytest.raises(DiagramSyntaxError) as err:
+            parse("system Q = ² ;")
+        assert str(err.value) == "1:12: unexpected character '²'"
+
+    @given(st.one_of(st.text(TEXT_CHARS, max_size=40), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_tokens_or_error_as_the_reference(self, text):
+        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 
 
 class TestParser:
@@ -124,6 +221,13 @@ class TestParser:
 
     def test_empty_program(self):
         assert parse("# nothing here\n") == Program((), None)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Diagram language\n\n```\n", 1)[1].split("```", 1)[0]
+        prog = parse(block)
+        assert [d.name for d in prog.decls] == ["Q", "noise"]
+        assert isinstance(prog.expr, SeqComp)
 
 
 EXPR_NAMES = st.sampled_from(["f", "g", "h"])
@@ -241,6 +345,22 @@ class TestEvaluation:
 
     def test_declarations_only(self):
         assert evaluate("system Q = 2 ;") is None
+
+    @pytest.mark.parametrize(
+        "d,builtin",
+        [(10**6, b) for b in ("id[Q]", "cup[Q]", "cap[Q]", "discard[Q]", "swap[Q, Q]")]
+        + [(91, b) for b in ("id[Q]", "cup[Q]", "cap[Q]", "swap[Q, Q]")],
+    )
+    def test_oversized_builtins_raise_before_allocating(self, d, builtin):
+        # id[Q] at d = 91 would take 8281**2 complex entries (about 1.1 GB).
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                evaluate(f"system Q = {d} ;\n{builtin}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_discard_composes_to_partial_trace(self, tmp_path):
         f = random_causal_channel(System((2,)), System((2, 3)), seed=7)

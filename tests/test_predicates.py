@@ -397,6 +397,24 @@ class TestCausalAffineBasis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_the_cache_keeps_at_most_four_bases(self):
+        # A two-hole verdict needs two bases; a large one must not stay
+        # alive for the life of the process.
+        causal_affine_basis.cache_clear()
+        try:
+            assert causal_affine_basis.cache_info().maxsize <= 4
+            for key in [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]:
+                causal_affine_basis(*key)
+                assert causal_affine_basis.cache_info().currsize <= 4
+            w = fixed_order_a_then_b(2, 3, 3, 2)
+            is_soc2_oracle(w)
+            before = causal_affine_basis.cache_info()
+            is_soc2_oracle(w)
+            after = causal_affine_basis.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        finally:
+            causal_affine_basis.cache_clear()
+
     def test_base_point_is_total_depolarization(self):
         points = causal_affine_basis(2, 2)
         rho = random_density(Q, seed=3)

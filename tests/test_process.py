@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -129,6 +130,32 @@ def assert_same_process(got, want, tol=1e-12):
 
 
 class TestGenerators:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: identity_process(System((91,))),
+            lambda: cup(System((91,))),
+            lambda: cap(System((10**6,))),
+            lambda: discard_process(System((10**6,))),
+            lambda: swap_process(System((91,)), UNIT),
+            lambda: swap_process(System((1000,)), System((1000,))),
+            lambda: channel_from_kraus([np.ones((10**4, 1))], UNIT, System((10**4,))),
+        ],
+        ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus"],
+    )
+    def test_oversized_systems_raise_before_allocating(self, make):
+        # Each Choi matrix would pass MAX_SIDE**2 complex entries (1.1 GB
+        # for the identity on 91 dimensions); the check must fire while
+        # memory use stays at the size of the inputs.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds limit"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_identity_choi_is_unnormalized_bell(self):
         expect = np.zeros((4, 4))
         expect[0, 0] = expect[0, 3] = expect[3, 0] = expect[3, 3] = 1

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from soclab.errors import DimensionError
 from soclab.tensor import (
+    MAX_SIDE,
     System,
     UNIT,
+    check_size,
     frobenius_distance,
     hermitian_basis,
     is_hermitian,
@@ -63,6 +65,15 @@ class TestKron:
     def test_side_limit(self):
         with pytest.raises(DimensionError):
             kron(*[np.eye(2)] * 14)
+
+
+class TestCheckSize:
+    def test_limit_is_on_the_element_count(self):
+        for shape in [(MAX_SIDE, MAX_SIDE), (4, MAX_SIDE // 2, MAX_SIDE // 2), (MAX_SIDE * MAX_SIDE,), ()]:
+            check_size(shape, "array")
+        for shape in [(MAX_SIDE + 1, MAX_SIDE + 1), (5, MAX_SIDE // 2, MAX_SIDE // 2), (10**12, 10**12)]:
+            with pytest.raises(DimensionError, match=r"^array of shape .* exceeds limit"):
+                check_size(shape, "array")
 
 
 class TestLink:
