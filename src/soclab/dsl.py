@@ -45,6 +45,9 @@ KEYWORDS = ("system", "box")
 # name -> (constructor, number of system arguments)
 BUILTINS = {"id": (identity_process, 1), "swap": (swap_process, 2), "cup": (cup, 1), "cap": (cap, 1), "discard": (discard_process, 1)}
 RESERVED = {*KEYWORDS, *BUILTINS, "I"}
+# Each level of parentheses costs the parser three stack frames; this bound
+# keeps a parse well inside Python's recursion limit.
+_MAX_NESTING = 100
 
 # One alternative per token class, tried in order at each position.  A name
 # may start with any word character that is not a digit; ``tokenize`` then
@@ -145,6 +148,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -179,7 +183,11 @@ class _Parser:
             self.expect("=")
             size = self.expect("int")
             self.expect(";")
-            return SystemDecl(name.value, int(size.value), kw.line, kw.col)
+            try:
+                value = int(size.value)
+            except ValueError:  # more digits than int() will read
+                raise DiagramSyntaxError(f"system size has too many digits ({len(size.value)})", size.line, size.col) from None
+            return SystemDecl(name.value, value, kw.line, kw.col)
         name = self.expect("name")
         self.expect(":")
         in_type = self.parse_type()
@@ -219,9 +227,13 @@ class _Parser:
     def parse_atom(self) -> Expr:
         t = self.peek()
         if t.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise DiagramSyntaxError(f"parentheses nested more than {_MAX_NESTING} deep", t.line, t.col)
             self.advance()
+            self.depth += 1
             node = self.parse_seq()
             self.expect(")")
+            self.depth -= 1
             return node
         if t.kind != "name":
             shown = t.value or t.kind
@@ -318,24 +330,33 @@ def build_environment(program: Program, base_dir: str = ".") -> tuple[dict[str, 
 
 
 def eval_expr(e: Expr, systems: dict[str, int], boxes: dict[str, Process]) -> Process:
-    if isinstance(e, Ref):
-        if e.name not in boxes:
-            hint = " (it names a system)" if e.name in systems else ""
-            raise DiagramTypeError(f"unknown box {e.name!r}{hint}", e.line, e.col)
-        return boxes[e.name]
+    # A chain ``a ; b ; c`` parses as a left spine; walk it in a loop, so
+    # only parentheses (whose depth the parser bounds) cost recursion.
+    spine = []
+    while isinstance(e, (SeqComp, ParComp)):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Builtin):
         make, _ = BUILTINS[e.kind]
-        return make(*(_resolve(systems, (a,), e.line, e.col) for a in e.args))
-    left, right = eval_expr(e.left, systems, boxes), eval_expr(e.right, systems, boxes)
-    if isinstance(e, ParComp):
-        return compose_par(left, right)
-    if left.out_sys.dims != right.in_sys.dims:
-        raise DiagramTypeError(
-            f"cannot chain: left side produces {left.out_sys.dims}, right side expects {right.in_sys.dims}",
-            e.line,
-            e.col,
-        )
-    return compose_seq(left, right)
+        result = make(*(_resolve(systems, (a,), e.line, e.col) for a in e.args))
+    elif e.name in boxes:
+        result = boxes[e.name]
+    else:
+        hint = " (it names a system)" if e.name in systems else ""
+        raise DiagramTypeError(f"unknown box {e.name!r}{hint}", e.line, e.col)
+    for node in reversed(spine):
+        right = eval_expr(node.right, systems, boxes)
+        if isinstance(node, ParComp):
+            result = compose_par(result, right)
+        elif result.out_sys.dims == right.in_sys.dims:
+            result = compose_seq(result, right)
+        else:
+            raise DiagramTypeError(
+                f"cannot chain: left side produces {result.out_sys.dims}, right side expects {right.in_sys.dims}",
+                node.line,
+                node.col,
+            )
+    return result
 
 
 def evaluate(text: str, base_dir: str = ".") -> Process | None:

@@ -5,7 +5,8 @@ rank one: a superposition of the two fixed-order wirings, entangled with a
 control qubit that rides along both the global input and the global
 output.  Filling the slots with unitary conjugations produces conjugation
 by ``|0><0| (x) VU + |1><1| (x) UV``, which no single ordering reproduces,
-yet every pair of causal fillings still yields a causal channel.
+yet every pair of causal fillings still yields a causal channel.  The body
+is one ``process._wiring`` call, one branch per order.
 
 :func:`spoiled_supermap` is a fixed order with a bump that breaks
 causality, the negative control of the tests and the verification script.
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .process import Process
+from .process import Process, _wiring
 from .supermap import BipartiteSupermap, fixed_order_a_then_b
-from .tensor import System, check_size
+from .tensor import System
 
 
 def quantum_switch(d: int = 2) -> BipartiteSupermap:
@@ -25,18 +26,11 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
     control qubit joined with the target, flattened to one factor of 2d.
     A body whose side ``4 d**6`` passes ``MAX_SIDE`` raises
     :class:`DimensionError` before anything is allocated."""
-    side = d**4 * (2 * d) ** 2
-    check_size((side, side), "switch body")
-    v = np.zeros((d, d, d, d, 2 * d, 2 * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                # control 0: global input feeds the first slot, first feeds second
-                v[i, j, j, k, i, k] += 1.0
-                # control 1: the same wires in the other order
-                v[k, j, i, k, d + i, d + j] += 1.0
-    vec = v.reshape(-1)
-    return BipartiteSupermap(Process._adopt(System((d, d, d, d)), System((2 * d, 2 * d)), np.outer(vec, vec.conj())))
+    # Factors [A1, A2, B1, B2, C1, C2].  Control 0 runs A then B, control 1
+    # B then A; the control rides from C1 to C2 as the high digit, d.
+    a_then_b = [(4, 0), (1, 2), (3, 5), (4, 5, 0)]
+    b_then_a = [(4, 2), (3, 0), (1, 5), (4, 5, d)]
+    return BipartiteSupermap(_wiring(System((d, d, d, d)), System((2 * d, 2 * d)), a_then_b, b_then_a))
 
 
 def spoiled_supermap(d: int = 2) -> BipartiteSupermap:

@@ -23,7 +23,7 @@ import numpy as np
 from .predicates import is_soc2, make_strongly_nonsignalling
 from .process import _random_causal_channels, make_state, random_density
 from .supermap import BipartiteSupermap, insert_merged, insert_with_ancilla
-from .tensor import DEFAULT_EPS, System
+from .tensor import DEFAULT_EPS, System, check_size
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,9 @@ def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfi
     """
     m = config.ancilla_dim
     memories = System((m, m))
+    # Each trial draws its channels before the shared state, so refuse an
+    # oversized state before the first draw rather than after it.
+    check_size((memories.total, memories.total), "random density")
     specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
 
     def fill(rng):

@@ -109,24 +109,44 @@ def processes_close(f: Process, g: Process, eps: float) -> bool:
     return frobenius_distance(f.choi, g.choi) <= eps
 
 
-def _omega(total: int) -> np.ndarray:
-    check_size((total * total, total * total), "wire body")
-    v = np.eye(total, dtype=complex).ravel()
-    return np.outer(v, v)
+def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
+    """The process that only connects wires; the one writer of a wiring
+    pattern.  Each branch lists wires over the factors ``in_sys + out_sys``:
+    ``(i, j)`` joins factors ``i`` and ``j`` on the basis values both have,
+    and ``(i, j, k)`` holds both at value ``k``; values on one factor add.
+    The Choi matrix is 1 on the rows and columns of the basis vectors on
+    which every wire of one branch agrees (branches pick disjoint sets) and
+    0 elsewhere.  Its size is checked before any index is computed."""
+    dims = in_sys.dims + out_sys.dims
+    side = prod(dims)
+    check_size((side, side), "wiring body")
+    strides = [prod(dims[k + 1 :]) for k in range(len(dims))]
+    rows = []
+    for wires in branches:
+        found = [0]
+        for i, j, *value in wires:
+            step = strides[i] + strides[j]
+            found = [r + v * step for r in found for v in value or range(min(dims[i], dims[j]))]
+        rows += found
+    rows = np.array(rows)
+    c = np.zeros((side, side), dtype=complex)
+    c[rows[:, None], rows] = 1
+    return Process._adopt(in_sys, out_sys, c)
 
 
 def identity_process(sys: System) -> Process:
-    return Process._adopt(sys, sys, _omega(sys.total))
+    return move_boundary(cup(sys), len(sys))
 
 
 def cup(sys: System) -> Process:
     """State on ``sys + sys`` whose halves are maximally correlated (unnormalized)."""
-    return Process._adopt(UNIT, sys + sys, _omega(sys.total))
+    n = len(sys)
+    return _wiring(UNIT, sys + sys, [(k, n + k) for k in range(n)])
 
 
 def cap(sys: System) -> Process:
     """Effect on ``sys + sys`` pairing the two halves; the partner of :func:`cup`."""
-    return Process._adopt(sys + sys, UNIT, _omega(sys.total))
+    return move_boundary(cup(sys), 2 * len(sys))
 
 
 def discard_process(sys: System) -> Process:
@@ -161,11 +181,10 @@ def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Proc
 
 
 def swap_process(a: System, b: System) -> Process:
-    """The channel conjugating by the swap unitary ``A (x) B -> B (x) A``."""
-    da, db = a.total, b.total
-    check_size(((da * db) ** 2, (da * db) ** 2), "swap channel")
-    u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
-    return channel_from_unitary(u, a + b, b + a)
+    """The channel ``A (x) B -> B (x) A`` that crosses the wires: the
+    identity on ``a + b`` with its output factors reordered."""
+    n = len(a)
+    return permute_output_factors(identity_process(a + b), [*range(n, n + len(b)), *range(n)])
 
 
 def compose_seq(f: Process, g: Process) -> Process:
@@ -276,6 +295,7 @@ def apply_to_state(f: Process, rho: np.ndarray) -> np.ndarray:
 def random_density(sys: System, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = sys.total
+    check_size((d, d), "random density")
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -294,7 +314,7 @@ def _random_causal_channels(
     do not depend on how the draw is batched.  Each spec then takes one
     stacked QR, one stacked phase fix (which makes the isometry Haar
     distributed) and one stacked ``v v^dagger``.  A spec whose environment
-    cannot embed its input raises before anything is drawn.
+    cannot embed its input, or an oversized draw or stack, raises first.
     """
     shapes = []
     for in_sys, out_sys, env_dim in specs:
@@ -302,8 +322,11 @@ def _random_causal_channels(
         env = env_dim if env_dim is not None else d_in * d_out
         if d_out * env < d_in:
             raise DimensionError(f"environment {env} too small to embed input {d_in}")
+        check_size((n, d_in * d_out, d_in * d_out), "random channel stack")
         shapes.append((d_in, d_out, env))
-    draws = rng.standard_normal((n, sum(2 * d_in * d_out * env for d_in, d_out, env in shapes)))
+    size = (n, sum(2 * d_in * d_out * env for d_in, d_out, env in shapes))
+    check_size(size, "random channel draw")
+    draws = rng.standard_normal(size)
     columns, start = [], 0
     for (in_sys, out_sys, _), (d_in, d_out, env) in zip(specs, shapes):
         stop = start + 2 * d_in * d_out * env

@@ -14,7 +14,8 @@ and both oracles trace ``C2`` out of the body (once per supermap) and the
 ancilla outputs out of the arguments before they link the small marginals.
 A discard returns its marginal as a plain matrix; only the cached discarded
 body wraps it as a process again.  An insertion checks its types at once and
-builds ``process`` on first use.
+builds ``process`` on first use.  The fixed orders are pure wiring, written
+by ``process._wiring``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _discard_outputs, _split_groups, process_from_dict, process_to_dict, relabel, rewire
+from .process import Process, _discard_outputs, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
 from .tensor import DEFAULT_EPS, UNIT, System, as_stack, check_size, link
 
 
@@ -242,31 +243,13 @@ def insert_merged(
     return InsertionResult(System((w.c_in,)), System((w.c_out,)), fill, eps=eps)
 
 
-def _wiring_body(in_sys: System, out_sys: System, wires) -> Process:
-    """The body that only connects wires: each ``(i, j)`` in ``wires`` joins
-    factor ``i`` to factor ``j`` with an unnormalized identity.  Its Choi
-    matrix is ``|v><v|``, where ``v`` sums the basis vectors on which every
-    pair of joined factors agrees, so it is 1 on the rows and columns of
-    those vectors and 0 elsewhere."""
-    dims = in_sys.dims + out_sys.dims
-    side = prod(dims)
-    check_size((side, side), "wiring body")
-    strides = [prod(dims[k + 1 :]) for k in range(len(dims))]
-    rows = np.zeros(1, dtype=np.intp)
-    for i, j in wires:
-        rows = np.add.outer(rows, np.arange(dims[i]) * (strides[i] + strides[j])).ravel()
-    c = np.zeros((side, side), dtype=complex)
-    c[np.ix_(rows, rows)] = 1
-    return Process._adopt(in_sys, out_sys, c)
-
-
 def fixed_order_a_then_b(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the A channel first and pipes it into B."""
     if a_out != b_in:
         raise WireMismatchError(f"cannot pipe A output {a_out} into B input {b_in}")
     # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds A1, A2 feeds B1, B2 feeds C2.
     slots = System((a_in, a_out, b_in, b_out))
-    return BipartiteSupermap(_wiring_body(slots, System((a_in, b_out)), [(0, 4), (1, 2), (3, 5)]))
+    return BipartiteSupermap(_wiring(slots, System((a_in, b_out)), [(0, 4), (1, 2), (3, 5)]))
 
 
 def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
@@ -275,7 +258,7 @@ def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> Bipart
         raise WireMismatchError(f"cannot pipe B output {b_out} into A input {a_in}")
     # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds B1, B2 feeds A1, A2 feeds C2.
     slots = System((a_in, a_out, b_in, b_out))
-    return BipartiteSupermap(_wiring_body(slots, System((b_in, a_out)), [(2, 4), (3, 0), (1, 5)]))
+    return BipartiteSupermap(_wiring(slots, System((b_in, a_out)), [(2, 4), (3, 0), (1, 5)]))
 
 
 def mix(pairs) -> BipartiteSupermap:

@@ -310,6 +310,33 @@ class TestErrorPaths:
         code, out, err = run(["eval", str(d)], capsys)
         assert (code, out, err) == (2, "", "error: 1:12: unexpected character '\u00b2'\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python reads integers of any length")
+    def test_an_int_too_long_to_read_is_a_syntax_error(self, tmp_path, capsys):
+        d = tmp_path / "long_int.diag"
+        d.write_text("system Q = " + "9" * 5000 + " ;\nid[Q]\n")
+        code, out, err = run(["eval", str(d)], capsys)
+        assert (code, out, err) == (2, "", "error: 1:12: system size has too many digits (5000)\n")
+
+    def test_deep_parentheses_are_a_syntax_error(self, tmp_path, capsys):
+        d = tmp_path / "deep.diag"
+        d.write_text("system Q = 2 ;\n" + "(" * 2000 + "id[Q]" + ")" * 2000 + "\n")
+        code, out, err = run(["eval", str(d)], capsys)
+        assert (code, out, err) == (2, "", "error: 2:101: parentheses nested more than 100 deep\n")
+
+    def test_a_long_chain_evaluates(self, tmp_path, capsys):
+        d = tmp_path / "chain.diag"
+        d.write_text("system Q = 2 ;\n" + " ; ".join(["id[Q]"] * 1200) + "\n")
+        code, out, _ = run(["eval", str(d)], capsys)
+        assert code == 0 and process_from_dict(json.loads(out)).choi.tolist() == identity_process(System((2,))).choi.tolist()
+
+    @pytest.mark.parametrize("check", ["theorem1", "corollary1"])
+    def test_oversized_verify_draw_is_a_dimension_error(self, check, capsys):
+        # At --dims 1000 theorem1 would draw 466 TiB of Gaussians and
+        # corollary1 a 7.28 TiB shared state; both must be refused first.
+        argv = ["verify", check, str(GOLDEN / "fixed_order_a_then_b.json"), "--trials", "1", "--dims", "1000"]
+        code, out, err = run(argv, capsys)
+        assert code == 3 and not out and "exceeds limit" in err
+
     def test_oversized_system_is_a_dimension_error(self, tmp_path, capsys):
         # The identity on a million dimensions must be refused before numpy
         # is asked for it, not die with a MemoryError traceback.

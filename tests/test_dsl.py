@@ -1,5 +1,6 @@
 import json
 import string
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -159,6 +160,14 @@ class TestTokenizer:
             parse("system Q = ² ;")
         assert str(err.value) == "1:12: unexpected character '²'"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python reads integers of any length")
+    def test_an_int_too_long_to_read_is_a_syntax_error(self):
+        # 5000 digits pass int()'s limit of 4300; the error must carry the
+        # int's position, not Python's bare message.
+        with pytest.raises(DiagramSyntaxError) as err:
+            parse("system Q =\n  " + "9" * 5000 + " ;")
+        assert str(err.value) == "2:3: system size has too many digits (5000)"
+
     @given(st.one_of(st.text(TEXT_CHARS, max_size=40), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)))
     @settings(max_examples=400, deadline=None)
     def test_same_tokens_or_error_as_the_reference(self, text):
@@ -187,6 +196,13 @@ class TestParser:
         e = parse("a ; b ; c").expr
         assert isinstance(e.left, SeqComp)
         assert isinstance(e.right, Ref)
+
+    def test_nesting_past_the_limit_is_a_syntax_error(self):
+        ok = "(" * 100 + "f" + ")" * 100
+        assert parse(ok).expr == Ref("f", 0, 0)
+        with pytest.raises(DiagramSyntaxError) as err:
+            parse("system Q = 2 ;\n" + "(" * 2000 + "id[Q]" + ")" * 2000)
+        assert str(err.value) == "2:101: parentheses nested more than 100 deep"
 
     def test_builtin_arity(self):
         assert parse("swap[A, B]").expr == Builtin("swap", ("A", "B"), 0, 0)
@@ -342,6 +358,13 @@ class TestEvaluation:
         src = 'system Q = 2 ;\nbox f : Q -> Q @ "missing.json" ;\nf'
         with pytest.raises(OSError):
             evaluate(src, base_dir=str(tmp_path))
+
+    def test_a_long_chain_evaluates_without_recursion(self):
+        # A left spine of 1200 compositions, past Python's recursion limit.
+        got = evaluate("system Q = 2 ;\n" + " ; ".join(["id[Q]"] * 1200))
+        want = identity_process(System((2,)))
+        assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
+        assert np.array_equal(got.choi, want.choi)
 
     def test_declarations_only(self):
         assert evaluate("system Q = 2 ;") is None

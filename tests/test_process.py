@@ -124,6 +124,30 @@ def random_causal_channel_one_at_a_time(in_sys, out_sys, env_dim=None, seed=None
     return channel_from_kraus(v.transpose(1, 0, 2), in_sys, out_sys)
 
 
+def omega_reference(total):
+    """The outer product of vec(I) that built the identity, cup and cap
+    before every wire-only body became one wiring pattern, kept as a
+    reference."""
+    v = np.eye(total, dtype=complex).ravel()
+    return np.outer(v, v)
+
+
+def swap_reference(a, b):
+    """The swap as it was built before: its permutation unitary, through
+    channel_from_unitary."""
+    da, db = a.total, b.total
+    u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
+    return channel_from_unitary(u, a + b, b + a)
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs of zero, entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == complex and got.shape == want.shape
+    g, w = got.view(float), want.view(float)
+    assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def assert_same_process(got, want, tol=1e-12):
     assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
     assert np.linalg.norm(got.choi - want.choi) <= tol * max(1.0, np.linalg.norm(want.choi))
@@ -140,13 +164,18 @@ class TestGenerators:
             lambda: swap_process(System((91,)), UNIT),
             lambda: swap_process(System((1000,)), System((1000,))),
             lambda: channel_from_kraus([np.ones((10**4, 1))], UNIT, System((10**4,))),
+            lambda: identity_process(System((10**12,))),
+            lambda: random_density(System((10**6,))),
+            lambda: random_causal_channel(UNIT, System((10**5,)), env_dim=1),
+            lambda: _random_causal_channels(np.random.default_rng(0), [(UNIT, System((4000,)), None)], 3),
         ],
-        ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus"],
+        ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus", "identity-huge", "density", "channel-stack", "channel-draw"],
     )
     def test_oversized_systems_raise_before_allocating(self, make):
-        # Each Choi matrix would pass MAX_SIDE**2 complex entries (1.1 GB
-        # for the identity on 91 dimensions); the check must fire while
-        # memory use stays at the size of the inputs.
+        # Each Choi matrix or Gaussian draw would pass MAX_SIDE**2 entries
+        # (1.1 GB for the identity on 91 dimensions; the rows of the
+        # identity on 10**12 dimensions alone would take 8 TB); the check
+        # must fire while memory use stays at the size of the inputs.
         tracemalloc.start()
         try:
             with pytest.raises(DimensionError, match="exceeds limit"):
@@ -221,6 +250,21 @@ class TestGenerators:
         for build in (channel_from_kraus, channel_from_kraus_loop):
             with pytest.raises(DimensionError, match=re.escape(f"Kraus operator shape {shape} does not match 3x2")):
                 build(kraus, A, B)
+
+    @pytest.mark.parametrize("dims", [(), (1,), (2,), (3,), (2, 3), (3, 1), (2, 2, 3)])
+    def test_identity_cup_and_cap_are_bit_identical_to_the_reference(self, dims):
+        s = System(dims)
+        for p, in_sys, out_sys in ((identity_process(s), s, s), (cup(s), UNIT, s + s), (cap(s), s + s, UNIT)):
+            assert p.in_sys == in_sys and p.out_sys == out_sys
+            assert_same_bits(p.choi, omega_reference(s.total))
+
+    @pytest.mark.parametrize(
+        "a,b", [((), ()), ((2,), ()), ((), (3,)), ((2,), (3,)), ((3,), (3,)), ((2, 3), (3, 2)), ((2, 2), (3,)), ((1, 2), (2, 1, 2))]
+    )
+    def test_swap_is_bit_identical_to_the_reference(self, a, b):
+        got, want = swap_process(System(a), System(b)), swap_reference(System(a), System(b))
+        assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
+        assert_same_bits(got.choi, want.choi)
 
     def test_swap_exchanges_factors(self):
         rng = np.random.default_rng(3)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_process import assert_same_process, compose_par_kron, compose_seq_einsum
+from test_process import assert_same_bits, assert_same_process, compose_par_kron, compose_seq_einsum, omega_reference
 
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
-    _omega,
     _split_groups,
     compose_par,
     compose_seq,
@@ -310,24 +309,47 @@ class TestTraceEarlyCausality:
         assert peak < 1 << 20
 
 
+def switch_body_reference(d):
+    """The index loop and dense outer product that built the quantum
+    switch's body before it became a two-branch wiring pattern, kept as a
+    reference."""
+    v = np.zeros((d, d, d, d, 2 * d, 2 * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                # control 0: global input feeds the first slot, first feeds second
+                v[i, j, j, k, i, k] += 1.0
+                # control 1: the same wires in the other order
+                v[k, j, i, k, d + i, d + j] += 1.0
+    vec = v.reshape(-1)
+    return np.outer(vec, vec.conj())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_switch_body_is_bit_identical_to_the_reference(d):
+    body = quantum_switch(d).body
+    assert body.in_sys.dims == (d,) * 4 and body.out_sys.dims == (2 * d, 2 * d)
+    assert_same_bits(body.choi, switch_body_reference(d))
+
+
 def fixed_order_bodies_reference(a_in, a_out, b_in, b_out):
     """The kron-then-permute construction of both fixed-order bodies that
     the 0/1 wiring patterns replaced, kept as a reference; a body is None
     where its order cannot chain the slots."""
     ab = ba = None
     if a_out == b_in:
-        raw = kron(_omega(a_in), _omega(a_out), _omega(b_out))
+        raw = kron(omega_reference(a_in), omega_reference(a_out), omega_reference(b_out))
         # kron factor order [A1, C1, A2, B1, B2, C2] -> [A1, A2, B1, B2, C1, C2]
         ab = permute_subsystems(raw, (a_in, a_in, a_out, b_in, b_out, b_out), (0, 2, 3, 4, 1, 5))
     if b_out == a_in:
-        raw = kron(_omega(b_in), _omega(b_out), _omega(a_out))
+        raw = kron(omega_reference(b_in), omega_reference(b_out), omega_reference(a_out))
         # kron factor order [B1, C1, B2, A1, A2, C2] -> [A1, A2, B1, B2, C1, C2]
         ba = permute_subsystems(raw, (b_in, b_in, b_out, a_in, a_out, a_out), (3, 4, 0, 2, 1, 5))
     return ab, ba
 
 
 class TestFixedOrders:
-    @pytest.mark.parametrize("slots", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3), (3, 2, 2, 4)])
+    @pytest.mark.parametrize("slots", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 3, 3, 3), (3, 2, 2, 4), (1, 2, 2, 1)])
     def test_bodies_are_byte_identical_to_the_kron_reference(self, slots):
         ab, ba = fixed_order_bodies_reference(*slots)
         assert ab is not None
