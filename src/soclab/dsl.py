@@ -276,13 +276,31 @@ def unparse(program: Program) -> str:
 
 
 def unparse_expr(e: Expr) -> str:
-    if isinstance(e, Ref):
-        return e.name
-    if isinstance(e, Builtin):
-        return f"{e.kind}[{', '.join(e.args)}]"
-    if isinstance(e, SeqComp):
-        return f"({unparse_expr(e.left)} ; {unparse_expr(e.right)})"
-    return f"({unparse_expr(e.left)} * {unparse_expr(e.right)})"
+    """The text that parses back to ``e``, bracketing only what left
+    association and ``*`` binding tighter than ``;`` do not already say.
+    Written with an explicit stack, so a chain of any length prints."""
+    out: list[str] = []
+    # Each entry is text to emit or an expression with the binding level
+    # of its place: 0 anywhere, 1 a left operand of ``*`` or right operand
+    # of ``;``, 2 a right operand of ``*``.
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, level = item
+        if isinstance(e, Ref):
+            out.append(e.name)
+        elif isinstance(e, Builtin):
+            out.append(f"{e.kind}[{', '.join(e.args)}]")
+        else:
+            bind = 1 if isinstance(e, ParComp) else 0
+            if bind < level:
+                out.append("(")
+                todo.append(")")
+            todo += [(e.right, bind + 1), " * " if bind else " ; ", (e.left, bind)]
+    return "".join(out)
 
 
 def _resolve(systems: dict[str, int], names: tuple[str, ...], line: int, col: int) -> System:

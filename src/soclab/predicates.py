@@ -15,7 +15,10 @@ rewired process (a strided view) is never copied into its new order.  The
 oracles fill the body with the produced channel's output already
 discarded, so each filling is the effect it leaves on the channel input.
 The closed forms ask one question of such a marginal: does it act as the
-identity on one factor?  :func:`_defect` measures how far it is from it.
+identity on one factor?  :func:`_defect` measures how far it is from it,
+``(1 - P_k) m`` with ``P_k m = Tr_k(m)/d_k (x) I_k``, for one factor or
+for several in turn.  It copies the marginal once and subtracts each
+projection in place from the diagonal blocks it touches.
 """
 
 from __future__ import annotations
@@ -44,13 +47,21 @@ class CausalVerdict:
         return self.holds
 
 
-def _defect(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
-    """``m - Tr_k(m)/d_k (x) I_k`` in ``m``'s own factor order: the part of
-    ``m`` that does not act as the identity on factor ``k``."""
-    left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
-    t = m.reshape(left, d, right, left, d, right)
-    mean = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :] / d
-    return (t - mean * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(m.shape)
+def _defect(m: np.ndarray, dims: tuple[int, ...], *ks: int) -> np.ndarray:
+    """``m`` with ``1 - P_k`` applied for each factor ``k`` of ``ks`` in
+    turn, where ``P_k m = Tr_k(m)/d_k (x) I_k`` in ``m``'s own factor order:
+    the part of ``m`` that acts as the identity on none of them.  ``m`` is copied once
+    and each projection is subtracted in place from the ``d_k`` diagonal
+    blocks, the only entries it touches."""
+    out = m.copy()
+    for k in ks:
+        left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
+        t = out.reshape(left, d, right, left, d, right)
+        mean = np.trace(t, axis1=1, axis2=4)
+        mean /= d
+        for i in range(d):
+            t[:, i, :, :, i, :] -= mean
+    return out
 
 
 def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> tuple[np.ndarray, tuple[int, ...], float]:
@@ -189,7 +200,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     gap_norm = frobenius_distance(partial_trace(m, d5, keep=(4,)) / (a2 * b2), np.eye(c1))
     # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
     # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
-    gap_cross = float(np.linalg.norm(_defect(_defect(m, d5, 3), d5, 1)))
+    gap_cross = float(np.linalg.norm(_defect(m, d5, 3, 1)))
 
     residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
     parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}

@@ -134,19 +134,24 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     return Process._adopt(in_sys, out_sys, c)
 
 
+def _pairs(sys: System) -> list[tuple[int, int]]:
+    """The wires joining each factor of ``sys`` to its copy in ``sys + sys``."""
+    n = len(sys)
+    return [(k, n + k) for k in range(n)]
+
+
 def identity_process(sys: System) -> Process:
-    return move_boundary(cup(sys), len(sys))
+    return _wiring(sys, sys, _pairs(sys))
 
 
 def cup(sys: System) -> Process:
     """State on ``sys + sys`` whose halves are maximally correlated (unnormalized)."""
-    n = len(sys)
-    return _wiring(UNIT, sys + sys, [(k, n + k) for k in range(n)])
+    return _wiring(UNIT, sys + sys, _pairs(sys))
 
 
 def cap(sys: System) -> Process:
     """Effect on ``sys + sys`` pairing the two halves; the partner of :func:`cup`."""
-    return move_boundary(cup(sys), 2 * len(sys))
+    return _wiring(sys + sys, UNIT, _pairs(sys))
 
 
 def discard_process(sys: System) -> Process:

@@ -21,6 +21,7 @@ from soclab.dsl import (
     parse,
     tokenize,
     unparse,
+    unparse_expr,
 )
 from soclab.errors import DiagramSyntaxError, DiagramTypeError, DimensionError
 from soclab.process import (
@@ -272,6 +273,19 @@ class TestUnparse:
     def test_round_trip(self, e):
         prog = Program((), e)
         assert parse(unparse(prog)) == prog
+
+    def test_brackets_only_what_the_grammar_needs(self):
+        e = parse("(a ; b) ; c * (d * e) ; (f ; g) * h ; (i ; j)").expr
+        assert unparse_expr(e) == "a ; b ; c * (d * e) ; (f ; g) * h ; (i ; j)"
+
+    @pytest.mark.parametrize("n", [150, 1200])
+    def test_a_long_chain_prints_and_parses_back(self, n):
+        # A left spine past the parser's nesting bound (150) and past
+        # Python's recursion limit (1200); compared as text, since comparing
+        # trees that deep would recurse.
+        text = unparse(parse("system Q = 2 ;\n" + " ; ".join(["id[Q]"] * n)))
+        assert unparse(parse(text)) == text
+        assert text.count("(") == 0
 
     def test_declarations_round_trip(self):
         src = 'system Q = 2 ;\nsystem R = 3 ;\nbox s : I -> Q * R @ "s.json" ;\ns ; discard[Q] * id[R]\n'

@@ -10,6 +10,7 @@ from soclab.errors import DimensionError, ReconstructionError
 from soclab.extras import spoiled_supermap
 from soclab.predicates import (
     CausalVerdict,
+    _defect,
     causal_affine_basis,
     is_causal,
     is_nonsignalling,
@@ -23,6 +24,7 @@ from soclab.predicates import (
 )
 from soclab.process import (
     Process,
+    _discard_outputs,
     _sides,
     apply_to_state,
     channel_from_kraus,
@@ -46,7 +48,7 @@ from soclab.supermap import (
     mix,
     supermap_from_process,
 )
-from soclab.tensor import DEFAULT_EPS, System, frobenius_distance, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
+from soclab.tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -278,6 +280,114 @@ class TestDefectMatchesEmbeddingReference:
                 close(parts["b_to_a"], is_nonsignalling_b_to_a_reference(body, in_split, out_split).residual)
                 close(parts["a_to_b"], is_nonsignalling_a_to_b_reference(body, in_split, out_split).residual)
                 close(is_soc(body, in_split, out_split).residual, is_soc_reference(body, in_split, out_split).residual)
+
+
+def _defect_broadcast_reference(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """The one-factor broadcast form that the in-place ``_defect`` replaced,
+    kept verbatim: ``m - Tr_k(m)/d_k (x) I_k`` through full-size temporaries."""
+    left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
+    t = m.reshape(left, d, right, left, d, right)
+    mean = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :] / d
+    return (t - mean * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(m.shape)
+
+
+class TestInPlaceDefect:
+    @given(
+        seeds,
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+            lambda dims: st.tuples(
+                st.just(tuple(dims)),
+                st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=2, unique=True),
+            )
+        ),
+        st.sampled_from(["contiguous", "read_only", "strided"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_broadcast_form_once_per_factor(self, seed, dims_ks, layout):
+        dims, ks = dims_ks
+        side = prod(dims)
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((side, 2 * side)) + 1j * rng.standard_normal((side, 2 * side))
+        m = wide[:, ::2] if layout == "strided" else wide[:, :side].copy()
+        if layout == "read_only":
+            # What ``_discard_outputs`` returns when nothing is dropped.
+            m = _discard_outputs(Process(System(dims), UNIT, m), [])
+            assert not m.flags.writeable
+        before = m.copy()
+        want = m
+        for k in ks:
+            want = _defect_broadcast_reference(want, dims, k)
+        got = _defect(m, dims, *ks)
+        # The same floating-point operations on every entry; off-diagonal
+        # blocks may differ only in the sign of a zero, which compares equal.
+        assert np.array_equal(got, want)
+        assert np.array_equal(m, before)
+        assert got.flags.writeable and not np.shares_memory(got, m)
+
+    # The qutrit fixed order's discarded body is 243 x 243 (0.94 MB).  The
+    # cross term copies it once; a projection (a ninth of it) and the
+    # buffers of the in-place subtraction come on top.  The broadcast form
+    # peaked at 3.11 times the marginal, and ``is_soc2`` with it at 4.11.
+    W = fixed_order_a_then_b(3, 3, 3, 3)
+
+    def test_cross_term_allocates_one_copy(self):
+        m = _discard_outputs(self.W.body, [1])
+        tracemalloc.start()
+        try:
+            _defect(m, (3,) * 5, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m.nbytes
+
+    def test_two_hole_verdict_holds_its_marginal_and_one_copy(self):
+        nbytes = _discard_outputs(self.W.body, [1]).nbytes
+        tracemalloc.start()
+        try:
+            is_soc2(self.W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * nbytes
+
+
+def _noisy_qutrit_order(seed: int) -> BipartiteSupermap:
+    """The qutrit A-then-B order plus a seeded Hermitian bump of size 1e-3."""
+    rng = np.random.default_rng(seed)
+    body = fixed_order_a_then_b(3, 3, 3, 3).body
+    side = body.choi.shape[0]
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return BipartiteSupermap(Process(body.in_sys, body.out_sys, body.choi + 1e-3 * (g + g.conj().T)))
+
+
+class TestClosedFormBitPins:
+    # float.hex of every residual and part, taken from the broadcast
+    # ``_defect``: a reordering of the projector arithmetic changes a bit.
+    # Seed 1 is one on which even applying the two cross-term projections
+    # in the other order does.
+    PINS = {
+        "noisy_qutrit": {
+            "soc2": ("0x1.8457c96ba98e9p-1", {"gap_a": "0x1.68eeb6c44703bp-4", "gap_b": "0x1.6c097c8bad724p-4", "gap_norm": "0x1.845dcf62290c2p-7", "gap_cross": "0x1.7ef8b8baef277p-1"}),
+            "soc_merged": ("0x1.d6f334623ac46p+3", {"gap_slot": "0x1.d6f32a601d4b8p+3", "gap_norm": "0x1.845dcf62290c3p-7"}),
+            "nonsignalling": ("0x1.d9937f8a58da1p-1", {"b_to_a": "0x1.ea106946fbb38p-2", "a_to_b": "0x1.9541ee646def0p-1"}),
+        },
+        "spoiled": {
+            "soc2": ("0x1.0000000000000p+0", {"gap_a": "0x0.0p+0", "gap_b": "0x0.0p+0", "gap_norm": "0x1.0000000000000p+0", "gap_cross": "0x0.0p+0"}),
+            "soc_merged": ("0x1.4000000000000p+2", {"gap_slot": "0x1.3988e1409212ep+2", "gap_norm": "0x1.0000000000000p+0"}),
+            "nonsignalling": ("0x1.6a09e667f3bcdp-1", {"b_to_a": "0x0.0p+0", "a_to_b": "0x1.6a09e667f3bcdp-1"}),
+        },
+    }
+
+    @pytest.mark.parametrize("name, make", [("noisy_qutrit", lambda: _noisy_qutrit_order(1)), ("spoiled", lambda: spoiled_supermap(2))])
+    def test_residuals_and_parts_are_bit_identical(self, name, make):
+        w = make()
+        verdicts = {
+            "soc2": is_soc2(w),
+            "soc_merged": is_soc(merged_slot_process(w), 2, 1),
+            "nonsignalling": is_nonsignalling(flip(w), 1, 1),
+        }
+        got = {k: (v.residual.hex(), {n: g.hex() for n, g in v.parts.items()}) for k, v in verdicts.items()}
+        assert got == self.PINS[name]
 
 
 class TestIsCausal:
