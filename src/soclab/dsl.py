@@ -119,12 +119,31 @@ class Builtin:
     col: int = field(compare=False, repr=False)
 
 
+def _same_tree(e: "Expr", other) -> bool:
+    """``e == other`` for a composition, compared with an explicit stack so
+    that trees of any depth compare; positions are not compared."""
+    if type(other) is not type(e):
+        return NotImplemented
+    todo = [(e, other)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (SeqComp, ParComp)):
+            todo += [(a.right, b.right), (a.left, b.left)]
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SeqComp:
     left: "Expr"
     right: "Expr"
     line: int = field(compare=False, repr=False)
     col: int = field(compare=False, repr=False)
+
+    __eq__ = _same_tree
 
 
 @dataclass(frozen=True)
@@ -133,6 +152,8 @@ class ParComp:
     right: "Expr"
     line: int = field(compare=False, repr=False)
     col: int = field(compare=False, repr=False)
+
+    __eq__ = _same_tree
 
 
 Expr = Union[Ref, Builtin, SeqComp, ParComp]

@@ -1,13 +1,23 @@
 """Randomized end-to-end verification runs with reproducible reports.
 
 Each verifier first evaluates the structural premise on the supermap,
-then runs seeded trials that build random arguments, push them through
-the public insertion machinery, and check the output for causality.  That
-check traces the outputs first, so a trial never builds the filled
-process, and the supermap's body is traced once a run.
-Theorem 1's trials fill each hole with a channel that drags an ancilla
-through it; the corollary's fill both holes with one strongly
-non-signalling channel, made of local channels on a shared state.
+then runs seeded trials that build random arguments, fill the supermap's
+holes with them and check the output for causality.  Theorem 1's trials
+fill each hole with a channel that drags an ancilla through it; the
+corollary's fill both holes with one strongly non-signalling channel, made
+of local channels on a shared state.
+
+The trials of a run go through as one stack, in chunks that keep every
+stack under :data:`CHUNK_ELEMENTS` elements.  Each trial still draws its
+Gaussians from its own seeded stream, laid out as if its arguments were
+drawn one at a time; the chunk then takes one stacked QR per channel, and
+its ancilla outputs are discarded on the stack.  The arguments go into the
+supermap with ``C2`` discarded (its body is traced once a run) through
+paired links, trial ``t``'s arguments with each other and with nothing
+else, so no trial builds the filled process.  One stacked witness, each
+marginal minus the identity, gives every record; each residual is the norm
+of its own trial's slice, so a report does not depend on the chunking: it
+equals, bit for bit, the one that filling one trial at a time gives.
 Reports serialize to JSON lines: one premise line, one line per trial,
 one summary line.
 """
@@ -20,10 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predicates import is_soc2, make_strongly_nonsignalling
-from .process import _random_causal_channels, make_state, random_density
-from .supermap import BipartiteSupermap, insert_merged, insert_with_ancilla
-from .tensor import DEFAULT_EPS, System, check_size
+from .predicates import _strongly_nonsignalling, is_soc2
+from .process import _causal_chois, _channel_draw_size, _densities
+from .supermap import BipartiteSupermap, _insert_joint, insert_stacked
+from .tensor import DEFAULT_EPS, System, check_size, partial_trace
+
+# Trials run in chunks whose every stack holds at most this many elements
+# (512 KiB of complex numbers), or one trial when a trial alone holds more.
+CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,15 +84,27 @@ def _trial_seed(base: int, trial: int) -> int:
     return base * 1_000_003 + trial
 
 
-def _run(w: BipartiteSupermap, config: HarnessConfig, fill) -> HarnessReport:
-    """The premise, then one seeded trial per record: ``fill(rng)`` draws
-    the arguments and returns the filled supermap's insertion result."""
+def _run(w: BipartiteSupermap, config: HarnessConfig, size: int, per_trial: int, marginals) -> HarnessReport:
+    """The premise, then one record per trial.  Each trial draws ``size``
+    Gaussians from its own seeded stream, one row of a chunk's draws, and
+    ``marginals(draws)`` gives the chunk's stack of filled marginals with
+    every output discarded.  ``per_trial`` bounds the elements that one trial
+    takes in any stack, so a chunk's stacks are checked all at once."""
     premise = is_soc2(w, config.eps)
+    chunk = max(1, CHUNK_ELEMENTS // per_trial)
     records = []
-    for t in range(config.trials):
-        s = _trial_seed(config.seed, t)
-        verdict = fill(np.random.default_rng(s)).causal
-        records.append(TrialRecord(t, verdict.holds, verdict.residual, s))
+    for start in range(0, config.trials, chunk):
+        trials = range(start, min(start + chunk, config.trials))
+        check_size((len(trials), per_trial), "trial stack")
+        seeds = [_trial_seed(config.seed, t) for t in trials]
+        draws = np.empty((len(trials), size))
+        for row, s in zip(draws, seeds):
+            np.random.default_rng(s).standard_normal(out=row)
+        witness = marginals(draws)
+        witness -= np.eye(witness.shape[-1])
+        for t, s, x in zip(trials, seeds, witness):
+            residual = float(np.linalg.norm(x))
+            records.append(TrialRecord(t, residual <= config.eps, residual, s))
     return HarnessReport("soc2", premise.holds, premise.residual, tuple(records))
 
 
@@ -90,36 +116,45 @@ def verify_theorem1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig(
     """
     m = config.ancilla_dim
     specs = [(System((m, w.a_in)), System((m, w.a_out)), None), (System((m, w.b_in)), System((m, w.b_out)), None)]
+    size = _channel_draw_size(specs, 1)
+    # Beside the draws, the largest stacks are the two links' results.
+    per_trial = max(size, (w.b_in * w.b_out * w.c_in * m) ** 2, (m * m * w.c_in) ** 2)
 
-    def fill(rng):
-        ((pa, pb),) = _random_causal_channels(rng, specs, 1)
-        return insert_with_ancilla(w, pa, pb, (1, 1), (1, 1), eps=config.eps)
+    def marginals(draws):
+        pa, pb = _causal_chois(specs, draws)
+        # Discard each ancilla output, then fill.
+        qa = partial_trace(pa, (m, w.a_in, m, w.a_out), (0, 1, 3))
+        qb = partial_trace(pb, (m, w.b_in, m, w.b_out), (0, 1, 3))
+        return insert_stacked(w._discarded, qa, qb, (m, 1), (m, 1), paired=True)
 
-    return _run(w, config, fill)
+    return _run(w, config, size, per_trial, marginals)
 
 
 def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig()) -> HarnessReport:
     """Strongly non-signalling ("localizable") arguments come out causal.
 
-    Trials draw a random shared state on two memories and local causal
-    channels ``(A1, m) -> A2`` and ``(m, B1) -> B2`` consuming its halves,
-    assemble them into one channel ``A1 B1 -> A2 B2`` with
-    :func:`make_strongly_nonsignalling`, fill both holes with it through
-    :func:`insert_merged`, and check the output for causality.
+    Trials draw local causal channels ``(A1, m) -> A2`` and ``(m, B1) ->
+    B2``, then a random shared state on their two memories, assemble them
+    into one channel ``A1 B1 -> A2 B2`` as :func:`make_strongly_nonsignalling`
+    does, fill both holes with it as :func:`insert_merged` does, and check
+    the output for causality.
     """
     m = config.ancilla_dim
-    memories = System((m, m))
-    # Each trial draws its channels before the shared state, so refuse an
-    # oversized state before the first draw rather than after it.
-    check_size((memories.total, memories.total), "random density")
     specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
+    # Refuse an oversized shared state by name, before anything is drawn.
+    check_size((m * m, m * m), "random density")
+    channels = _channel_draw_size(specs, 1)
+    size = channels + 2 * m**4
+    # Beside the draws, the largest stacks are the joint channels and the marginals.
+    per_trial = max(size, (w.a_in * w.a_out * w.b_in * w.b_out) ** 2, w.c_in**2)
 
-    def fill(rng):
-        ((psi_a, psi_b),) = _random_causal_channels(rng, specs, 1)
-        shared = make_state(random_density(memories, seed=rng), memories)
-        return insert_merged(w, make_strongly_nonsignalling(psi_a, psi_b, shared), eps=config.eps)
+    def marginals(draws):
+        psi_a, psi_b = _causal_chois(specs, draws[:, :channels])
+        shared = _densities(draws[:, channels:].reshape(len(draws), 2, m * m, m * m))
+        a_dims, b_dims = (w.a_in, m, w.a_out), (m, w.b_in, w.b_out)
+        return _insert_joint(w._discarded, _strongly_nonsignalling(shared, psi_a, psi_b, a_dims, b_dims))
 
-    return _run(w, config, fill)
+    return _run(w, config, size, per_trial, marginals)
 
 
 def report_to_jsonl(report: HarnessReport) -> list[str]:

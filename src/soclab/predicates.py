@@ -121,12 +121,20 @@ def make_strongly_nonsignalling(psi_a: Process, psi_b: Process, shared: Process)
     # channels read [A1, memory, A2] and [memory', B1, B2].
     a_dims = (prod(a1),) + mem_a + (psi_a.out_sys.total,)
     b_dims = mem_b + (prod(b1), psi_b.out_sys.total)
+    c = _strongly_nonsignalling(shared.choi, psi_a.choi, psi_b.choi, a_dims, b_dims)
+    return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c)
+
+
+def _strongly_nonsignalling(shared: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray, a_dims, b_dims) -> np.ndarray:
+    """The Choi matrix of :func:`make_strongly_nonsignalling` from those of
+    its parts: ``psi_a`` on ``a_dims = (A1, memory, A2)``, ``psi_b`` on
+    ``b_dims = (memory', B1, B2)`` and ``shared`` on ``[memory, memory']``.
+    Leading axes are paired stacks: part ``t`` of each makes channel ``t``."""
     # Feed each half of the shared state into its channel's memory input.
     # Free factors after the first link: [memory', A1, A2]; after the
     # second, [A1, A2, B1, B2], gathered into [A1, B1, A2, B2].
-    c = link(shared.choi, mem_a + mem_b, [0], psi_a.choi, a_dims, [1])
-    c = link(c, mem_b + (a_dims[0], a_dims[-1]), [0], psi_b.choi, b_dims, [0], (0, 2, 1, 3))
-    return Process._adopt(System(a1 + b1), psi_a.out_sys + psi_b.out_sys, c)
+    c = link(shared, (a_dims[1], b_dims[0]), [0], psi_a, a_dims, [1], paired=True)
+    return link(c, (b_dims[0], a_dims[0], a_dims[2]), [0], psi_b, b_dims, [0], (0, 2, 1, 3), paired=True)
 
 
 # A two-hole verdict asks for two bases.  The bound lets a large basis, such

@@ -24,9 +24,11 @@ tracked: whoever needs it asks ``tensor.is_psd(p.choi)``.
 
 Random causal channels have one construction, which works on a stack: a
 Haar-random isometry from the phase-fixed QR of a complex Gaussian matrix
-(Mezzadri, math-ph/0609050), drawn for a whole batch of channels at once
-from a Gaussian stream laid out as if they were drawn one at a time.
-:func:`random_causal_channel` is its one-channel case.
+(Mezzadri, math-ph/0609050), made for a whole batch of channels at once
+from Gaussians laid out as if they were drawn one at a time.  It takes the
+Gaussians already drawn, from one stream or, for a verification run, one
+row from each trial's own stream.  :func:`random_causal_channel` is its
+one-channel case.
 """
 
 from __future__ import annotations
@@ -301,9 +303,61 @@ def random_density(sys: System, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = sys.total
     check_size((d, d), "random density")
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _densities(rng.standard_normal((2, d, d)))
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """The density matrices ``g g^dagger / Tr(g g^dagger)`` of a stack of
+    complex Gaussian matrices, given as ``(..., 2, d, d)`` real and
+    imaginary parts."""
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _isometry_dims(in_sys: System, out_sys: System, env_dim: int | None) -> tuple[int, int, int]:
+    """``(d_in, d_out, env)`` of a random channel's isometry; ``env``
+    defaults to ``d_in * d_out``."""
+    d_in, d_out = in_sys.total, out_sys.total
+    return d_in, d_out, env_dim if env_dim is not None else d_in * d_out
+
+
+def _channel_draw_size(specs: Sequence[tuple[System, System, int | None]], n: int) -> int:
+    """How many Gaussians one row of channels with these ``specs`` takes in
+    :func:`_random_causal_channels`; a spec whose environment cannot embed
+    its input, or a stack of ``n`` rows over ``MAX_SIDE**2`` elements,
+    raises here, before anything is drawn."""
+    size = 0
+    for spec in specs:
+        d_in, d_out, env = _isometry_dims(*spec)
+        if d_out * env < d_in:
+            raise DimensionError(f"environment {env} too small to embed input {d_in}")
+        check_size((n, d_in * d_out, d_in * d_out), "random channel stack")
+        size += 2 * d_in * d_out * env
+    check_size((n, size), "random channel draw")
+    return size
+
+
+def _causal_chois(specs: Sequence[tuple[System, System, int | None]], draws: np.ndarray) -> list[np.ndarray]:
+    """The Choi matrices of the random causal channels that ``draws``, one
+    row of :func:`_channel_draw_size` Gaussians per row of channels, gives:
+    one ``(rows, side, side)`` stack per spec.  Each spec takes one stacked
+    QR, one stacked phase fix (which makes the isometry Haar distributed)
+    and one stacked ``v v^dagger``."""
+    n, start, chois = len(draws), 0, []
+    for spec in specs:
+        d_in, d_out, env = _isometry_dims(*spec)
+        stop = start + 2 * d_in * d_out * env
+        g = draws[:, start:stop].reshape(n, 2, d_out * env, d_in)
+        start = stop
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2).copy()
+        diag[np.abs(diag) == 0] = 1.0
+        q = q * (diag / np.abs(diag))[:, None, :]
+        # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
+        v = q.reshape(n, d_out, env, d_in).transpose(0, 3, 1, 2).reshape(n, d_in * d_out, env)
+        chois.append(v @ v.conj().transpose(0, 2, 1))
+    return chois
 
 
 def _random_causal_channels(
@@ -316,36 +370,13 @@ def _random_causal_channels(
     Every Gaussian comes from one ``rng.standard_normal`` call whose layout
     is that of drawing the channels one at a time, row by row and spec by
     spec (real part, then imaginary part), so the stream and the channels
-    do not depend on how the draw is batched.  Each spec then takes one
-    stacked QR, one stacked phase fix (which makes the isometry Haar
-    distributed) and one stacked ``v v^dagger``.  A spec whose environment
-    cannot embed its input, or an oversized draw or stack, raises first.
+    do not depend on how the draw is batched; :func:`_causal_chois` makes
+    the channels from it.  A spec whose environment cannot embed its input,
+    or an oversized draw or stack, raises first.
     """
-    shapes = []
-    for in_sys, out_sys, env_dim in specs:
-        d_in, d_out = in_sys.total, out_sys.total
-        env = env_dim if env_dim is not None else d_in * d_out
-        if d_out * env < d_in:
-            raise DimensionError(f"environment {env} too small to embed input {d_in}")
-        check_size((n, d_in * d_out, d_in * d_out), "random channel stack")
-        shapes.append((d_in, d_out, env))
-    size = (n, sum(2 * d_in * d_out * env for d_in, d_out, env in shapes))
-    check_size(size, "random channel draw")
-    draws = rng.standard_normal(size)
-    columns, start = [], 0
-    for (in_sys, out_sys, _), (d_in, d_out, env) in zip(specs, shapes):
-        stop = start + 2 * d_in * d_out * env
-        g = draws[:, start:stop].reshape(n, 2, d_out * env, d_in)
-        start = stop
-        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-        diag = np.diagonal(r, axis1=1, axis2=2).copy()
-        diag[np.abs(diag) == 0] = 1.0
-        q = q * (diag / np.abs(diag))[:, None, :]
-        # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
-        v = q.reshape(n, d_out, env, d_in).transpose(0, 3, 1, 2).reshape(n, d_in * d_out, env)
-        chois = v @ v.conj().transpose(0, 2, 1)
-        columns.append([Process._adopt(in_sys, out_sys, c) for c in chois])
-    return list(zip(*columns))
+    draws = rng.standard_normal((n, _channel_draw_size(specs, n)))
+    stacks = [[Process._adopt(i, o, c) for c in chois] for (i, o, _), chois in zip(specs, _causal_chois(specs, draws))]
+    return list(zip(*stacks))
 
 
 def random_causal_channel(in_sys: System, out_sys: System, env_dim: int | None = None, seed=None) -> Process:

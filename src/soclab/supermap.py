@@ -9,13 +9,18 @@ body is an ordinary process, supermaps can be mixed, dressed, and probed
 with non-CP arguments without any extra machinery.
 
 Causality is decided on the discarded body: discarding commutes with
-filling (the link product is associative), so an insertion's ``causal``
-and both oracles trace ``C2`` out of the body (once per supermap) and the
-ancilla outputs out of the arguments before they link the small marginals.
-A discard returns its marginal as a plain matrix; only the cached discarded
-body wraps it as a process again.  An insertion checks its types at once and
-builds ``process`` on first use.  The fixed orders are pure wiring, written
-by ``process._wiring``.
+filling (the link product is associative), so an insertion's ``causal``,
+both oracles and the verification runs trace ``C2`` out of the body (once
+per supermap) and the ancilla outputs out of the arguments before they
+link the small marginals.  A discard returns its marginal as a plain
+matrix; only the cached discarded body wraps it as a process again.  An
+insertion checks its types at once and builds ``process`` on first use.
+:func:`insert_stacked` fills stacks of arguments: the oracle's grid of all
+pairs, or with ``paired`` a verification run's trials, where trial ``t``'s
+arguments are linked with each other only, each rounded as that one pair
+alone would be.  A joint filling goes through ``_insert_joint``, which
+:func:`insert_merged` and the runs share.  The fixed orders are pure
+wiring, written by ``process._wiring``.
 """
 
 from __future__ import annotations
@@ -146,31 +151,42 @@ def insert_stacked(
     pb: np.ndarray,
     a_ancilla: tuple[int, int] = (1, 1),
     b_ancilla: tuple[int, int] = (1, 1),
+    paired: bool = False,
 ) -> np.ndarray:
-    """Fill both holes with every pair from two stacks of Choi matrices.
+    """Fill both holes with pairs from two stacks of Choi matrices.
 
     The last two axes of ``pa`` hold a Choi matrix on inputs ``[ancilla,
     A1]`` and outputs ``[ancilla, A2]``, its ancillas of dimensions
     ``a_ancilla = (in, out)``; ``pb`` likewise.  Any axes before those are
-    stack axes, so a ``(Ka, sa, sa)`` and a ``(Kb, sb, sb)`` stack give the
-    ``(Ka, Kb, side, side)`` grid of all pairs, and two single matrices give
-    one filling.  Filling is linear in each hole, so every pair takes the
-    same two contractions.  Each result keeps the side wires open: inputs
-    ``[a ancilla, b ancilla, C1]``, outputs ``[a ancilla, b ancilla, C2]``.
-    The result's size is checked before the first contraction.
+    stack axes.  A ``(Ka, sa, sa)`` and a ``(Kb, sb, sb)`` stack give the
+    ``(Ka, Kb, side, side)`` grid of all pairs; with ``paired``, two ``(T,
+    ...)`` stacks give the ``T`` fillings of ``pa[t]`` with ``pb[t]``, each
+    rounded as that one pair alone would be.  Two single matrices give one
+    filling.  Filling is linear in each hole, so every pair takes the same
+    two contractions.  Each result keeps the side wires open: inputs ``[a
+    ancilla, b ancilla, C1]``, outputs ``[a ancilla, b ancilla, C2]``.  The
+    result's size is checked before the first contraction.
     """
     a_dims = (a_ancilla[0], w.a_in, a_ancilla[1], w.a_out)
     b_dims = (b_ancilla[0], w.b_in, b_ancilla[1], w.b_out)
     pa, pb = as_stack(pa, prod(a_dims)), as_stack(pb, prod(b_dims))
     side = prod(a_ancilla) * prod(b_ancilla) * w.c_in * w.c_out
-    check_size(pa.shape[:-2] + pb.shape[:-2] + (side, side), "filled result")
+    stack = np.broadcast_shapes(pa.shape[:-2], pb.shape[:-2]) if paired else pa.shape[:-2] + pb.shape[:-2]
+    check_size(stack + (side, side), "filled result")
     # Contract pa's slot wires into the body, then pb's, so pa (x) pb is
     # never formed.  Free factors after the first link:
     # [B1, B2, C1, C2, a ancilla in, a ancilla out]; after the second,
     # [C1, C2, a in, a out, b in, b out], gathered into [a in, b in, C1 | a out, b out, C2].
-    c = link(w.body.choi, w.body.factor_dims, [0, 1], pa, a_dims, [1, 3])
+    c = link(w.body.choi, w.body.factor_dims, [0, 1], pa, a_dims, [1, 3], paired=paired)
     dims = (w.b_in, w.b_out, w.c_in, w.c_out, a_dims[0], a_dims[2])
-    return link(c, dims, [0, 1], pb, b_dims, [1, 3], (2, 4, 0, 3, 5, 1))
+    return link(c, dims, [0, 1], pb, b_dims, [1, 3], (2, 4, 0, 3, 5, 1), paired=paired)
+
+
+def _insert_joint(w: BipartiteSupermap, phi: np.ndarray) -> np.ndarray:
+    """Fill both holes with the joint channel ``phi`` on ``[A1, B1, A2, B2]``,
+    or with each of a stack of them, each rounded as it alone would be."""
+    phi_dims = (w.a_in, w.b_in, w.a_out, w.b_out)
+    return link(w.body.choi, w.body.factor_dims, [0, 1, 2, 3], phi, phi_dims, [0, 2, 1, 3], paired=True)
 
 
 def insert_with_ancilla(
@@ -233,12 +249,9 @@ def insert_merged(
     a_in_fs, b_in_fs = _split_groups(phi.in_sys, in_split)
     a_out_fs, b_out_fs = _split_groups(phi.out_sys, out_split)
     _fit_holes(w, (prod(a_in_fs), prod(a_out_fs), prod(b_in_fs), prod(b_out_fs)), "joint channel parts")
-    # phi's factors merged per hole wire are [A1, B1, A2, B2].
-    phi_dims = (w.a_in, w.b_in, w.a_out, w.b_out)
 
     def fill(discard: bool) -> np.ndarray:
-        body = (w._discarded if discard else w).body
-        return link(body.choi, body.factor_dims, [0, 1, 2, 3], phi.choi, phi_dims, [0, 2, 1, 3])
+        return _insert_joint(w._discarded if discard else w, phi.choi)
 
     return InsertionResult(System((w.c_in,)), System((w.c_out,)), fill, eps=eps)
 

@@ -97,6 +97,7 @@ def link(
     q_dims: Sequence[int],
     q_wires: Sequence[int],
     order: Sequence[int] | None = None,
+    paired: bool = False,
 ) -> np.ndarray:
     """Contract factor ``p_wires[k]`` of ``p`` with factor ``q_wires[k]`` of ``q``.
 
@@ -106,11 +107,15 @@ def link(
     its factor ``k`` is free factor ``order[k]``.  With no wires this is the
     tensor product.
 
-    Every axis of ``p`` or ``q`` before its last two is a batch axis: the
-    result carries ``p``'s batch axes, then ``q``'s, then the linked matrix,
-    so that every pair from two stacks is linked by the same one contraction.
-    The result's size is checked against ``MAX_SIDE**2`` elements before
-    anything is allocated.
+    Every axis of ``p`` or ``q`` before its last two is a batch axis.  By
+    default the batch axes are *outer*: the result carries ``p``'s batch
+    axes, then ``q``'s, so that every pair from two stacks is linked by the
+    same one contraction.  With ``paired`` they are matched as ``matmul``'s
+    stack is: they broadcast against each other, so matrix ``t`` of one
+    stack links with matrix ``t`` of the other, and a single matrix with
+    every matrix of a stack.  Each paired link is its own matrix product,
+    the one a single pair takes.  The result's size is checked against
+    ``MAX_SIDE**2`` elements before anything is allocated.
     """
     p_dims, q_dims, p_wires, q_wires = tuple(p_dims), tuple(q_dims), tuple(p_wires), tuple(q_wires)
     if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
@@ -118,14 +123,34 @@ def link(
     free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
     side = prod(free)
     pb, qb = p.shape[:-2], q.shape[:-2]
-    shape = pb + qb + (side, side)
+    batch = np.broadcast_shapes(pb, qb) if paired else pb + qb
+    shape = batch + (side, side)
     check_size(shape, "link result")
     n, m = len(p_dims), len(q_dims)
     pt, qt = p.reshape(pb + p_dims + p_dims), q.reshape(qb + q_dims + q_dims)
-    if p_wires:
-        # Negative axes count from the end, so they skip the batch axes.
-        axes = ([i - 2 * n for i in p_wires] + [i - n for i in p_wires], [j - 2 * m for j in q_wires] + [j - m for j in q_wires])
-        t = np.tensordot(pt, qt, axes=axes)
+    # Negative axes count from the end, so they skip the batch axes.
+    pw, qw = [i - 2 * n for i in p_wires] + [i - n for i in p_wires], [j - 2 * m for j in q_wires] + [j - m for j in q_wires]
+    if paired and pb + qb:
+        inner = prod(p_dims[i] for i in p_wires) ** 2  # entries summed per result entry
+        if inner == 1:
+            # A rank-one product rounds differently from one stack layout to
+            # another, so each pair is linked alone.
+            out = np.empty(shape, dtype=complex)
+            pp, qq = np.broadcast_to(p, batch + p.shape[-2:]), np.broadcast_to(q, batch + q.shape[-2:])
+            for i in np.ndindex(batch):
+                out[i] = link(pp[i], p_dims, p_wires, qq[i], q_dims, q_wires, order)
+            return out
+        # Each pair's free axes against its wires, times the wires against
+        # q's free axes, in the order tensordot takes them: one stacked
+        # matmul makes each pair's own matrix product.
+        pf, qf = [i for i in range(-2 * n, 0) if i not in pw], [j for j in range(-2 * m, 0) if j not in qw]
+        fps, fqs = tuple(pt.shape[i] for i in pf), tuple(qt.shape[j] for j in qf)
+        pm = np.moveaxis(pt, pf + pw, range(-2 * n, 0)).reshape(pb + (prod(fps), inner))
+        qm = np.moveaxis(qt, qw + qf, range(-2 * m, 0)).reshape(qb + (inner, prod(fqs)))
+        t = np.matmul(pm, qm).reshape(batch + fps + fqs)
+        pb, qb = batch, ()
+    elif p_wires:
+        t = np.tensordot(pt, qt, axes=(pw, qw))
     else:
         # Exact products, as np.kron gives; a rank-one GEMM may round differently.
         t = np.multiply.outer(pt, qt)

@@ -281,11 +281,19 @@ class TestUnparse:
     @pytest.mark.parametrize("n", [150, 1200])
     def test_a_long_chain_prints_and_parses_back(self, n):
         # A left spine past the parser's nesting bound (150) and past
-        # Python's recursion limit (1200); compared as text, since comparing
-        # trees that deep would recurse.
-        text = unparse(parse("system Q = 2 ;\n" + " ; ".join(["id[Q]"] * n)))
+        # Python's recursion limit (1200), compared as trees and as text.
+        prog = parse("system Q = 2 ;\n" + " ; ".join(["id[Q]"] * n))
+        text = unparse(prog)
+        assert parse(text) == prog
         assert unparse(parse(text)) == text
         assert text.count("(") == 0
+
+    def test_long_chains_that_differ_at_the_far_end_compare_unequal(self):
+        terms = ["id[Q]"] * 1200
+        prog = parse("system Q = 2 ;\n" + " ; ".join(terms))
+        assert parse("system Q = 2 ;\n" + " ; ".join(["cap[Q]"] + terms[1:])) != prog
+        assert parse("system Q = 2 ;\n" + " ; ".join(terms[:-1] + ["id[R]"])) != prog
+        assert parse("system Q = 2 ;\n" + " * ".join(terms)) != prog
 
     def test_declarations_round_trip(self):
         src = 'system Q = 2 ;\nsystem R = 3 ;\nbox s : I -> Q * R @ "s.json" ;\ns ; discard[Q] * id[R]\n'

@@ -6,18 +6,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soclab.extras import spoiled_supermap
+from soclab import harness
+from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.harness import (
     HarnessConfig,
     HarnessReport,
     TrialRecord,
+    _trial_seed,
     report_to_jsonl,
     verify_corollary1,
     verify_theorem1,
 )
-from soclab.predicates import is_causal, make_strongly_nonsignalling
+from soclab.predicates import is_causal, is_soc2, make_strongly_nonsignalling
 from soclab.process import (
+    _random_causal_channels,
     compose_par,
     compose_seq,
     identity_process,
@@ -28,6 +33,7 @@ from soclab.process import (
     random_density,
 )
 from soclab.supermap import (
+    dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
     insert_merged,
@@ -39,6 +45,85 @@ from soclab.tensor import System, kron
 W_GOOD = mix(
     [(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]
 )
+
+
+def one_trial_at_a_time(w, config, claim):
+    """The report as a loop of single trials builds it: each trial draws its
+    arguments from its own seeded stream and fills the supermap through the
+    public one-pair insertions, whose ``causal`` gives the record."""
+    m = config.ancilla_dim
+    records = []
+    for t in range(config.trials):
+        s = _trial_seed(config.seed, t)
+        rng = np.random.default_rng(s)
+        if claim == "theorem1":
+            specs = [(System((m, w.a_in)), System((m, w.a_out)), None), (System((m, w.b_in)), System((m, w.b_out)), None)]
+            ((pa, pb),) = _random_causal_channels(rng, specs, 1)
+            verdict = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1), eps=config.eps).causal
+        else:
+            specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
+            ((psi_a, psi_b),) = _random_causal_channels(rng, specs, 1)
+            shared = make_state(random_density(System((m, m)), seed=rng), System((m, m)))
+            verdict = insert_merged(w, make_strongly_nonsignalling(psi_a, psi_b, shared), eps=config.eps).causal
+        records.append(TrialRecord(t, verdict.holds, verdict.residual, s))
+    premise = is_soc2(w, config.eps)
+    return HarnessReport("soc2", premise.holds, premise.residual, tuple(records))
+
+
+def dressed_order():
+    """The A-then-B order dressed so that its slots take (3 -> 1) and (2 -> 3) channels."""
+    rng = np.random.default_rng(4)
+    ends = [((2,), (3,)), ((1,), (2,)), ((2,), (2,)), ((3,), (2,))]
+    pre_a, post_a, pre_b, post_b = (random_causal_channel(System(i), System(o), seed=rng) for i, o in ends)
+    return dress_slots(fixed_order_a_then_b(2, 2, 2, 2), pre_a, post_a, pre_b, post_b)
+
+
+ORDERS = {
+    "a_then_b": fixed_order_a_then_b(2, 2, 2, 2),
+    "b_then_a": fixed_order_b_then_a(2, 2, 2, 2),
+    "switch": quantum_switch(2),
+    "spoiled": spoiled_supermap(2),
+    "affine_mix": mix([(1.7, fixed_order_a_then_b(2, 2, 2, 2)), (-0.7, fixed_order_b_then_a(2, 2, 2, 2))]),
+    "dressed": dressed_order(),
+}
+VERIFIERS = {"theorem1": verify_theorem1, "corollary1": verify_corollary1}
+
+
+class TestStackedRun:
+    @given(
+        st.sampled_from(sorted(ORDERS)),
+        st.sampled_from(sorted(VERIFIERS)),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(1, 3),
+        st.integers(0, 2**20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_trial_at_a_time(self, order, claim, m, trials, chunk, seed):
+        # The element budget is cut down to ``chunk`` trials, so the trial
+        # counts fall on both sides of a chunk boundary; every record must
+        # still be the single trial's, residual bits included.
+        w, config = ORDERS[order], HarnessConfig(trials=trials, seed=seed, ancilla_dim=m)
+        run, chunks = harness._run, []
+        with pytest.MonkeyPatch.context() as mp:
+
+            def chunked(w, config, size, per_trial, marginals):
+                mp.setattr(harness, "CHUNK_ELEMENTS", chunk * per_trial)
+                return run(w, config, size, per_trial, lambda draws: chunks.append(len(draws)) or marginals(draws))
+
+            mp.setattr(harness, "_run", chunked)
+            got = VERIFIERS[claim](w, config)
+        assert chunks == [min(chunk, trials - k) for k in range(0, trials, chunk)]
+        assert got == one_trial_at_a_time(w, config, claim)
+
+    @pytest.mark.parametrize("claim", sorted(VERIFIERS))
+    def test_zero_trials_give_an_empty_report(self, claim, monkeypatch):
+        # HarnessConfig allows trials=0; such a run draws and stacks nothing.
+        monkeypatch.setattr(harness, "_causal_chois", lambda *a: pytest.fail("a zero-trial run drew channels"))
+        report = VERIFIERS[claim](W_GOOD, HarnessConfig(trials=0, seed=3))
+        assert report.records == () and report.premise_holds
+        assert report.all_causal and report.max_residual == 0.0
+        assert json.loads(report_to_jsonl(report)[-1])["summary"]["trials"] == 0
 
 
 class TestTheorem1Harness:

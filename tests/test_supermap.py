@@ -181,6 +181,19 @@ class TestLinkAgainstReference:
                 want = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).process.choi
                 assert np.allclose(grid[i, j], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
+    @given(seeds, st.sampled_from(KINDS), st.sampled_from(HETERO_DIMS), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
+    @settings(max_examples=10, deadline=None)
+    def test_paired_insertion_equals_a_loop_of_insertions_bit_for_bit(self, seed, kind, dims, anc):
+        rng = np.random.default_rng(seed)
+        w = supermap_on(kind, dims, rng)
+        a1, a2, b1, b2 = dims
+        pas = np.stack([random_process(rng, System((anc[0], a1)), System((anc[1], a2))).choi for _ in range(3)])
+        pbs = np.stack([random_process(rng, System((anc[0], b1)), System((anc[1], b2))).choi for _ in range(3)])
+        got = insert_stacked(w, pas, pbs, anc, anc, paired=True)
+        assert got.shape[0] == 3
+        for t in range(3):
+            assert np.array_equal(got[t], insert_stacked(w, pas[t], pbs[t], anc, anc))
+
     def test_stacked_insertion_checks_the_argument_side(self):
         w = fixed_order_a_then_b(2, 2, 2, 2)
         with pytest.raises(DimensionError):

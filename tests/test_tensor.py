@@ -126,8 +126,8 @@ class TestLink:
 
 class TestStackedLink:
     # Every axis before the last two is a batch axis; the result carries p's
-    # batch axes, then q's.  Each case is checked against a loop over the
-    # unstacked call.
+    # batch axes, then q's, or with ``paired`` their broadcast.  Each case is
+    # checked against a loop over the unstacked call.
     @given(st.integers(0, 2**32 - 1), st.sampled_from([((3,), ()), ((), (2, 2)), ((2,), (3,))]))
     @settings(max_examples=15, deadline=None)
     def test_equals_a_loop_over_unstacked_links(self, seed, batches):
@@ -142,6 +142,32 @@ class TestStackedLink:
                 for j in np.ndindex(qb):
                     want = link(p[i], (2, 3, 2), p_wires, q[j], (2, 3), q_wires, order)
                     assert np.allclose(got[i + j], want, rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([((3,), (3,)), ((), (4,)), ((2, 1), (3,)), ((2, 3), ())]))
+    @settings(max_examples=15, deadline=None)
+    def test_paired_batches_equal_a_loop_bit_for_bit(self, seed, batches):
+        # Paired batch axes broadcast against each other; each pair is the
+        # unstacked link's result to the last bit, rank-one links included.
+        rng = np.random.default_rng(seed)
+        pb, qb = batches
+        batch = np.broadcast_shapes(pb, qb)
+        p = rng.standard_normal(pb + (12, 12)) + 1j * rng.standard_normal(pb + (12, 12))
+        q = rng.standard_normal(qb + (6, 6)) + 1j * rng.standard_normal(qb + (6, 6))
+        for p_dims, p_wires, q_dims, q_wires, order in (
+            ((2, 3, 2), [1], (2, 3), [1], (2, 0, 1)),
+            ((2, 3, 2), [1, 2], (2, 3), [1, 0], None),
+            ((2, 3, 2), [], (2, 3), [], (3, 0, 2, 1, 4)),
+            ((1, 12), [0], (1, 6), [0], (1, 0)),
+        ):
+            got = link(p, p_dims, p_wires, q, q_dims, q_wires, order, paired=True)
+            assert got.shape[:-2] == batch
+            pp, qq = np.broadcast_to(p, batch + (12, 12)), np.broadcast_to(q, batch + (6, 6))
+            for i in np.ndindex(batch):
+                assert np.array_equal(got[i], link(pp[i], p_dims, p_wires, qq[i], q_dims, q_wires, order))
+
+    def test_paired_batches_must_broadcast(self):
+        with pytest.raises(ValueError):
+            link(np.zeros((2, 4, 4)), (4,), [0], np.zeros((3, 4, 4)), (4,), [0], paired=True)
 
     def test_stacked_size_limit_is_checked_before_allocation(self):
         # Each linked matrix is only 91 x 91, but 91 x 91 of them would hold
