@@ -50,8 +50,10 @@ class HarnessConfig:
     def __post_init__(self):
         # Zero trials stay allowed: an empty run's report has no records,
         # and the entry points reject --trials 0 themselves.
-        if self.ancilla_dim < 1:
-            raise ValueError(f"ancilla_dim must be a positive integer, got {self.ancilla_dim!r}")
+        for name, least in (("trials", 0), ("ancilla_dim", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be a finite number >= 0, got {self.eps!r}")
 

@@ -3,6 +3,14 @@
 Everything here works on plain complex numpy matrices.  A composite system
 is described by the tuple of its factor dimensions, leftmost factor first,
 and the matrix indexes the factors in row-major (kron) order.
+
+:func:`link` and :func:`partial_trace` work out their checks and index
+bookkeeping once per set of shapes, as a plan kept in an ``lru_cache``
+(the idea of opt_einsum's reusable contraction expressions, Smith & Gray,
+JOSS 3(26):753, 2018).  A call then only reshapes, transposes and makes
+one ``np.dot``, ``np.matmul`` or ``np.einsum``; its result has the same
+bits as before the plans.  A failing check is never cached, so each call
+still raises before anything is allocated.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod, sqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +28,9 @@ DEFAULT_EPS = 1e-9
 
 # Guard against building matrices that will not fit in memory.
 MAX_SIDE = 1 << 13
+
+# Contraction plans remembered per kind; a run uses a few dozen shapes.
+PLANS = 256
 
 
 def check_size(shape: Sequence[int], what: str) -> None:
@@ -80,13 +91,89 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
 
 
+def _check_stack(shape: tuple[int, ...], side: int) -> tuple[int, ...]:
+    if len(shape) < 2 or shape[-2:] != (side, side):
+        raise DimensionError(f"expected a stack of {side} x {side} matrices, got shape {shape}")
+    return shape
+
+
 def as_stack(m: np.ndarray | Iterable, side: int) -> np.ndarray:
     """Coerce to a complex array whose last two axes are ``side x side``;
     any axes before them are batch axes, so one matrix is a stack of none."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2:] != (side, side):
-        raise DimensionError(f"expected a stack of {side} x {side} matrices, got shape {a.shape}")
+    _check_stack(a.shape, side)
     return a
+
+
+class _Plan(NamedTuple):
+    """How :func:`link` contracts one set of shapes.  Each operand is
+    reshaped, transposed and reshaped again, ``op`` takes the two, and its
+    result is reshaped, transposed and reshaped to ``shape``.  ``op`` is
+    ``None`` for paired rank-one links, which go one pair at a time."""
+
+    op: Callable | None
+    p: tuple[tuple, tuple, tuple]
+    q: tuple[tuple, tuple, tuple]
+    t: tuple[tuple, tuple]
+    shape: tuple[int, ...]
+
+
+@lru_cache(maxsize=PLANS)
+def _link_plan(p_dims, p_wires, q_dims, q_wires, order, pb, qb, paired) -> _Plan:
+    """Every check and every index list of :func:`link`, from shapes alone.
+
+    The steps are those ``np.tensordot`` takes, or with ``paired`` its
+    stacked twin on ``np.matmul``, so each result keeps its bits."""
+    if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
+        raise DimensionError(f"cannot link wires {p_wires} of {p_dims} with wires {q_wires} of {q_dims}")
+    free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
+    side = prod(free)
+    batch = np.broadcast_shapes(pb, qb) if paired else pb + qb
+    shape = batch + (side, side)
+    check_size(shape, "link result")
+    n, m = len(p_dims), len(q_dims)
+    pt, qt = pb + p_dims + p_dims, qb + q_dims + q_dims
+    # Wire axes of each factor tensor, rows then columns, and its other axes
+    # in order, batch axes first.
+    kp, kq = len(pb), len(qb)
+    pw, qw = [kp + i for i in p_wires] + [kp + n + i for i in p_wires], [kq + j for j in q_wires] + [kq + m + j for j in q_wires]
+    pf, qf = [i for i in range(len(pt)) if i not in pw], [j for j in range(len(qt)) if j not in qw]
+    inner = prod(p_dims[i] for i in p_wires) ** 2  # entries summed per result entry
+    if paired and pb + qb:
+        if inner == 1:
+            return _Plan(None, (), (), (), shape)
+        # Each pair's free axes against its wires, times the wires against
+        # q's free axes: one stacked matmul makes each pair's own product.
+        fps, fqs = tuple(pt[i] for i in pf[kp:]), tuple(qt[j] for j in qf[kq:])
+        op, pa, qa = np.matmul, pf + pw, qf[:kq] + qw + qf[kq:]
+        pm, qm = pb + (prod(fps), inner), qb + (inner, prod(fqs))
+        t, pb, qb = batch + fps + fqs, batch, ()
+    elif p_wires:
+        fps, fqs = tuple(pt[i] for i in pf), tuple(qt[j] for j in qf)
+        op, pa, qa = np.dot, pf + pw, qw + qf
+        pm, qm = (prod(fps), inner), (inner, prod(fqs))
+        t = fps + fqs
+    else:
+        # Exact products, as np.kron gives; a rank-one GEMM may round differently.
+        op, pa, qa = np.multiply, range(len(pt)), range(len(qt))
+        pm, qm = pt + (1,) * len(qt), qt
+        t = pt + qt
+    # t holds [p batch, p rows, p columns, q batch, q rows, q columns], the
+    # rows and columns being those of the free factors.
+    kp, fp = len(pb), n - len(p_wires)
+    fq, q0 = len(free) - fp, kp + 2 * fp + len(qb)  # q0: q's first row axis
+    rows = [*range(kp, kp + fp), *range(q0, q0 + fq)]
+    cols = [*range(kp + fp, kp + 2 * fp), *range(q0 + fq, q0 + 2 * fq)]
+    if order is not None:
+        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
+    axes = (*range(kp), *range(kp + 2 * fp, q0), *rows, *cols)
+    return _Plan(op, (pt, tuple(pa), pm), (qt, tuple(qa), qm), (t, axes), shape)
+
+
+def _contract(plan: _Plan, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    (ps, pa, pm), (qs, qa, qm), (ts, ta) = plan.p, plan.q, plan.t
+    c = plan.op(p.reshape(ps).transpose(pa).reshape(pm), q.reshape(qs).transpose(qa).reshape(qm))
+    return c.reshape(ts).transpose(ta).reshape(plan.shape)
 
 
 def link(
@@ -114,55 +201,44 @@ def link(
     stack is: they broadcast against each other, so matrix ``t`` of one
     stack links with matrix ``t`` of the other, and a single matrix with
     every matrix of a stack.  Each paired link is its own matrix product,
-    the one a single pair takes.  The result's size is checked against
-    ``MAX_SIDE**2`` elements before anything is allocated.
+    the one a single pair takes.
+
+    The index bookkeeping is planned once per set of shapes and reused: a
+    call reshapes and transposes each operand, makes one ``np.dot`` (the
+    GEMM that ``np.tensordot`` makes) or stacked ``np.matmul``, and puts
+    the result in order, so every result has the bits it had when built by
+    ``np.tensordot``.  Every check runs before anything is allocated,
+    including the result's size against ``MAX_SIDE**2`` elements.
     """
-    p_dims, q_dims, p_wires, q_wires = tuple(p_dims), tuple(q_dims), tuple(p_wires), tuple(q_wires)
-    if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
-        raise DimensionError(f"cannot link wires {p_wires} of {p_dims} with wires {q_wires} of {q_dims}")
-    free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
-    side = prod(free)
-    pb, qb = p.shape[:-2], q.shape[:-2]
-    batch = np.broadcast_shapes(pb, qb) if paired else pb + qb
-    shape = batch + (side, side)
-    check_size(shape, "link result")
-    n, m = len(p_dims), len(q_dims)
-    pt, qt = p.reshape(pb + p_dims + p_dims), q.reshape(qb + q_dims + q_dims)
-    # Negative axes count from the end, so they skip the batch axes.
-    pw, qw = [i - 2 * n for i in p_wires] + [i - n for i in p_wires], [j - 2 * m for j in q_wires] + [j - m for j in q_wires]
-    if paired and pb + qb:
-        inner = prod(p_dims[i] for i in p_wires) ** 2  # entries summed per result entry
-        if inner == 1:
-            # A rank-one product rounds differently from one stack layout to
-            # another, so each pair is linked alone.
-            out = np.empty(shape, dtype=complex)
-            pp, qq = np.broadcast_to(p, batch + p.shape[-2:]), np.broadcast_to(q, batch + q.shape[-2:])
-            for i in np.ndindex(batch):
-                out[i] = link(pp[i], p_dims, p_wires, qq[i], q_dims, q_wires, order)
-            return out
-        # Each pair's free axes against its wires, times the wires against
-        # q's free axes, in the order tensordot takes them: one stacked
-        # matmul makes each pair's own matrix product.
-        pf, qf = [i for i in range(-2 * n, 0) if i not in pw], [j for j in range(-2 * m, 0) if j not in qw]
-        fps, fqs = tuple(pt.shape[i] for i in pf), tuple(qt.shape[j] for j in qf)
-        pm = np.moveaxis(pt, pf + pw, range(-2 * n, 0)).reshape(pb + (prod(fps), inner))
-        qm = np.moveaxis(qt, qw + qf, range(-2 * m, 0)).reshape(qb + (inner, prod(fqs)))
-        t = np.matmul(pm, qm).reshape(batch + fps + fqs)
-        pb, qb = batch, ()
-    elif p_wires:
-        t = np.tensordot(pt, qt, axes=(pw, qw))
-    else:
-        # Exact products, as np.kron gives; a rank-one GEMM may round differently.
-        t = np.multiply.outer(pt, qt)
-    # t holds [p batch, p rows, p columns, q batch, q rows, q columns], the
-    # rows and columns being those of the free factors.
-    kp, fp = len(pb), n - len(p_wires)
-    fq, q0 = len(free) - fp, kp + 2 * fp + len(qb)  # q0: q's first row axis
-    rows = [*range(kp, kp + fp), *range(q0, q0 + fq)]
-    cols = [*range(kp + fp, kp + 2 * fp), *range(q0 + fq, q0 + 2 * fq)]
-    if order is not None:
-        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
-    return t.transpose([*range(kp), *range(kp + 2 * fp, q0), *rows, *cols]).reshape(shape)
+    key = (tuple(p_dims), tuple(p_wires), tuple(q_dims), tuple(q_wires), None if order is None else tuple(order))
+    plan = _link_plan(*key, p.shape[:-2], q.shape[:-2], paired)
+    if plan.op is not None:
+        return _contract(plan, p, q)
+    # A rank-one product rounds differently from one stack layout to
+    # another, so each pair is linked alone.
+    one, batch = _link_plan(*key, (), (), False), plan.shape[:-2]
+    out = np.empty(plan.shape, dtype=complex)
+    pp, qq = np.broadcast_to(p, batch + p.shape[-2:]), np.broadcast_to(q, batch + q.shape[-2:])
+    for i in np.ndindex(batch):
+        out[i] = _contract(one, pp[i], qq[i])
+    return out
+
+
+@lru_cache(maxsize=PLANS)
+def _trace_plan(dims, keep, shape):
+    """Every check and the einsum sublists of :func:`partial_trace`."""
+    n = len(dims)
+    if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
+        raise DimensionError(f"bad keep={keep} for {n} factors")
+    batch = () if shape == dims + dims else _check_stack(shape, prod(dims))[:-2]
+    # Sublist einsum: row axis i gets index i, column axis i gets index n+i,
+    # then identify row with column on every traced factor.
+    subs = list(range(2 * n))
+    for i in range(n):
+        if i not in keep:
+            subs[n + i] = subs[i]
+    side = prod(dims[k] for k in keep)
+    return batch + dims + dims, (..., *subs), (..., *keep, *(n + k for k in keep)), batch + (side, side)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -172,28 +248,12 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     yields the full trace as a 1x1 matrix.  ``m`` is either a factor tensor
     of shape ``dims + dims`` (a process's :attr:`tensor`, strided views
     included), which is read in place, or a matrix; axes of a matrix before
-    its last two are batch axes and are kept as they are.
+    its last two are batch axes and are kept as they are.  Checks and
+    einsum subscripts are planned once per set of shapes.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    keep = tuple(keep)
-    if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
-        raise DimensionError(f"bad keep={keep} for {n} factors")
-    if np.shape(m) == dims + dims:
-        t, batch = np.asarray(m, dtype=complex), ()
-    else:
-        m = as_stack(m, prod(dims))
-        batch = m.shape[:-2]
-        t = m.reshape(batch + dims + dims)
-    # Sublist einsum: row axis i gets index i, column axis i gets index n+i,
-    # then identify row with column on every traced factor.
-    subs = list(range(2 * n))
-    for i in range(n):
-        if i not in keep:
-            subs[n + i] = subs[i]
-    out = [k for k in keep] + [n + k for k in keep]
-    side = prod(dims[k] for k in keep)
-    return np.einsum(t, [..., *subs], [..., *out]).reshape(batch + (side, side))
+    m = np.asarray(m, dtype=complex)
+    t, subs, out, shape = _trace_plan(tuple(dims), tuple(keep), m.shape)
+    return np.einsum(m.reshape(t), subs, out).reshape(shape)
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

@@ -199,7 +199,19 @@ class TestTheorem1Harness:
 class TestHarnessConfig:
     @pytest.mark.parametrize(
         "field,value",
-        [("ancilla_dim", 0), ("ancilla_dim", -2), ("eps", -1e-3), ("eps", float("nan")), ("eps", float("inf"))],
+        [
+            ("ancilla_dim", 0),
+            ("ancilla_dim", -2),
+            ("ancilla_dim", 2.5),
+            ("ancilla_dim", 2.0),
+            ("ancilla_dim", True),
+            ("trials", -3),
+            ("trials", 2.5),
+            ("trials", "3"),
+            ("eps", -1e-3),
+            ("eps", float("nan")),
+            ("eps", float("inf")),
+        ],
     )
     def test_bad_sizes_and_tolerances_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -76,7 +76,37 @@ class TestCheckSize:
                 check_size(shape, "array")
 
 
+def tensordot_link(p, p_dims, p_wires, q, q_dims, q_wires, order=None):
+    # Reference for link's bits: one np.tensordot over the wire axes, then one
+    # transpose into factor order, with p's batch axes before q's.
+    n, m = len(p_dims), len(q_dims)
+    pb, qb = p.shape[:-2], q.shape[:-2]
+    axes = ([i - 2 * n for i in p_wires] + [i - n for i in p_wires], [j - 2 * m for j in q_wires] + [j - m for j in q_wires])
+    t = np.tensordot(p.reshape(pb + p_dims * 2), q.reshape(qb + q_dims * 2), axes=axes)
+    kp, fp, fq = len(pb), n - len(p_wires), m - len(q_wires)
+    q0 = kp + 2 * fp + len(qb)
+    rows = [*range(kp, kp + fp), *range(q0, q0 + fq)]
+    cols = [*range(kp + fp, kp + 2 * fp), *range(q0 + fq, q0 + 2 * fq)]
+    if order is not None:
+        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
+    side = int(np.prod([t.shape[r] for r in rows]))
+    return t.transpose([*range(kp), *range(kp + 2 * fp, q0), *rows, *cols]).reshape(pb + qb + (side, side))
+
+
 class TestLink:
+    @pytest.mark.parametrize("batches", [((), ()), ((3,), ()), ((2,), (3,))])
+    def test_bits_equal_one_tensordot_without_calling_it(self, batches, monkeypatch):
+        rng = np.random.default_rng(8)
+        pb, qb = batches
+        p = rng.standard_normal(pb + (12, 12)) + 1j * rng.standard_normal(pb + (12, 12))
+        q = rng.standard_normal(qb + (6, 6)) + 1j * rng.standard_normal(qb + (6, 6))
+        cases = (([1], [1], (2, 0, 1)), ([1, 2], [1, 0], None), ([0], [0], (1, 0, 2)))
+        want = [tensordot_link(p, (2, 3, 2), pw, q, (2, 3), qw, order) for pw, qw, order in cases]
+        for name in ("tensordot", "moveaxis"):
+            monkeypatch.setattr(np, name, None)
+        for (pw, qw, order), w in zip(cases, want):
+            assert np.array_equal(link(p, (2, 3, 2), pw, q, (2, 3), qw, order), w)
+
     def test_no_wires_is_kron(self):
         rng = np.random.default_rng(0)
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
@@ -102,13 +132,15 @@ class TestLink:
         assert np.allclose(swapped, permute_subsystems(got, (2, 4), (1, 0)), atol=1e-12)
 
     def test_rejects_mismatched_wires(self):
+        # Twice each: a plan that failed must not be remembered as made.
         a = np.eye(6, dtype=complex)
-        with pytest.raises(DimensionError):
-            link(a, (2, 3), [0], a, (2, 3), [1])
-        with pytest.raises(DimensionError):
-            link(a, (2, 3), [0, 1], a, (2, 3), [0])
-        with pytest.raises(DimensionError):
-            link(a, (3, 2), [0], a, (2, 3), [0])
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                link(a, (2, 3), [0], a, (2, 3), [1])
+            with pytest.raises(DimensionError):
+                link(a, (2, 3), [0, 1], a, (2, 3), [0])
+            with pytest.raises(DimensionError):
+                link(a, (3, 2), [0], a, (2, 3), [0])
 
     def test_side_limit_is_checked_before_allocation(self):
         # The result would be 8281 x 8281 complex (about 1.1 GB); the check
@@ -116,8 +148,9 @@ class TestLink:
         a = np.eye(91, dtype=complex)
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                link(a, (91,), [], a, (91,), [])
+            for _ in range(2):
+                with pytest.raises(DimensionError, match="exceeds limit"):
+                    link(a, (91,), [], a, (91,), [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -165,6 +198,21 @@ class TestStackedLink:
             for i in np.ndindex(batch):
                 assert np.array_equal(got[i], link(pp[i], p_dims, p_wires, qq[i], q_dims, q_wires, order))
 
+    def test_one_set_of_dims_through_several_batch_shapes(self):
+        # Plans are remembered per shape: the same dims and wires linked at
+        # batch (3,), then (4,), then none, must each give their own shape
+        # and each pair the unstacked link's bits.
+        rng = np.random.default_rng(11)
+        for paired in (False, True):
+            for batch in ((3,), (4,), ()):
+                p = rng.standard_normal(batch + (12, 12)) + 1j * rng.standard_normal(batch + (12, 12))
+                q = rng.standard_normal(batch + (6, 6)) + 1j * rng.standard_normal(batch + (6, 6))
+                got = link(p, (2, 3, 2), [1], q, (2, 3), [1], (2, 0, 1), paired=paired)
+                assert got.shape == (batch if paired else batch + batch) + (8, 8)
+                for i in np.ndindex(batch):
+                    j = i if paired else i + i
+                    assert np.array_equal(got[j], link(p[i], (2, 3, 2), [1], q[i], (2, 3), [1], (2, 0, 1)))
+
     def test_paired_batches_must_broadcast(self):
         with pytest.raises(ValueError):
             link(np.zeros((2, 4, 4)), (4,), [0], np.zeros((3, 4, 4)), (4,), [0], paired=True)
@@ -177,8 +225,9 @@ class TestStackedLink:
         b = np.ones((91, 1, 1), dtype=complex)
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                link(a, (91,), [], b, (1,), [])
+            for _ in range(2):
+                with pytest.raises(DimensionError, match="exceeds limit"):
+                    link(a, (91,), [], b, (1,), [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -229,8 +278,16 @@ class TestPartialTrace:
                 assert np.allclose(got[i], partial_trace(m[i], (2, 3, 2), keep=keep), rtol=0, atol=1e-12)
 
     def test_rejects_a_stack_of_the_wrong_side(self):
-        with pytest.raises(DimensionError):
-            partial_trace(np.zeros((3, 4, 4)), (2, 3), keep=(0,))
+        for _ in range(2):
+            with pytest.raises(DimensionError):
+                partial_trace(np.zeros((3, 4, 4)), (2, 3), keep=(0,))
+
+    @pytest.mark.parametrize("keep", [(0, 0), (2,), (-1,)])
+    def test_rejects_bad_keep(self, keep):
+        # Twice: a plan that failed must not be remembered as made.
+        for _ in range(2):
+            with pytest.raises(DimensionError, match="bad keep"):
+                partial_trace(np.eye(6), (2, 3), keep=keep)
 
 
 class TestPermuteSubsystems:
