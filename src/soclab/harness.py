@@ -50,7 +50,7 @@ class HarnessConfig:
     def __post_init__(self):
         # Zero trials stay allowed: an empty run's report has no records,
         # and the entry points reject --trials 0 themselves.
-        for name, least in (("trials", 0), ("ancilla_dim", 1)):
+        for name, least in (("trials", 0), ("seed", 0), ("ancilla_dim", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

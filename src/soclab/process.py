@@ -400,6 +400,7 @@ def process_from_dict(d: dict) -> Process:
         raise DimensionError(f"malformed process record: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError("choi entries must be finite numbers")
-    return Process(in_sys, out_sys, arr[..., 0] + 1j * arr[..., 1])
+    # 1j * inf is nan + inf j, with a warning; Process rejects it just after.
+    with np.errstate(invalid="ignore"):
+        choi = arr[..., 0] + 1j * arr[..., 1]
+    return Process(in_sys, out_sys, choi)

@@ -279,6 +279,9 @@ def mix(pairs) -> BipartiteSupermap:
     pairs = list(pairs)
     if not pairs:
         raise DimensionError("cannot mix an empty collection of supermaps")
+    for weight, _ in pairs:
+        if not np.isfinite(weight):
+            raise DimensionError(f"mix weights must be finite numbers, got {weight!r}")
     first = pairs[0][1].body
     acc = np.zeros_like(first.choi)
     for weight, w in pairs:

@@ -8,9 +8,11 @@ and the matrix indexes the factors in row-major (kron) order.
 bookkeeping once per set of shapes, as a plan kept in an ``lru_cache``
 (the idea of opt_einsum's reusable contraction expressions, Smith & Gray,
 JOSS 3(26):753, 2018).  A call then only reshapes, transposes and makes
-one ``np.dot``, ``np.matmul`` or ``np.einsum``; its result has the same
-bits as before the plans.  A failing check is never cached, so each call
-still raises before anything is allocated.
+one ``np.dot``, ``np.matmul``, ``np.multiply`` or ``np.einsum``.  A link
+that sums is one GEMM, ``np.dot`` or, for paired stacks, one per pair;
+a link that sums nothing is an exact product, the bits ``np.kron``
+gives.  A failing check is never cached, so each call still raises
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -108,10 +110,9 @@ def as_stack(m: np.ndarray | Iterable, side: int) -> np.ndarray:
 class _Plan(NamedTuple):
     """How :func:`link` contracts one set of shapes.  Each operand is
     reshaped, transposed and reshaped again, ``op`` takes the two, and its
-    result is reshaped, transposed and reshaped to ``shape``.  ``op`` is
-    ``None`` for paired rank-one links, which go one pair at a time."""
+    result is reshaped, transposed and reshaped to ``shape``."""
 
-    op: Callable | None
+    op: Callable
     p: tuple[tuple, tuple, tuple]
     q: tuple[tuple, tuple, tuple]
     t: tuple[tuple, tuple]
@@ -120,10 +121,9 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=PLANS)
 def _link_plan(p_dims, p_wires, q_dims, q_wires, order, pb, qb, paired) -> _Plan:
-    """Every check and every index list of :func:`link`, from shapes alone.
-
-    The steps are those ``np.tensordot`` takes, or with ``paired`` its
-    stacked twin on ``np.matmul``, so each result keeps its bits."""
+    """Every check and every index list of :func:`link`, from shapes alone:
+    one ``np.dot``, or stacked ``np.matmul`` for paired stacks, when the
+    link sums, and a broadcast ``np.multiply`` when it sums nothing."""
     if [p_dims[i] for i in p_wires] != [q_dims[j] for j in q_wires]:
         raise DimensionError(f"cannot link wires {p_wires} of {p_dims} with wires {q_wires} of {q_dims}")
     free = [d for k, d in enumerate(p_dims) if k not in p_wires] + [d for k, d in enumerate(q_dims) if k not in q_wires]
@@ -138,26 +138,25 @@ def _link_plan(p_dims, p_wires, q_dims, q_wires, order, pb, qb, paired) -> _Plan
     kp, kq = len(pb), len(qb)
     pw, qw = [kp + i for i in p_wires] + [kp + n + i for i in p_wires], [kq + j for j in q_wires] + [kq + m + j for j in q_wires]
     pf, qf = [i for i in range(len(pt)) if i not in pw], [j for j in range(len(qt)) if j not in qw]
+    fps, fqs = tuple(pt[i] for i in pf[kp:]), tuple(qt[j] for j in qf[kq:])
     inner = prod(p_dims[i] for i in p_wires) ** 2  # entries summed per result entry
-    if paired and pb + qb:
-        if inner == 1:
-            return _Plan(None, (), (), (), shape)
+    if inner == 1:
+        # Nothing is summed: drop the dimension-1 wires and broadcast to
+        # batch + fps + fqs, q's batch axes after p's unless paired.
+        op, pa, qa = np.multiply, range(len(pt)), range(len(qt))
+        pm = pb + (() if paired else (1,) * kq) + fps + (1,) * len(fqs)
+        qm = qb + (1,) * len(fps) + fqs
+        t, pb, qb = batch + fps + fqs, batch, ()
+    elif paired and pb + qb:
         # Each pair's free axes against its wires, times the wires against
         # q's free axes: one stacked matmul makes each pair's own product.
-        fps, fqs = tuple(pt[i] for i in pf[kp:]), tuple(qt[j] for j in qf[kq:])
         op, pa, qa = np.matmul, pf + pw, qf[:kq] + qw + qf[kq:]
         pm, qm = pb + (prod(fps), inner), qb + (inner, prod(fqs))
         t, pb, qb = batch + fps + fqs, batch, ()
-    elif p_wires:
-        fps, fqs = tuple(pt[i] for i in pf), tuple(qt[j] for j in qf)
-        op, pa, qa = np.dot, pf + pw, qw + qf
-        pm, qm = (prod(fps), inner), (inner, prod(fqs))
-        t = fps + fqs
     else:
-        # Exact products, as np.kron gives; a rank-one GEMM may round differently.
-        op, pa, qa = np.multiply, range(len(pt)), range(len(qt))
-        pm, qm = pt + (1,) * len(qt), qt
-        t = pt + qt
+        op, pa, qa = np.dot, pf + pw, qw + qf
+        pm, qm = (prod(pb + fps), inner), (inner, prod(qb + fqs))
+        t = pb + fps + qb + fqs
     # t holds [p batch, p rows, p columns, q batch, q rows, q columns], the
     # rows and columns being those of the free factors.
     kp, fp = len(pb), n - len(p_wires)
@@ -200,28 +199,17 @@ def link(
     same one contraction.  With ``paired`` they are matched as ``matmul``'s
     stack is: they broadcast against each other, so matrix ``t`` of one
     stack links with matrix ``t`` of the other, and a single matrix with
-    every matrix of a stack.  Each paired link is its own matrix product,
-    the one a single pair takes.
+    every matrix of a stack.
 
-    The index bookkeeping is planned once per set of shapes and reused: a
-    call reshapes and transposes each operand, makes one ``np.dot`` (the
-    GEMM that ``np.tensordot`` makes) or stacked ``np.matmul``, and puts
-    the result in order, so every result has the bits it had when built by
-    ``np.tensordot``.  Every check runs before anything is allocated,
-    including the result's size against ``MAX_SIDE**2`` elements.
+    A link that sums is one GEMM, ``np.dot`` or, with ``paired``, one per
+    pair in a stacked ``np.matmul``; a link that sums nothing (no wires, or
+    wires of total dimension 1) is an exact product, the bits ``np.kron``
+    gives.  The index bookkeeping is planned once per set of shapes, and
+    every check runs before anything is allocated, including the result's
+    size against ``MAX_SIDE**2`` elements.
     """
     key = (tuple(p_dims), tuple(p_wires), tuple(q_dims), tuple(q_wires), None if order is None else tuple(order))
-    plan = _link_plan(*key, p.shape[:-2], q.shape[:-2], paired)
-    if plan.op is not None:
-        return _contract(plan, p, q)
-    # A rank-one product rounds differently from one stack layout to
-    # another, so each pair is linked alone.
-    one, batch = _link_plan(*key, (), (), False), plan.shape[:-2]
-    out = np.empty(plan.shape, dtype=complex)
-    pp, qq = np.broadcast_to(p, batch + p.shape[-2:]), np.broadcast_to(q, batch + q.shape[-2:])
-    for i in np.ndindex(batch):
-        out[i] = _contract(one, pp[i], qq[i])
-    return out
+    return _contract(_link_plan(*key, p.shape[:-2], q.shape[:-2], paired), p, q)
 
 
 @lru_cache(maxsize=PLANS)

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -12,10 +10,6 @@ from soclab.process import (
 )
 from soclab.supermap import fixed_order_a_then_b, fixed_order_b_then_a, insert
 from soclab.tensor import System
-
-pytestmark = pytest.mark.skipif(
-    not os.environ.get("SOCLAB_EXTRAS"), reason="set SOCLAB_EXTRAS=1 to run"
-)
 
 
 def random_unitary(rng, d):

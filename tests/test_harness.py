@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -162,7 +161,6 @@ class TestTheorem1Harness:
         assert len(report.records) == 1 and report.all_causal
         assert report.max_residual < 1e-9
 
-    @pytest.mark.skipif(not os.environ.get("SOCLAB_EXTRAS"), reason="set SOCLAB_EXTRAS=1 to run")
     def test_ququart_slots_with_ququart_ancillas(self):
         # The filled process would be 4096 x 4096; the trial never builds it.
         report = verify_theorem1(fixed_order_a_then_b(4, 4, 4, 4), HarnessConfig(trials=1, seed=0, ancilla_dim=4))
@@ -208,6 +206,9 @@ class TestHarnessConfig:
             ("trials", -3),
             ("trials", 2.5),
             ("trials", "3"),
+            ("seed", -1),
+            ("seed", 2.5),
+            ("seed", True),
             ("eps", -1e-3),
             ("eps", float("nan")),
             ("eps", float("inf")),

@@ -504,6 +504,14 @@ class TestAlgebra:
         with pytest.raises(DimensionError):
             mix([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_mix_rejects_a_non_finite_weight_before_mixing(self, bad):
+        # The bad weight is named before any body is summed, so even a
+        # later mismatched slot type is not reached.
+        ab, wrong = fixed_order_a_then_b(2, 2, 2, 2), fixed_order_a_then_b(2, 3, 3, 2)
+        with pytest.raises(DimensionError, match=f"weights must be finite numbers, got {bad!r}"):
+            mix([(1.0, ab), (bad, ab), (0.0, wrong)])
+
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_dressing_pre_and_post_composes_in_the_slots(self, seed):

@@ -113,6 +113,20 @@ class TestLink:
         assert np.array_equal(link(a, (2,), [], b, (3,), []), kron(a, b))
         assert np.allclose(link(a, (2,), [], b, (3,), [], (1, 0)), kron(b, a), rtol=0, atol=1e-15)
 
+    def test_wires_of_dimension_one_give_kron_bit_for_bit(self):
+        # A link over a dimension-1 wire sums one term, so it is the exact
+        # product np.kron makes, for a single pair and in every stack layout.
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((3, 12, 12)) + 1j * rng.standard_normal((3, 12, 12))
+        q = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        assert np.array_equal(link(p[0], (1, 12), [0], q[0], (1, 6), [0]), kron(p[0], q[0]))
+        outer = link(p, (1, 12), [0], q[:2], (1, 6), [0])
+        for i, j in np.ndindex(3, 2):
+            assert np.array_equal(outer[i, j], kron(p[i], q[j]))
+        paired = link(p, (1, 12), [0], q, (1, 6), [0], paired=True)
+        for t in range(3):
+            assert np.array_equal(paired[t], kron(p[t], q[t]))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_kron_then_trace_of_paired_wires(self, seed):
@@ -180,7 +194,7 @@ class TestStackedLink:
     @settings(max_examples=15, deadline=None)
     def test_paired_batches_equal_a_loop_bit_for_bit(self, seed, batches):
         # Paired batch axes broadcast against each other; each pair is the
-        # unstacked link's result to the last bit, rank-one links included.
+        # unstacked link's result to the last bit, exact products included.
         rng = np.random.default_rng(seed)
         pb, qb = batches
         batch = np.broadcast_shapes(pb, qb)
