@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _random_causal_channels, _sides
-from .tensor import System, UNIT
+from .tensor import System, UNIT, norm
 
 
 def pseudo_state(coeffs: Sequence[float]) -> Process:
@@ -174,6 +174,6 @@ def decompose_nonsignalling(
     base = np.full(n, 1.0 / n)
     y, _, span_rank, _ = np.linalg.lstsq(a[:, 1:] - a[:, :1], b - a @ base, rcond=None)
     r = base + np.concatenate([[-y.sum()], y])
-    residual = float(np.linalg.norm(a @ r - b))
+    residual = norm(a @ r - b)
     deficient = bool(span_rank < nonsignalling_direction_dim(ai, bi, ao, bo))
     return DecompositionResult(tuple(float(x) for x in r), residual, deficient)

@@ -33,7 +33,7 @@ import numpy as np
 from .predicates import _strongly_nonsignalling, is_soc2
 from .process import _causal_chois, _channel_draw_size, _densities
 from .supermap import BipartiteSupermap, _insert_joint, insert_stacked
-from .tensor import DEFAULT_EPS, System, check_size, partial_trace
+from .tensor import DEFAULT_EPS, System, check_size, norm, partial_trace
 
 # Trials run in chunks whose every stack holds at most this many elements
 # (512 KiB of complex numbers), or one trial when a trial alone holds more.
@@ -105,7 +105,7 @@ def _run(w: BipartiteSupermap, config: HarnessConfig, size: int, per_trial: int,
         witness = marginals(draws)
         witness -= np.eye(witness.shape[-1])
         for t, s, x in zip(trials, seeds, witness):
-            residual = float(np.linalg.norm(x))
+            residual = norm(x)
             records.append(TrialRecord(t, residual <= config.eps, residual, s))
     return HarnessReport("soc2", premise.holds, premise.residual, tuple(records))
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionError, ReconstructionError
 from .process import Process, _discard_outputs, _sides
 from .supermap import BipartiteSupermap, insert_stacked
-from .tensor import DEFAULT_EPS, System, UNIT, check_size, frobenius_distance, hermitian_basis, link, partial_trace
+from .tensor import DEFAULT_EPS, System, UNIT, check_size, frobenius_distance, hermitian_basis, link, norm, partial_trace
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> 
     outs = range(len(f.out_sys))
     m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split])
     dims = (ai, bi, ao if side_a else bo)
-    return m, dims, float(np.linalg.norm(_defect(m, dims, 1 if side_a else 0)))
+    return m, dims, norm(_defect(m, dims, 1 if side_a else 0))
 
 
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -82,7 +82,7 @@ def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """
     marginal = _discard_outputs(f, range(len(f.out_sys)))
     witness = marginal - np.eye(f.in_sys.total)
-    residual = float(np.linalg.norm(witness))
+    residual = norm(witness)
     return CausalVerdict(residual <= eps, residual, witness)
 
 
@@ -190,7 +190,7 @@ def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float 
     wit = link(basis, (si * so,), [0], m, (si * so, ci), [0]) - np.eye(ci)
     # The base point's witness, then each direction's change from it.
     wit[1:] -= wit[:1]
-    residual = float(np.linalg.norm(wit))
+    residual = norm(wit)
     return CausalVerdict(residual <= eps, residual, None)
 
 
@@ -201,14 +201,14 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     d5 = (a1, a2, b1, b2, c1)
     m = _discard_outputs(w.body, [1])
 
-    gap_a = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1)))
-    gap_b = float(np.linalg.norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1)))
+    gap_a = norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1))
+    gap_b = norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1))
     # The overall normalization gap is shared between the two sides, so it
     # is counted once.
     gap_norm = frobenius_distance(partial_trace(m, d5, keep=(4,)) / (a2 * b2), np.eye(c1))
     # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
     # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
-    gap_cross = float(np.linalg.norm(_defect(m, d5, 3, 1)))
+    gap_cross = norm(_defect(m, d5, 3, 1))
 
     residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
     parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}
@@ -227,7 +227,7 @@ def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerd
     # differences inside.
     wit[1:] -= wit[:1]
     wit[:, 1:] -= wit[:, :1]
-    residual = float(np.linalg.norm(wit))
+    residual = norm(wit)
     return CausalVerdict(residual <= eps, residual, None)
 
 

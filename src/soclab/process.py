@@ -258,7 +258,8 @@ def _discard_outputs(p: Process, drop: Sequence[int]) -> np.ndarray:
     """The Choi matrix of ``p`` with the output factors at positions ``drop``
     traced out of its tensor in place (``p.choi`` when ``drop`` is empty).
     Each dropped factor reads as a factor of dimension 1, so whatever wiring
-    fits ``p`` fits the marginal.  The one place soclab discards outputs."""
+    fits ``p`` fits the marginal.  Bodies are discarded here; the verify
+    harness traces its argument stacks' ancillas with ``partial_trace``."""
     if not drop:
         return p.choi
     keep = [*range(p.n_in), *[p.n_in + j for j in range(len(p.out_sys)) if j not in drop]]
@@ -391,10 +392,17 @@ def process_to_dict(p: Process) -> dict:
     return {"in": list(p.in_sys.dims), "out": list(p.out_sys.dims), "choi": c.tolist()}
 
 
+def _json_dims(value, what: str) -> tuple[int, ...]:
+    """Factor dimensions read from a file: a list of JSON integers, no bool."""
+    if type(value) is not list or any(type(d) is not int for d in value):
+        raise DimensionError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def process_from_dict(d: dict) -> Process:
     try:
-        in_sys = System(tuple(d["in"]))
-        out_sys = System(tuple(d["out"]))
+        in_sys = System(_json_dims(d["in"], "in"))
+        out_sys = System(_json_dims(d["out"], "out"))
         arr = np.asarray(d["choi"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionError(f"malformed process record: {exc}") from exc

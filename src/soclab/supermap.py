@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _discard_outputs, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
+from .process import Process, _discard_outputs, _json_dims, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
 from .tensor import DEFAULT_EPS, UNIT, System, as_stack, check_size, link
 
 
@@ -127,8 +127,8 @@ def supermap_to_dict(w: BipartiteSupermap) -> dict:
 def supermap_from_dict(d: dict) -> BipartiteSupermap:
     try:
         p = process_from_dict(d["process"])
-        a = tuple(int(x) for x in d["slots"]["a"])
-        b = tuple(int(x) for x in d["slots"]["b"])
+        a = _json_dims(d["slots"]["a"], "slot a")
+        b = _json_dims(d["slots"]["b"], "slot b")
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionError(f"malformed supermap record: {exc}") from exc
     if len(a) != 2 or len(b) != 2:

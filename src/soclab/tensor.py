@@ -12,7 +12,9 @@ one ``np.dot``, ``np.matmul``, ``np.multiply`` or ``np.einsum``.  A link
 that sums is one GEMM, ``np.dot`` or, for paired stacks, one per pair;
 a link that sums nothing is an exact product, the bits ``np.kron``
 gives.  A failing check is never cached, so each call still raises
-before anything is allocated.
+before anything is allocated.  Every residual is summed by :func:`norm`,
+in one ``np.einsum``, not in BLAS dots that split the sum across threads,
+so its bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -257,13 +259,21 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
     return t.transpose(axes).reshape(m.shape)
 
 
+def norm(x: np.ndarray | Iterable) -> float:
+    """The Frobenius norm of every entry of ``x``: one ``np.einsum`` over its
+    contiguous float view, complex entries read as interleaved re/im, so
+    contiguous input is neither copied nor squared into a temporary."""
+    v = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).reshape(-1).view(float)
+    return sqrt(np.einsum("i,i->", v, v))
+
+
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+    return norm(np.asarray(a) - np.asarray(b))
 
 
 def is_hermitian(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
     m = np.asarray(m)
-    return bool(np.linalg.norm(m - m.conj().T) <= eps)
+    return bool(norm(m - m.conj().T) <= eps)
 
 
 def is_psd(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:

@@ -101,9 +101,9 @@ class TestGoldenCorpus:
         pytest.param(["decompose", "ns_mix.json", "--span-size", "180", "--seed", "2"],
                      "5b6963ba7ede7a594a13a8bf445b8e32f633115cca16c22fdf354f91168ff508", id="decompose"),
         pytest.param(["verify", "theorem1", "fixed_order_a_then_b.json", "--trials", "3", "--seed", "1", "--dims", "2"],
-                     "7529bd47a669f175c79eb1f72afd51784ba7433541f70f82d99edd4446e95a6b", id="theorem1-dims2"),
+                     "19164f3d715292b14f07ab0b01ed99cb832b3ed121fe4a1910c1db8618a9597d", id="theorem1-dims2"),
         pytest.param(["verify", "theorem1", "fixed_order_a_then_b.json", "--trials", "3", "--seed", "1", "--dims", "3"],
-                     "bbbe2f2e5d085c450851cef05777586bc7902c882f3bdf9a873cf7b2fb2aa301", id="theorem1-dims3"),
+                     "a1306f2c6ed787de6fa1bfba3d92255b31ea2d20875925e08f125ab3c547373d", id="theorem1-dims3"),
         pytest.param(["verify", "corollary1", "fixed_order_a_then_b.json", "--trials", "3", "--seed", "1", "--dims", "2"],
                      "5229ac8ca9cd39afef8bb24907624599749b4055d7d6ad438886cab9caccadfb", id="corollary1-dims2"),
     ])
@@ -302,6 +302,31 @@ class TestErrorPaths:
         path.write_text(json.dumps(record))
         code, out, err = run(["classify", str(path)], capsys)
         assert code == 3 and not out and "finite" in err
+
+    @pytest.mark.parametrize(
+        "command, file, keys, bad",
+        [
+            ("classify", "identity_channel.json", ["in"], [2.5]),
+            ("classify", "identity_channel.json", ["in"], [True, 2]),
+            ("classify", "identity_channel.json", ["in"], ["2"]),
+            ("classify", "identity_channel.json", ["in"], "2"),
+            ("classify", "identity_channel.json", ["out"], [2.0]),
+            ("soc2", "fixed_order_a_then_b.json", ["slots", "a"], ["2", 2.5]),
+            ("soc2", "fixed_order_a_then_b.json", ["slots", "b"], [2.9, 2]),
+        ],
+        ids=["in-float", "in-bool", "in-string", "in-not-a-list", "out-float", "slot-string", "slot-float"],
+    )
+    def test_a_dimension_that_is_not_a_json_integer_is_a_malformed_file(self, command, file, keys, bad, tmp_path, capsys):
+        record = json.loads((GOLDEN / file).read_text())
+        *path, last = keys
+        target = record
+        for k in path:
+            target = target[k]
+        target[last] = bad
+        bad_file = tmp_path / file
+        bad_file.write_text(json.dumps(record))
+        code, out, err = run([command, str(bad_file)], capsys)
+        assert code == 3 and not out and f"{keys[-1]} must be a list of integers" in err
 
 
     def test_a_digit_int_cannot_read_is_a_syntax_error(self, tmp_path, capsys):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import hypot, prod, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soclab
 from soclab.errors import DimensionError, ReconstructionError
 from soclab.extras import spoiled_supermap
 from soclab.predicates import (
@@ -48,7 +53,7 @@ from soclab.supermap import (
     mix,
     supermap_from_process,
 )
-from soclab.tensor import DEFAULT_EPS, System, UNIT, frobenius_distance, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
+from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -92,7 +97,7 @@ def is_nonsignalling_b_to_a_reference(f: Process, in_split: int = 1, out_split: 
     bo = prod(f.out_sys.dims[out_split:])
     m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 2))
     k = partial_trace(m, (ai, bi, ao), keep=(0, 2)) / bi
-    residual = frobenius_distance(m, _embed_identity(k, (ai, ao), 1, bi))
+    residual = float(np.linalg.norm(m - _embed_identity(k, (ai, ao), 1, bi)))
     return CausalVerdict(residual <= eps, residual, None)
 
 
@@ -103,7 +108,7 @@ def is_nonsignalling_a_to_b_reference(f: Process, in_split: int = 1, out_split: 
     bo = prod(f.out_sys.dims[out_split:])
     m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 3))
     k = partial_trace(m, (ai, bi, bo), keep=(1, 2)) / ai
-    residual = frobenius_distance(m, _embed_identity(k, (bi, bo), 0, ai))
+    residual = float(np.linalg.norm(m - _embed_identity(k, (bi, bo), 0, ai)))
     return CausalVerdict(residual <= eps, residual, None)
 
 
@@ -114,8 +119,8 @@ def is_soc_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: flo
     co = prod(w.out_sys.dims[out_split:])
     m = partial_trace(w.choi, (si, so, ci, co), keep=(0, 1, 2))
     n = partial_trace(m, (si, so, ci), keep=(0, 2)) / so
-    gap_slot = frobenius_distance(m, _embed_identity(n, (si, ci), 1, so))
-    gap_norm = frobenius_distance(partial_trace(n, (si, ci), keep=(1,)), np.eye(ci))
+    gap_slot = float(np.linalg.norm(m - _embed_identity(n, (si, ci), 1, so)))
+    gap_norm = float(np.linalg.norm(partial_trace(n, (si, ci), keep=(1,)) - np.eye(ci)))
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None)
 
@@ -128,15 +133,15 @@ def is_soc2_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalV
 
     ma = partial_trace(m, d5, keep=(0, 1, 4)) / b2
     na = partial_trace(ma, (a1, a2, c1), keep=(0, 2)) / a2
-    gap_a = frobenius_distance(ma, _embed_identity(na, (a1, c1), 1, a2))
+    gap_a = float(np.linalg.norm(ma - _embed_identity(na, (a1, c1), 1, a2)))
 
     mb = partial_trace(m, d5, keep=(2, 3, 4)) / a2
     nb = partial_trace(mb, (b1, b2, c1), keep=(0, 2)) / b2
-    gap_b = frobenius_distance(mb, _embed_identity(nb, (b1, c1), 1, b2))
+    gap_b = float(np.linalg.norm(mb - _embed_identity(nb, (b1, c1), 1, b2)))
 
     # The overall normalization gap is shared between the two sides, so it
     # is counted once (Tr over A1 of na equals Tr over B1 of nb identically).
-    gap_norm = frobenius_distance(partial_trace(na, (a1, c1), keep=(1,)), np.eye(c1))
+    gap_norm = float(np.linalg.norm(partial_trace(na, (a1, c1), keep=(1,)) - np.eye(c1)))
 
     pa = _embed_identity(partial_trace(m, d5, keep=(0, 2, 3, 4)) / a2, (a1, b1, b2, c1), 1, a2)
     pb = _embed_identity(partial_trace(m, d5, keep=(0, 1, 2, 4)) / b2, (a1, a2, b1, c1), 3, b2)
@@ -367,9 +372,9 @@ class TestClosedFormBitPins:
     # in the other order does.
     PINS = {
         "noisy_qutrit": {
-            "soc2": ("0x1.8457c96ba98e9p-1", {"gap_a": "0x1.68eeb6c44703bp-4", "gap_b": "0x1.6c097c8bad724p-4", "gap_norm": "0x1.845dcf62290c2p-7", "gap_cross": "0x1.7ef8b8baef277p-1"}),
-            "soc_merged": ("0x1.d6f334623ac46p+3", {"gap_slot": "0x1.d6f32a601d4b8p+3", "gap_norm": "0x1.845dcf62290c3p-7"}),
-            "nonsignalling": ("0x1.d9937f8a58da1p-1", {"b_to_a": "0x1.ea106946fbb38p-2", "a_to_b": "0x1.9541ee646def0p-1"}),
+            "soc2": ("0x1.8457c96ba98e7p-1", {"gap_a": "0x1.68eeb6c44703dp-4", "gap_b": "0x1.6c097c8bad725p-4", "gap_norm": "0x1.845dcf62290c2p-7", "gap_cross": "0x1.7ef8b8baef275p-1"}),
+            "soc_merged": ("0x1.d6f334623ac44p+3", {"gap_slot": "0x1.d6f32a601d4b6p+3", "gap_norm": "0x1.845dcf62290c3p-7"}),
+            "nonsignalling": ("0x1.d9937f8a58d9dp-1", {"b_to_a": "0x1.ea106946fbb34p-2", "a_to_b": "0x1.9541ee646deedp-1"}),
         },
         "spoiled": {
             "soc2": ("0x1.0000000000000p+0", {"gap_a": "0x0.0p+0", "gap_b": "0x0.0p+0", "gap_norm": "0x1.0000000000000p+0", "gap_cross": "0x0.0p+0"}),
@@ -380,14 +385,38 @@ class TestClosedFormBitPins:
 
     @pytest.mark.parametrize("name, make", [("noisy_qutrit", lambda: _noisy_qutrit_order(1)), ("spoiled", lambda: spoiled_supermap(2))])
     def test_residuals_and_parts_are_bit_identical(self, name, make):
-        w = make()
-        verdicts = {
-            "soc2": is_soc2(w),
-            "soc_merged": is_soc(merged_slot_process(w), 2, 1),
-            "nonsignalling": is_nonsignalling(flip(w), 1, 1),
-        }
-        got = {k: (v.residual.hex(), {n: g.hex() for n, g in v.parts.items()}) for k, v in verdicts.items()}
-        assert got == self.PINS[name]
+        assert closed_form_hex(make()) == self.PINS[name]
+
+    # Run in a child process: the noisy qutrit's verdicts and a seeded
+    # theorem1 run, the two outputs whose pins a thread count could move.
+    SCRIPT = (
+        "import sys\n"
+        "from soclab.cli import main\n"
+        "from test_predicates import _noisy_qutrit_order, closed_form_hex\n"
+        "print(closed_form_hex(_noisy_qutrit_order(1)))\n"
+        "main(['verify', 'theorem1', sys.argv[1], '--trials', '3', '--seed', '1', '--dims', '2'])\n"
+    )
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(Path(soclab.__file__).parent.parent), str(tests)])
+        runs = []
+        for n in ("1", "2"):
+            threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], n)
+            env = {**os.environ, **threads, "PYTHONPATH": path}
+            argv = [sys.executable, "-c", self.SCRIPT, str(tests / "golden" / "fixed_order_a_then_b.json")]
+            runs.append(subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout)
+        assert runs[0] == runs[1] and "summary" in runs[0]
+
+
+def closed_form_hex(w: BipartiteSupermap) -> dict:
+    """``float.hex`` of the residual and parts of three closed-form verdicts on ``w``."""
+    verdicts = {
+        "soc2": is_soc2(w),
+        "soc_merged": is_soc(merged_slot_process(w), 2, 1),
+        "nonsignalling": is_nonsignalling(flip(w), 1, 1),
+    }
+    return {k: (v.residual.hex(), {n: g.hex() for n, g in v.parts.items()}) for k, v in verdicts.items()}
 
 
 class TestIsCausal:

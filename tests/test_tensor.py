@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from soclab.tensor import (
     is_psd,
     kron,
     link,
+    norm,
     partial_trace,
     permute_subsystems,
 )
@@ -334,6 +336,42 @@ class TestPermuteSubsystems:
         new_dims = tuple(dims[p] for p in perm)
         back = permute_subsystems(permute_subsystems(m, dims, perm), new_dims, inv)
         assert frobenius_distance(back, m) < 1e-12
+
+
+class TestNorm:
+    RNG = np.random.default_rng(11)
+    C = random_matrix(RNG, 6)
+    R = RNG.standard_normal((5, 7))
+    T = random_matrix(RNG, 6).reshape(2, 3, 2, 3)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            C,
+            R,
+            T.transpose(1, 0, 3, 2),
+            C[::2, 1::3],
+            R.T[1:, ::2],
+            RNG.standard_normal((5, 4, 4)) + 1j * RNG.standard_normal((5, 4, 4)),
+            np.zeros((0,)),
+            np.zeros((3, 0), dtype=complex),
+        ],
+        ids=["complex", "real", "transposed-factors", "strided-complex", "strided-real", "stack", "empty", "empty-complex"],
+    )
+    def test_equals_the_frobenius_norm_of_every_entry(self, x):
+        got = norm(x)
+        assert type(got) is float
+        assert math.isclose(got, np.linalg.norm(x.ravel()), rel_tol=1e-13)
+
+    def test_contiguous_input_is_read_in_place(self):
+        m = random_matrix(np.random.default_rng(12), 256)
+        tracemalloc.start()
+        try:
+            norm(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes // 100
 
 
 class TestPsd:
