@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from soclab.cli import _positive_int
+from soclab.cli import _nonnegative_int, _positive_int
 from soclab.extras import spoiled_supermap
 from soclab.harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
 from soclab.process import _random_causal_channels
@@ -51,10 +51,10 @@ def build_generators(seed: int, n_mixes: int, n_dressed: int):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=_positive_int, default=50)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     ap.add_argument("--ancilla-dim", type=_positive_int, default=2)
-    ap.add_argument("--mixes", type=int, default=3)
-    ap.add_argument("--dressed", type=int, default=3)
+    ap.add_argument("--mixes", type=_nonnegative_int, default=3)
+    ap.add_argument("--dressed", type=_nonnegative_int, default=3)
     ap.add_argument("--skip-control", action="store_true",
                     help="leave out the corrupted negative control")
     ap.add_argument("--jsonl", action="store_true", help="stream per-trial records")

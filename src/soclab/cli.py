@@ -60,6 +60,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _check_split(p, split, flag: str) -> None:
     """The leading input and output factor counts of a two-sided reading:
     each between 0 and the file's count, and each side left some factor."""

@@ -1,11 +1,12 @@
 """Randomized end-to-end verification runs with reproducible reports.
 
-Each verifier first evaluates the structural premise on the supermap,
-then runs seeded trials that build random arguments, fill the supermap's
-holes with them and check the output for causality.  Theorem 1's trials
-fill each hole with a channel that drags an ancilla through it; the
-corollary's fill both holes with one strongly non-signalling channel, made
-of local channels on a shared state.
+Each verifier judges the structural premise at its own tolerance, from
+an ``is_soc2`` residual decided once per supermap and kept on it, then
+runs seeded trials that build random arguments, fill the supermap's holes
+with them and check the output for causality.  Theorem 1's trials fill
+each hole with a channel that drags an ancilla through it; the
+corollary's fill both holes with one strongly non-signalling channel,
+made of local channels on a shared state.
 
 The trials of a run go through as one stack, in chunks that keep every
 stack under :data:`CHUNK_ELEMENTS` elements.  Each trial still draws its
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predicates import _strongly_nonsignalling, is_soc2
+from .predicates import _strongly_nonsignalling
 from .process import _causal_chois, _channel_draw_size, _densities
 from .supermap import BipartiteSupermap, _insert_joint, insert_stacked
 from .tensor import DEFAULT_EPS, System, check_size, norm, partial_trace
@@ -91,8 +92,9 @@ def _run(w: BipartiteSupermap, config: HarnessConfig, size: int, per_trial: int,
     Gaussians from its own seeded stream, one row of a chunk's draws, and
     ``marginals(draws)`` gives the chunk's stack of filled marginals with
     every output discarded.  ``per_trial`` bounds the elements that one trial
-    takes in any stack, so a chunk's stacks are checked all at once."""
-    premise = is_soc2(w, config.eps)
+    takes in any stack, so a chunk's stacks are checked all at once.  The
+    premise is judged as ``is_soc2(w, config.eps)`` would judge it."""
+    premise = w._premise.residual
     chunk = max(1, CHUNK_ELEMENTS // per_trial)
     records = []
     for start in range(0, config.trials, chunk):
@@ -107,7 +109,7 @@ def _run(w: BipartiteSupermap, config: HarnessConfig, size: int, per_trial: int,
         for t, s, x in zip(trials, seeds, witness):
             residual = norm(x)
             records.append(TrialRecord(t, residual <= config.eps, residual, s))
-    return HarnessReport("soc2", premise.holds, premise.residual, tuple(records))
+    return HarnessReport("soc2", premise <= config.eps, premise, tuple(records))
 
 
 def verify_theorem1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig()) -> HarnessReport:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import prod
 from typing import Sequence
 
@@ -408,6 +409,11 @@ def process_from_dict(d: dict) -> Process:
         raise DimensionError(f"malformed process record: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")
+    # np.asarray reads strings and bools as numbers; a file may hold only
+    # JSON numbers, which json gives as int or float.  One pass over the pairs.
+    odd = set(map(type, chain.from_iterable(chain.from_iterable(d["choi"])))) - {int, float}
+    if odd:
+        raise DimensionError(f"choi entries must be JSON numbers, got {', '.join(sorted(t.__name__ for t in odd))}")
     # 1j * inf is nan + inf j, with a warning; Process rejects it just after.
     with np.errstate(invalid="ignore"):
         choi = arr[..., 0] + 1j * arr[..., 1]

@@ -13,7 +13,9 @@ filling (the link product is associative), so an insertion's ``causal``,
 both oracles and the verification runs trace ``C2`` out of the body (once
 per supermap) and the ancilla outputs out of the arguments before they
 link the small marginals.  A discard returns its marginal as a plain
-matrix; only the cached discarded body wraps it as a process again.  An
+matrix; only the cached discarded body wraps it as a process again.  The
+runs' premise, ``is_soc2``, is likewise decided once per supermap and kept
+on it (``_premise``), while a direct ``is_soc2`` call always computes.  An
 insertion checks its types at once and builds ``process`` on first use.
 :func:`insert_stacked` fills stacks of arguments: the oracle's grid of all
 pairs, or with ``paired`` a verification run's trials, where trial ``t``'s
@@ -76,6 +78,14 @@ class BipartiteSupermap:
     def _discarded(self) -> "BipartiteSupermap":
         """This supermap with ``C2`` discarded from its body."""
         return BipartiteSupermap(Process._adopt(self.body.in_sys, System((self.c_in, 1)), _discard_outputs(self.body, [1])))
+
+    @cached_property
+    def _premise(self):
+        """``is_soc2(self)``: the residual and parts that every verification
+        run on this supermap judges at its own tolerance."""
+        from .predicates import is_soc2
+
+        return is_soc2(self)
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ from soclab.affine import (
     realize_affine,
 )
 from soclab.errors import DimensionError, WireMismatchError
-from soclab.predicates import is_causal, is_nonsignalling
+from soclab.predicates import is_causal, is_nonsignalling, make_strongly_nonsignalling
 from soclab.process import (
     Process,
     _sides,
@@ -24,6 +24,7 @@ from soclab.process import (
     compose_par,
     compose_seq,
     identity_process,
+    make_state,
     permute_output_factors,
     processes_close,
     random_causal_channel,
@@ -338,6 +339,24 @@ class TestDecompose:
         span = random_product_span(200, seed=5)
         res = decompose_nonsignalling(swap, span)
         assert res.residual > 0.5
+
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_strongly_nonsignalling_channels_lie_in_the_product_hull(self, memory):
+        # Local channels on a shared state are non-signalling, and the
+        # non-signalling hull is the product channels' affine hull, so such
+        # a channel is an affine mix of products.  Hence is_soc2_oracle,
+        # which fills with bases of causal channels, already decides the
+        # corollary: strongly non-signalling arguments need no oracle of
+        # their own.
+        rng = np.random.default_rng(40 + memory)
+        a_in, b_in, mem = System((2, memory)), System((memory, 2)), System((memory, memory))
+        psi_a = random_causal_channel(a_in, System((2,)), seed=rng)
+        psi_b = random_causal_channel(b_in, System((2,)), seed=rng)
+        shared = make_state(random_density(mem, seed=rng), mem)
+        channel = make_strongly_nonsignalling(psi_a, psi_b, shared)
+        res = decompose_nonsignalling(channel, random_product_span(180, (2, 2), (2, 2), seed=rng))
+        assert not res.span_deficient
+        assert res.residual <= 1e-9
 
     def test_shape_mismatch_rejected(self):
         span = random_product_span(3, in_dims=(2, 3), out_dims=(2, 2), seed=9)

@@ -294,14 +294,26 @@ class TestErrorPaths:
         code, out, err = run(argv, capsys)
         assert code == 2 and not out and f"error: {flag}" in err
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_choi_is_a_malformed_file(self, bad, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda choi: [[[float("nan")] * 2 for _ in row] for row in choi], "finite"),
+            (lambda choi: [[[float("inf")] * 2 for _ in row] for row in choi], "finite"),
+            (lambda choi: [[[str(x) for x in pair] for pair in row] for row in choi], "JSON numbers, got str"),
+            (lambda choi: [[[bool(x) for x in pair] for pair in row] for row in choi], "JSON numbers, got bool"),
+            (lambda choi: [[[True, False]] + choi[0][1:]] + choi[1:], "JSON numbers, got bool"),
+        ],
+        ids=["nan", "inf", "strings", "bools", "one-bool-pair"],
+    )
+    def test_a_choi_entry_that_is_not_a_finite_json_number_is_a_malformed_file(self, spoil, message, tmp_path, capsys):
+        # np.asarray would read "1" and true as 1.0, so the last three would
+        # load as the identity channel.
         record = json.loads((GOLDEN / "identity_channel.json").read_text())
-        record["choi"] = [[[bad, bad] for _ in row] for row in record["choi"]]
-        path = tmp_path / "non_finite.json"
+        record["choi"] = spoil(record["choi"])
+        path = tmp_path / "not_numbers.json"
         path.write_text(json.dumps(record))
         code, out, err = run(["classify", str(path)], capsys)
-        assert code == 3 and not out and "finite" in err
+        assert code == 3 and not out and message in err
 
     @pytest.mark.parametrize(
         "command, file, keys, bad",

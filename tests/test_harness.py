@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soclab import harness
+from soclab import harness, predicates
 from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.harness import (
     HarnessConfig,
@@ -39,7 +39,7 @@ from soclab.supermap import (
     insert_with_ancilla,
     mix,
 )
-from soclab.tensor import System, kron
+from soclab.tensor import DEFAULT_EPS, System, kron
 
 W_GOOD = mix(
     [(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]
@@ -96,13 +96,20 @@ class TestStackedRun:
         st.integers(1, 7),
         st.integers(1, 3),
         st.integers(0, 2**20),
+        st.sampled_from([0.0, DEFAULT_EPS, 0.5, 2.0]),
     )
+    @example("spoiled", "theorem1", 1, 2, 1, 0, 2.0)
+    @example("dressed", "corollary1", 2, 2, 1, 0, 0.0)
     @settings(max_examples=40, deadline=None)
-    def test_equals_one_trial_at_a_time(self, order, claim, m, trials, chunk, seed):
+    def test_equals_one_trial_at_a_time(self, order, claim, m, trials, chunk, seed, eps):
         # The element budget is cut down to ``chunk`` trials, so the trial
         # counts fall on both sides of a chunk boundary; every record must
-        # still be the single trial's, residual bits included.
-        w, config = ORDERS[order], HarnessConfig(trials=trials, seed=seed, ancilla_dim=m)
+        # still be the single trial's, residual bits included.  The premise
+        # stays cached on each module-level supermap from one example to the
+        # next, yet its verdict must follow ``eps``: the spoiled supermap's
+        # residual is about 1, and the dressed order's is above 0 by
+        # rounding, so a premise judged at DEFAULT_EPS fails both examples.
+        w, config = ORDERS[order], HarnessConfig(trials=trials, seed=seed, ancilla_dim=m, eps=eps)
         run, chunks = harness._run, []
         with pytest.MonkeyPatch.context() as mp:
 
@@ -114,6 +121,28 @@ class TestStackedRun:
             got = VERIFIERS[claim](w, config)
         assert chunks == [min(chunk, trials - k) for k in range(0, trials, chunk)]
         assert got == one_trial_at_a_time(w, config, claim)
+
+    def test_the_premise_is_decided_once_per_supermap(self, monkeypatch):
+        # The supermap looks is_soc2 up when it first needs it, so a
+        # counting stand-in sees every decision.
+        calls = []
+        decide = predicates.is_soc2
+        monkeypatch.setattr(predicates, "is_soc2", lambda w, *a: calls.append(w) or decide(w, *a))
+        w, other = fixed_order_a_then_b(2, 2, 2, 2), fixed_order_a_then_b(2, 2, 2, 2)
+        reports = [
+            verify_theorem1(w, HarnessConfig(trials=1, ancilla_dim=1)),
+            verify_theorem1(w, HarnessConfig(trials=1, ancilla_dim=2, eps=0.0)),
+            verify_corollary1(w, HarnessConfig(trials=1)),
+        ]
+        assert calls == [w]
+        verify_corollary1(other, HarnessConfig(trials=1))
+        assert calls == [w, other]
+        # A direct call still computes, and each run judged at its own eps.
+        direct = decide(w)
+        assert direct is not w._premise and direct == w._premise
+        assert [(r.premise_holds, r.premise_residual) for r in reports] == [
+            (direct.residual <= eps, direct.residual) for eps in (DEFAULT_EPS, 0.0, DEFAULT_EPS)
+        ]
 
     @pytest.mark.parametrize("claim", sorted(VERIFIERS))
     def test_zero_trials_give_an_empty_report(self, claim, monkeypatch):
@@ -284,11 +313,22 @@ class TestVerificationScript:
     def run_script(self, *args):
         return subprocess.run([sys.executable, str(self.SCRIPT), *args], capture_output=True, text=True)
 
-    @pytest.mark.parametrize("flag", ["--trials", "--ancilla-dim"])
-    def test_zero_trials_or_ancilla_dim_is_an_argument_error(self, flag):
-        proc = self.run_script(flag, "0", "--mixes", "0", "--dressed", "0")
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "positive integer"),
+            ("--ancilla-dim", "0", "positive integer"),
+            # numpy refuses a negative seed with a traceback, and a negative
+            # count would build nothing.
+            ("--seed", "-1", "non-negative integer"),
+            ("--mixes", "-1", "non-negative integer"),
+            ("--dressed", "-1", "non-negative integer"),
+        ],
+    )
+    def test_an_out_of_range_count_or_seed_is_an_argument_error(self, flag, value, message):
+        proc = self.run_script("--trials", "1", "--mixes", "0", "--dressed", "0", flag, value)
         assert proc.returncode == 2
-        assert not proc.stdout and "positive integer" in proc.stderr
+        assert not proc.stdout and f"{flag}: expected a {message}" in proc.stderr
 
     def test_one_trial_runs_the_fixed_orders_and_the_control(self):
         proc = self.run_script("--trials", "1", "--mixes", "0", "--dressed", "0")
