@@ -138,7 +138,7 @@ def random_product_span(
     """``n`` pairs ``(Phi_k, Psi_k)`` of random causal channels, ``Phi_k``
     on ``in_dims[0] -> out_dims[0]`` and ``Psi_k`` on ``in_dims[1] ->
     out_dims[1]``, drawn in one stacked batch."""
-    specs = [(System((d_in,)), System((d_out,)), None) for d_in, d_out in zip(in_dims, out_dims)]
+    specs = [(System((d_in,)), System((d_out,))) for d_in, d_out in zip(in_dims, out_dims)]
     return _random_causal_channels(np.random.default_rng(seed), specs, n)
 
 

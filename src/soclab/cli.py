@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("claim", choices=["theorem1", "corollary1"])
     pv.add_argument("file")
     pv.add_argument("--trials", type=_positive_int, default=20)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_nonnegative_int, default=0)
     pv.add_argument("--dims", type=_positive_int, default=2, help="ancilla or memory dimension")
     _add_eps(pv)
     pv.set_defaults(func=_cmd_verify)
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("decompose", help="fit a channel as an affine mix of random product pairs")
     pd.add_argument("file")
     pd.add_argument("--span-size", type=_positive_int, required=True)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=_nonnegative_int, default=0)
     pd.add_argument("--split", nargs=2, type=int, metavar=("IN", "OUT"), default=(1, 1))
     pd.add_argument("--tol", type=_tolerance, default=1e-6)
     pd.set_defaults(func=_cmd_decompose)

@@ -6,7 +6,7 @@ control qubit that rides along both the global input and the global
 output.  Filling the slots with unitary conjugations produces conjugation
 by ``|0><0| (x) VU + |1><1| (x) UV``, which no single ordering reproduces,
 yet every pair of causal fillings still yields a causal channel.  The body
-is one ``process._wiring`` call, one branch per order.
+is one ``process._wiring`` call, one branch per fixed order's wires.
 
 :func:`spoiled_supermap` is a fixed order with a bump that breaks
 causality, the negative control of the tests and the verification script.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .process import Process, _wiring
-from .supermap import BipartiteSupermap, fixed_order_a_then_b
+from .supermap import _A_THEN_B, _B_THEN_A, BipartiteSupermap, fixed_order_a_then_b
 from .tensor import System
 
 
@@ -26,10 +26,10 @@ def quantum_switch(d: int = 2) -> BipartiteSupermap:
     control qubit joined with the target, flattened to one factor of 2d.
     A body whose side ``4 d**6`` passes ``MAX_SIDE`` raises
     :class:`DimensionError` before anything is allocated."""
-    # Factors [A1, A2, B1, B2, C1, C2].  Control 0 runs A then B, control 1
-    # B then A; the control rides from C1 to C2 as the high digit, d.
-    a_then_b = [(4, 0), (1, 2), (3, 5), (4, 5, 0)]
-    b_then_a = [(4, 2), (3, 0), (1, 5), (4, 5, d)]
+    # Control 0 runs A then B, control 1 B then A; the control rides from
+    # C1 to C2 (factors 4 and 5) as the high digit, d.
+    a_then_b = (*_A_THEN_B, (4, 5, 0))
+    b_then_a = (*_B_THEN_A, (4, 5, d))
     return BipartiteSupermap(_wiring(System((d, d, d, d)), System((2 * d, 2 * d)), a_then_b, b_then_a))
 
 

@@ -69,7 +69,6 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class HarnessReport:
-    premise: str
     premise_holds: bool
     premise_residual: float
     records: tuple[TrialRecord, ...]
@@ -109,7 +108,7 @@ def _run(w: BipartiteSupermap, config: HarnessConfig, size: int, per_trial: int,
         for t, s, x in zip(trials, seeds, witness):
             residual = norm(x)
             records.append(TrialRecord(t, residual <= config.eps, residual, s))
-    return HarnessReport("soc2", premise <= config.eps, premise, tuple(records))
+    return HarnessReport(premise <= config.eps, premise, tuple(records))
 
 
 def verify_theorem1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig()) -> HarnessReport:
@@ -119,7 +118,7 @@ def verify_theorem1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfig(
     ancilla through, and check the resulting extended channel is causal.
     """
     m = config.ancilla_dim
-    specs = [(System((m, w.a_in)), System((m, w.a_out)), None), (System((m, w.b_in)), System((m, w.b_out)), None)]
+    specs = [(System((m, w.a_in)), System((m, w.a_out))), (System((m, w.b_in)), System((m, w.b_out)))]
     size = _channel_draw_size(specs, 1)
     # Beside the draws, the largest stacks are the two links' results.
     per_trial = max(size, (w.b_in * w.b_out * w.c_in * m) ** 2, (m * m * w.c_in) ** 2)
@@ -144,7 +143,7 @@ def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfi
     the output for causality.
     """
     m = config.ancilla_dim
-    specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
+    specs = [(System((w.a_in, m)), System((w.a_out,))), (System((m, w.b_in)), System((w.b_out,)))]
     # Refuse an oversized shared state by name, before anything is drawn.
     check_size((m * m, m * m), "random density")
     channels = _channel_draw_size(specs, 1)
@@ -164,7 +163,7 @@ def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfi
 def report_to_jsonl(report: HarnessReport) -> list[str]:
     lines = [
         json.dumps(
-            {"premise": report.premise, "holds": report.premise_holds, "residual": report.premise_residual}
+            {"premise": "soc2", "holds": report.premise_holds, "residual": report.premise_residual}
         )
     ]
     for r in report.records:

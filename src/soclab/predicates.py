@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionError, ReconstructionError
 from .process import Process, _discard_outputs, _sides
 from .supermap import BipartiteSupermap, insert_stacked
-from .tensor import DEFAULT_EPS, System, UNIT, check_size, frobenius_distance, hermitian_basis, link, norm, partial_trace
+from .tensor import DEFAULT_EPS, System, UNIT, check_size, hermitian_basis, link, norm, partial_trace
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     """
     # The slot output must not signal to the channel input; the rest must be normalized.
     m, (si, so, ci), gap_slot = _signalling_gap(w, in_split, out_split, side_a=True)
-    gap_norm = frobenius_distance(partial_trace(m, (si, so, ci), keep=(2,)) / so, np.eye(ci))
+    gap_norm = norm(partial_trace(m, (si, so, ci), keep=(2,)) / so - np.eye(ci))
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None, {"gap_slot": gap_slot, "gap_norm": gap_norm})
 
@@ -205,7 +205,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     gap_b = norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1))
     # The overall normalization gap is shared between the two sides, so it
     # is counted once.
-    gap_norm = frobenius_distance(partial_trace(m, d5, keep=(4,)) / (a2 * b2), np.eye(c1))
+    gap_norm = norm(partial_trace(m, d5, keep=(4,)) / (a2 * b2) - np.eye(c1))
     # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
     # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
     gap_cross = norm(_defect(m, d5, 3, 1))

@@ -9,7 +9,7 @@ Conventions, fixed once for the whole package:
 * States are processes from the empty system; effects are processes to it.
 * Moving a factor between the input and output lists while keeping its
   position in the concatenated list does not change the Choi data at all,
-  which is what :func:`move_boundary` and :func:`bend` exploit.
+  which is what :func:`move_boundary` exploits.
 
 A process stores its data once, as a read-only *factor tensor* with one row
 axis and one column axis per factor (shape ``factor_dims + factor_dims``).
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, check_size, frobenius_distance, link, partial_trace
+from .tensor import System, UNIT, as_matrix, as_stack, check_size, link, norm, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -109,7 +109,7 @@ def processes_close(f: Process, g: Process, eps: float) -> bool:
     """Same wiring types and Choi matrices within ``eps`` in Frobenius norm."""
     if f.in_sys.dims != g.in_sys.dims or f.out_sys.dims != g.out_sys.dims:
         return False
-    return frobenius_distance(f.choi, g.choi) <= eps
+    return norm(f.choi - g.choi) <= eps
 
 
 def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
@@ -163,10 +163,6 @@ def discard_process(sys: System) -> Process:
     return Process._adopt(sys, UNIT, np.eye(sys.total, dtype=complex))
 
 
-def make_state(rho: np.ndarray, sys: System) -> Process:
-    return Process(UNIT, sys, as_matrix(rho, sys.total))
-
-
 def make_effect(e: np.ndarray, sys: System) -> Process:
     """Effect ``rho -> Tr(e rho)``; its Choi matrix is ``e`` transposed."""
     return Process(sys, UNIT, as_matrix(e, sys.total).T)
@@ -182,10 +178,6 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: Sys
     # Column k of v is vec(K_k^T); the Choi matrix is the sum of their outer products.
     v = np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in).transpose(2, 1, 0).reshape(d_in * d_out, len(ops))
     return Process._adopt(in_sys, out_sys, v @ v.conj().T)
-
-
-def channel_from_unitary(u: np.ndarray, in_sys: System, out_sys: System) -> Process:
-    return channel_from_kraus([u], in_sys, out_sys)
 
 
 def swap_process(a: System, b: System) -> Process:
@@ -222,11 +214,6 @@ def move_boundary(p: Process, n_in: int) -> Process:
     if not 0 <= n_in <= len(dims):
         raise DimensionError(f"n_in={n_in} out of range for {len(dims)} factors")
     return Process._adopt(System(dims[:n_in]), System(dims[n_in:]), p.tensor)
-
-
-def bend(p: Process) -> Process:
-    """Turn every input wire into an output, yielding a state."""
-    return move_boundary(p, 0)
 
 
 def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Process:
@@ -317,38 +304,29 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _isometry_dims(in_sys: System, out_sys: System, env_dim: int | None) -> tuple[int, int, int]:
-    """``(d_in, d_out, env)`` of a random channel's isometry; ``env``
-    defaults to ``d_in * d_out``."""
-    d_in, d_out = in_sys.total, out_sys.total
-    return d_in, d_out, env_dim if env_dim is not None else d_in * d_out
-
-
-def _channel_draw_size(specs: Sequence[tuple[System, System, int | None]], n: int) -> int:
+def _channel_draw_size(specs: Sequence[tuple[System, System]], n: int) -> int:
     """How many Gaussians one row of channels with these ``specs`` takes in
-    :func:`_random_causal_channels`; a spec whose environment cannot embed
-    its input, or a stack of ``n`` rows over ``MAX_SIDE**2`` elements,
-    raises here, before anything is drawn."""
+    :func:`_random_causal_channels`; a stack of ``n`` rows over
+    ``MAX_SIDE**2`` elements raises here, before anything is drawn."""
     size = 0
-    for spec in specs:
-        d_in, d_out, env = _isometry_dims(*spec)
-        if d_out * env < d_in:
-            raise DimensionError(f"environment {env} too small to embed input {d_in}")
-        check_size((n, d_in * d_out, d_in * d_out), "random channel stack")
-        size += 2 * d_in * d_out * env
+    for i, o in specs:
+        side = i.total * o.total
+        check_size((n, side, side), "random channel stack")
+        size += 2 * side * side
     check_size((n, size), "random channel draw")
     return size
 
 
-def _causal_chois(specs: Sequence[tuple[System, System, int | None]], draws: np.ndarray) -> list[np.ndarray]:
+def _causal_chois(specs: Sequence[tuple[System, System]], draws: np.ndarray) -> list[np.ndarray]:
     """The Choi matrices of the random causal channels that ``draws``, one
     row of :func:`_channel_draw_size` Gaussians per row of channels, gives:
     one ``(rows, side, side)`` stack per spec.  Each spec takes one stacked
     QR, one stacked phase fix (which makes the isometry Haar distributed)
     and one stacked ``v v^dagger``."""
     n, start, chois = len(draws), 0, []
-    for spec in specs:
-        d_in, d_out, env = _isometry_dims(*spec)
+    for i, o in specs:
+        d_in, d_out = i.total, o.total
+        env = d_in * d_out
         stop = start + 2 * d_in * d_out * env
         g = draws[:, start:stop].reshape(n, 2, d_out * env, d_in)
         start = stop
@@ -363,27 +341,26 @@ def _causal_chois(specs: Sequence[tuple[System, System, int | None]], draws: np.
 
 
 def _random_causal_channels(
-    rng: np.random.Generator, specs: Sequence[tuple[System, System, int | None]], n: int
+    rng: np.random.Generator, specs: Sequence[tuple[System, System]], n: int
 ) -> list[tuple[Process, ...]]:
     """``n`` rows of Haar-style random causal channels, one per spec
-    ``(in_sys, out_sys, env_dim)`` in each row, built from random isometries
-    ``C^{d_in} -> C^{d_out} (x) C^{env}`` (``env`` defaults to ``d_in * d_out``).
+    ``(in_sys, out_sys)`` in each row, built from random isometries
+    ``C^{d_in} -> C^{d_out} (x) C^{env}`` with ``env = d_in * d_out``.
 
     Every Gaussian comes from one ``rng.standard_normal`` call whose layout
     is that of drawing the channels one at a time, row by row and spec by
     spec (real part, then imaginary part), so the stream and the channels
     do not depend on how the draw is batched; :func:`_causal_chois` makes
-    the channels from it.  A spec whose environment cannot embed its input,
-    or an oversized draw or stack, raises first.
+    the channels from it.  An oversized draw or stack raises first.
     """
     draws = rng.standard_normal((n, _channel_draw_size(specs, n)))
-    stacks = [[Process._adopt(i, o, c) for c in chois] for (i, o, _), chois in zip(specs, _causal_chois(specs, draws))]
+    stacks = [[Process._adopt(i, o, c) for c in chois] for (i, o), chois in zip(specs, _causal_chois(specs, draws))]
     return list(zip(*stacks))
 
 
-def random_causal_channel(in_sys: System, out_sys: System, env_dim: int | None = None, seed=None) -> Process:
+def random_causal_channel(in_sys: System, out_sys: System, seed=None) -> Process:
     """Haar-style random trace-preserving CP map via a random isometry."""
-    ((p,),) = _random_causal_channels(np.random.default_rng(seed), [(in_sys, out_sys, env_dim)], 1)
+    ((p,),) = _random_causal_channels(np.random.default_rng(seed), [(in_sys, out_sys)], 1)
     return p
 
 

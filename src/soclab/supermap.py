@@ -22,7 +22,8 @@ pairs, or with ``paired`` a verification run's trials, where trial ``t``'s
 arguments are linked with each other only, each rounded as that one pair
 alone would be.  A joint filling goes through ``_insert_joint``, which
 :func:`insert_merged` and the runs share.  The fixed orders are pure
-wiring, written by ``process._wiring``.
+wiring, written by ``process._wiring`` from wire lists that
+``extras.quantum_switch`` shares.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _discard_outputs, _json_dims, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import DEFAULT_EPS, UNIT, System, as_stack, check_size, link
+from .tensor import UNIT, System, as_stack, check_size, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +99,12 @@ class BipartiteSupermap:
 class InsertionResult:
     """A filled supermap, typed when made and contracted only when asked:
     ``_fill(discard)`` gives the filled Choi matrix (:attr:`process`), or
-    with ``discard`` the marginal on ``in_sys`` that :attr:`causal` reads as
-    ``is_causal`` reads one, so :attr:`causal` never builds :attr:`process`."""
+    with ``discard`` the marginal on ``in_sys`` that :attr:`causal` judges
+    as ``is_causal`` does at ``DEFAULT_EPS``, never building :attr:`process`."""
 
     in_sys: System
     out_sys: System
     _fill: Callable[[bool], np.ndarray] = field(repr=False)
-    eps: float = DEFAULT_EPS
 
     @cached_property
     def process(self) -> Process:
@@ -116,7 +116,7 @@ class InsertionResult:
 
         # Filling and then discarding every output is an effect on the
         # inputs; the filled process is causal when that effect is the discard.
-        return is_causal(Process._adopt(self.in_sys, UNIT, self._fill(True)), eps=self.eps)
+        return is_causal(Process._adopt(self.in_sys, UNIT, self._fill(True)))
 
 
 def supermap_from_process(p: Process, a_dims: tuple[int, int], b_dims: tuple[int, int]) -> BipartiteSupermap:
@@ -205,7 +205,6 @@ def insert_with_ancilla(
     pb: Process,
     a_split: tuple[int, int] = (0, 0),
     b_split: tuple[int, int] = (0, 0),
-    eps: float = DEFAULT_EPS,
 ) -> InsertionResult:
     """Fill both holes with channels that may carry extra side wires.
 
@@ -235,21 +234,15 @@ def insert_with_ancilla(
 
     in_sys = System(a_anc_in + b_anc_in + (w.c_in,))
     out_sys = System(a_anc_out + b_anc_out + (w.c_out,))
-    return InsertionResult(in_sys, out_sys, fill, eps=eps)
+    return InsertionResult(in_sys, out_sys, fill)
 
 
-def insert(w: BipartiteSupermap, pa: Process, pb: Process, eps: float = DEFAULT_EPS) -> InsertionResult:
+def insert(w: BipartiteSupermap, pa: Process, pb: Process) -> InsertionResult:
     """Fill both holes with plainly typed channels (no side wires)."""
-    return insert_with_ancilla(w, pa, pb, (0, 0), (0, 0), eps=eps)
+    return insert_with_ancilla(w, pa, pb)
 
 
-def insert_merged(
-    w: BipartiteSupermap,
-    phi: Process,
-    in_split: int = 1,
-    out_split: int = 1,
-    eps: float = DEFAULT_EPS,
-) -> InsertionResult:
+def insert_merged(w: BipartiteSupermap, phi: Process, in_split: int = 1, out_split: int = 1) -> InsertionResult:
     """Fill both holes with one joint channel ``A1 (x) B1 -> A2 (x) B2``.
 
     ``in_split``/``out_split`` say how many leading input/output factors of
@@ -263,25 +256,28 @@ def insert_merged(
     def fill(discard: bool) -> np.ndarray:
         return _insert_joint(w._discarded if discard else w, phi.choi)
 
-    return InsertionResult(System((w.c_in,)), System((w.c_out,)), fill, eps=eps)
+    return InsertionResult(System((w.c_in,)), System((w.c_out,)), fill)
+
+
+# The fixed orders' wires over the body factors [A1, A2, B1, B2, C1, C2].
+# A then B: C1 feeds A1, A2 feeds B1, B2 feeds C2.  B then A: C1 feeds B1,
+# B2 feeds A1, A2 feeds C2.
+_A_THEN_B = ((0, 4), (1, 2), (3, 5))
+_B_THEN_A = ((2, 4), (3, 0), (1, 5))
 
 
 def fixed_order_a_then_b(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the A channel first and pipes it into B."""
     if a_out != b_in:
         raise WireMismatchError(f"cannot pipe A output {a_out} into B input {b_in}")
-    # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds A1, A2 feeds B1, B2 feeds C2.
-    slots = System((a_in, a_out, b_in, b_out))
-    return BipartiteSupermap(_wiring(slots, System((a_in, b_out)), [(0, 4), (1, 2), (3, 5)]))
+    return BipartiteSupermap(_wiring(System((a_in, a_out, b_in, b_out)), System((a_in, b_out)), _A_THEN_B))
 
 
 def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> BipartiteSupermap:
     """The wiring that runs the B channel first and pipes it into A."""
     if b_out != a_in:
         raise WireMismatchError(f"cannot pipe B output {b_out} into A input {a_in}")
-    # Factors [A1, A2, B1, B2, C1, C2]: C1 feeds B1, B2 feeds A1, A2 feeds C2.
-    slots = System((a_in, a_out, b_in, b_out))
-    return BipartiteSupermap(_wiring(slots, System((b_in, a_out)), [(2, 4), (3, 0), (1, 5)]))
+    return BipartiteSupermap(_wiring(System((a_in, a_out, b_in, b_out)), System((b_in, a_out)), _B_THEN_A))
 
 
 def mix(pairs) -> BipartiteSupermap:

@@ -267,10 +267,6 @@ def norm(x: np.ndarray | Iterable) -> float:
     return sqrt(np.einsum("i,i->", v, v))
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return norm(np.asarray(a) - np.asarray(b))
-
-
 def is_hermitian(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
     m = np.asarray(m)
     return bool(norm(m - m.conj().T) <= eps)

@@ -42,7 +42,6 @@ from soclab.process import (
     cup,
     discard_process,
     identity_process,
-    make_state,
     process_to_dict,
     processes_close,
     random_causal_channel,
@@ -58,7 +57,7 @@ from soclab.supermap import (
     insert_merged,
     mix,
 )
-from soclab.tensor import UNIT, System, frobenius_distance, is_psd, kron
+from soclab.tensor import UNIT, System, is_psd, kron, norm
 
 GOLDEN = Path(__file__).parent / "golden"
 Q = System((2,))
@@ -123,7 +122,7 @@ def test_criterion_2_causality_regression():
         f = make_strongly_nonsignalling(
             random_causal_channel(System((2, 2)), Q, seed=rng),
             random_causal_channel(System((2, 2)), Q, seed=rng),
-            make_state(random_density(System((2, 2)), seed=rng), System((2, 2))),
+            Process(UNIT, System((2, 2)), random_density(System((2, 2)), seed=rng)),
         )
         assert is_causal(f).holds
 
@@ -256,14 +255,14 @@ def test_criterion_6_pseudo_state_extension(soc2_generators):
         f = make_strongly_nonsignalling(
             random_causal_channel(System((2, 2)), Q, seed=seeded),
             random_causal_channel(System((2, 2)), Q, seed=seeded),
-            make_state(random_density(System((2, 2)), seed=seeded), System((2, 2))),
+            Process(UNIT, System((2, 2)), random_density(System((2, 2)), seed=seeded)),
         )
         res = decompose_nonsignalling(f, span)
         assert res.residual <= 1e-6
         rebuilt = realize_affine(
             AffineCombination(tuple((c, a, b) for c, (a, b) in zip(res.coeffs, span)))
         )
-        assert frobenius_distance(rebuilt.choi, f.choi) <= 1e-6
+        assert norm(rebuilt.choi - f.choi) <= 1e-6
     print("criterion 6 (pseudo-state extension and round trip): PASS")
 
 
@@ -276,7 +275,7 @@ def test_criterion_7_reconstruction_from_causal_states():
         rec = reconstruct_from_causal_states(
             lambda rho: apply_to_state(f, rho), Q, tri
         )
-        assert frobenius_distance(rec.choi, f.choi) <= 1e-9
+        assert norm(rec.choi - f.choi) <= 1e-9
     print("criterion 7 (reconstruction from causal states, 50 channels): PASS")
 
 

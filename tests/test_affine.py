@@ -20,18 +20,17 @@ from soclab.process import (
     Process,
     _sides,
     apply_to_state,
-    channel_from_unitary,
+    channel_from_kraus,
     compose_par,
     compose_seq,
     identity_process,
-    make_state,
     permute_output_factors,
     processes_close,
     random_causal_channel,
     random_density,
     relabel,
 )
-from soclab.tensor import System, hermitian_basis, is_psd, partial_trace
+from soclab.tensor import UNIT, System, hermitian_basis, is_psd, partial_trace
 
 
 def random_combination(rng, n, dims=(2, 2, 2, 2)):
@@ -163,8 +162,8 @@ class TestControlledChannel:
     def test_branch_selection(self):
         rng = np.random.default_rng(7)
         q = System((2,))
-        x = channel_from_unitary(np.array([[0, 1], [1, 0]], dtype=complex), q, q)
-        ident = channel_from_unitary(np.eye(2, dtype=complex), q, q)
+        x = channel_from_kraus([np.array([[0, 1], [1, 0]], dtype=complex)], q, q)
+        ident = channel_from_kraus([np.eye(2, dtype=complex)], q, q)
         ctrl = controlled_local_channel([ident, x])
         rho = random_density(System((2,)), seed=rng)
         for k, branch in enumerate([ident, x]):
@@ -331,8 +330,8 @@ class TestDecompose:
         assert processes_close(rebuilt, target, eps=1e-7)
 
     def test_signalling_target_leaves_residual(self):
-        swap = channel_from_unitary(
-            np.eye(4, dtype=complex).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4),
+        swap = channel_from_kraus(
+            [np.eye(4, dtype=complex).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)],
             System((2, 2)),
             System((2, 2)),
         )
@@ -352,7 +351,7 @@ class TestDecompose:
         a_in, b_in, mem = System((2, memory)), System((memory, 2)), System((memory, memory))
         psi_a = random_causal_channel(a_in, System((2,)), seed=rng)
         psi_b = random_causal_channel(b_in, System((2,)), seed=rng)
-        shared = make_state(random_density(mem, seed=rng), mem)
+        shared = Process(UNIT, mem, random_density(mem, seed=rng))
         channel = make_strongly_nonsignalling(psi_a, psi_b, shared)
         res = decompose_nonsignalling(channel, random_product_span(180, (2, 2), (2, 2), seed=rng))
         assert not res.span_deficient

@@ -256,6 +256,19 @@ class TestErrorPaths:
         assert code == 2 and not out and "positive integer" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem1", "no_such_file.json", "--seed", "-1"],
+            ["decompose", "no_such_file.json", "--span-size", "5", "--seed", "-1"],
+        ],
+        ids=["verify", "decompose"],
+    )
+    def test_a_negative_seed_is_an_argument_error_before_any_file_is_read(self, argv, capsys):
+        # A missing file would exit 3; the seed must be refused first.
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out and "--seed" in err and "non-negative integer" in err
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["verify", "theorem1", "fixed_order_a_then_b.json", "--trials", "1", "--dims", "0"], "positive integer"),

@@ -4,7 +4,7 @@ import pytest
 from soclab.extras import quantum_switch
 from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
 from soclab.process import (
-    channel_from_unitary,
+    channel_from_kraus,
     processes_close,
     random_causal_channel,
 )
@@ -41,11 +41,11 @@ class TestQuantumSwitch:
         q = System((d,))
         u = random_unitary(rng, d)
         v = random_unitary(rng, d)
-        got = insert(sw, channel_from_unitary(u, q, q), channel_from_unitary(v, q, q)).process
+        got = insert(sw, channel_from_kraus([u], q, q), channel_from_kraus([v], q, q)).process
         blocks = np.zeros((2 * d, 2 * d), dtype=complex)
         blocks[:d, :d] = v @ u
         blocks[d:, d:] = u @ v
-        want = channel_from_unitary(blocks, System((2 * d,)), System((2 * d,)))
+        want = channel_from_kraus([blocks], System((2 * d,)), System((2 * d,)))
         assert processes_close(got, want, eps=1e-9)
 
     def test_control_coherence_survives(self):
@@ -57,7 +57,7 @@ class TestQuantumSwitch:
         q = System((d,))
         u = random_unitary(rng, d)
         v = random_unitary(rng, d)
-        got = insert(sw, channel_from_unitary(u, q, q), channel_from_unitary(v, q, q)).process
+        got = insert(sw, channel_from_kraus([u], q, q), channel_from_kraus([v], q, q)).process
         whole = got.choi.reshape(2, d, 2, d, 2, d, 2, d)
         cross = whole[0, :, 0, :, 1, :, 1, :]
         assert np.linalg.norm(cross) > 0.5

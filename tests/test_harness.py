@@ -21,11 +21,11 @@ from soclab.harness import (
 )
 from soclab.predicates import is_causal, is_soc2, make_strongly_nonsignalling
 from soclab.process import (
+    Process,
     _random_causal_channels,
     compose_par,
     compose_seq,
     identity_process,
-    make_state,
     permute_input_factors,
     processes_close,
     random_causal_channel,
@@ -39,7 +39,7 @@ from soclab.supermap import (
     insert_with_ancilla,
     mix,
 )
-from soclab.tensor import DEFAULT_EPS, System, kron
+from soclab.tensor import DEFAULT_EPS, UNIT, System, kron
 
 W_GOOD = mix(
     [(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]
@@ -49,24 +49,24 @@ W_GOOD = mix(
 def one_trial_at_a_time(w, config, claim):
     """The report as a loop of single trials builds it: each trial draws its
     arguments from its own seeded stream and fills the supermap through the
-    public one-pair insertions, whose ``causal`` gives the record."""
+    public one-pair insertions, whose ``causal`` residual gives the record."""
     m = config.ancilla_dim
     records = []
     for t in range(config.trials):
         s = _trial_seed(config.seed, t)
         rng = np.random.default_rng(s)
         if claim == "theorem1":
-            specs = [(System((m, w.a_in)), System((m, w.a_out)), None), (System((m, w.b_in)), System((m, w.b_out)), None)]
+            specs = [(System((m, w.a_in)), System((m, w.a_out))), (System((m, w.b_in)), System((m, w.b_out)))]
             ((pa, pb),) = _random_causal_channels(rng, specs, 1)
-            verdict = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1), eps=config.eps).causal
+            verdict = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).causal
         else:
-            specs = [(System((w.a_in, m)), System((w.a_out,)), None), (System((m, w.b_in)), System((w.b_out,)), None)]
+            specs = [(System((w.a_in, m)), System((w.a_out,))), (System((m, w.b_in)), System((w.b_out,)))]
             ((psi_a, psi_b),) = _random_causal_channels(rng, specs, 1)
-            shared = make_state(random_density(System((m, m)), seed=rng), System((m, m)))
-            verdict = insert_merged(w, make_strongly_nonsignalling(psi_a, psi_b, shared), eps=config.eps).causal
-        records.append(TrialRecord(t, verdict.holds, verdict.residual, s))
+            shared = Process(UNIT, System((m, m)), random_density(System((m, m)), seed=rng))
+            verdict = insert_merged(w, make_strongly_nonsignalling(psi_a, psi_b, shared)).causal
+        records.append(TrialRecord(t, verdict.residual <= config.eps, verdict.residual, s))
     premise = is_soc2(w, config.eps)
-    return HarnessReport("soc2", premise.holds, premise.residual, tuple(records))
+    return HarnessReport(premise.holds, premise.residual, tuple(records))
 
 
 def dressed_order():
@@ -270,7 +270,7 @@ class TestCorollary1Harness:
         rng = np.random.default_rng(9)
         psi_a = random_causal_channel(System((2, 2)), System((2,)), seed=rng)
         psi_b = random_causal_channel(System((2, 2)), System((2,)), seed=rng)
-        shared = make_state(random_density(System((2, 2)), seed=rng), System((2, 2)))
+        shared = Process(UNIT, System((2, 2)), random_density(System((2, 2)), seed=rng))
         opened = insert_with_ancilla(
             w, permute_input_factors(psi_a, (1, 0)), psi_b, (1, 0), (1, 0)
         ).process
@@ -303,7 +303,7 @@ class TestReportFormat:
 
     def test_report_dataclasses_are_plain(self):
         rec = TrialRecord(0, True, 0.0, 99)
-        rep = HarnessReport("soc2", True, 0.0, (rec,))
+        rep = HarnessReport(True, 0.0, (rec,))
         assert rep.all_causal and rep.max_residual == 0.0
 
 

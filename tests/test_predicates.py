@@ -35,7 +35,6 @@ from soclab.process import (
     channel_from_kraus,
     compose_par,
     identity_process,
-    make_state,
     processes_close,
     random_causal_channel,
     random_density,
@@ -177,7 +176,7 @@ def is_soc_oracle_reference(w: Process, in_split: int = 1, out_split: int = 1, e
 def is_soc2_oracle_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in causal_affine_basis(w.a_in, w.a_out)]
     procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in causal_affine_basis(w.b_in, w.b_out)]
-    wit = np.array([[insert(w, pa, pb, eps=eps).causal.witness for pb in procs_b] for pa in procs_a])
+    wit = np.array([[insert(w, pa, pb).causal.witness for pb in procs_b] for pa in procs_a])
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
     # differences inside.
@@ -434,8 +433,8 @@ class TestIsCausal:
         assert np.isclose(v.residual, 0.1 * np.sqrt(2))
 
     def test_states_are_causal_iff_normalized(self):
-        assert is_causal(make_state(np.diag([0.5, 0.5]), Q)).holds
-        assert not is_causal(make_state(np.diag([0.5, 0.6]), Q)).holds
+        assert is_causal(Process(UNIT, Q, np.diag([0.5, 0.5]))).holds
+        assert not is_causal(Process(UNIT, Q, np.diag([0.5, 0.6]))).holds
 
     def test_verdict_is_truthy(self):
         assert bool(is_causal(identity_process(Q)))
@@ -468,7 +467,7 @@ class TestNonSignalling:
         rng = np.random.default_rng(seed)
         psi_a = random_causal_channel(System((2, 2)), Q, seed=rng)
         psi_b = random_causal_channel(System((2, 2)), Q, seed=rng)
-        shared = make_state(random_density(System((2, 2)), seed=rng), System((2, 2)))
+        shared = Process(UNIT, System((2, 2)), random_density(System((2, 2)), seed=rng))
         f = make_strongly_nonsignalling(psi_a, psi_b, shared)
         assert f.in_sys.dims == (2, 2) and f.out_sys.dims == (2, 2)
         assert is_causal(f).holds
@@ -495,7 +494,7 @@ class TestNonSignalling:
     def test_memory_shape_is_validated(self):
         psi_a = random_causal_channel(System((2, 2)), Q, seed=0)
         psi_b = random_causal_channel(System((2, 2)), Q, seed=1)
-        shared = make_state(random_density(System((2, 3)), seed=2), System((2, 3)))
+        shared = Process(UNIT, System((2, 3)), random_density(System((2, 3)), seed=2))
         with pytest.raises(DimensionError):
             make_strongly_nonsignalling(psi_a, psi_b, shared)
 

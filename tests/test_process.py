@@ -15,17 +15,14 @@ from soclab.process import (
     _discard_outputs,
     _random_causal_channels,
     apply_to_state,
-    bend,
     cap,
     channel_from_kraus,
-    channel_from_unitary,
     compose_par,
     compose_seq,
     cup,
     discard_process,
     identity_process,
     make_effect,
-    make_state,
     move_boundary,
     permute_input_factors,
     permute_output_factors,
@@ -106,14 +103,12 @@ def channel_from_kraus_loop(kraus, in_sys, out_sys):
     return Process(in_sys, out_sys, c)
 
 
-def random_causal_channel_one_at_a_time(in_sys, out_sys, env_dim=None, seed=None):
-    """The one-channel-per-call draw that the stacked draw replaced, kept
-    verbatim as its reference."""
+def random_causal_channel_one_at_a_time(in_sys, out_sys, seed=None):
+    """The one-channel-per-call draw that the stacked draw replaced, kept as
+    its reference."""
     rng = np.random.default_rng(seed)
     d_in, d_out = in_sys.total, out_sys.total
-    env = env_dim if env_dim is not None else d_in * d_out
-    if d_out * env < d_in:
-        raise DimensionError(f"environment {env} too small to embed input {d_in}")
+    env = d_in * d_out
     g = rng.standard_normal((d_out * env, d_in)) + 1j * rng.standard_normal((d_out * env, d_in))
     q, r = np.linalg.qr(g)
     # Fix the phase ambiguity so the column span is a proper isometry draw.
@@ -133,11 +128,11 @@ def omega_reference(total):
 
 
 def swap_reference(a, b):
-    """The swap as it was built before: its permutation unitary, through
-    channel_from_unitary."""
+    """The swap as it was built before: the channel of its permutation
+    unitary."""
     da, db = a.total, b.total
     u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
-    return channel_from_unitary(u, a + b, b + a)
+    return channel_from_kraus([u], a + b, b + a)
 
 
 def assert_same_bits(got, want):
@@ -166,8 +161,8 @@ class TestGenerators:
             lambda: channel_from_kraus([np.ones((10**4, 1))], UNIT, System((10**4,))),
             lambda: identity_process(System((10**12,))),
             lambda: random_density(System((10**6,))),
-            lambda: random_causal_channel(UNIT, System((10**5,)), env_dim=1),
-            lambda: _random_causal_channels(np.random.default_rng(0), [(UNIT, System((4000,)), None)], 3),
+            lambda: random_causal_channel(UNIT, System((10**5,))),
+            lambda: _random_causal_channels(np.random.default_rng(0), [(UNIT, System((4000,)))], 3),
         ],
         ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus", "identity-huge", "density", "channel-stack", "channel-draw"],
     )
@@ -209,7 +204,7 @@ class TestGenerators:
 
     def test_state_applies_to_scalar(self):
         rho = np.diag([0.25, 0.75])
-        st_p = make_state(rho, A)
+        st_p = Process(UNIT, A, rho)
         assert np.allclose(apply_to_state(st_p, [[1.0]]), rho)
 
     def test_kraus_channel_matches_kraus_action(self):
@@ -381,12 +376,12 @@ class TestBending:
         assert np.allclose(loop.choi, [[9.0]])
 
     def test_bend_of_identity_is_cup(self):
-        assert processes_close(bend(identity_process(A)), cup(A), 1e-12)
+        assert processes_close(move_boundary(identity_process(A), 0), cup(A), 1e-12)
 
     def test_move_boundary_is_data_identity(self):
         rng = np.random.default_rng(8)
         f = random_process(rng, System((2, 3)), System((2,)))
-        assert processes_close(move_boundary(bend(f), 2), f, 0.0)
+        assert processes_close(move_boundary(move_boundary(f, 0), 2), f, 0.0)
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -525,12 +520,6 @@ class TestRandomChannels:
         w = np.linalg.eigvalsh(ch.choi)
         assert w.min() > -1e-9
 
-    def test_env_dim_controls_kraus_rank(self):
-        ch = random_causal_channel(A, A, env_dim=1, seed=3)
-        # Rank-one environment means a unitary channel: Choi rank 1, trace 2.
-        w = np.linalg.eigvalsh(ch.choi)
-        assert np.isclose(w[-1], 2.0) and np.all(w[:-1] < 1e-9)
-
     def test_density_is_normalized_state(self):
         rho = random_density(B, seed=4)
         assert np.isclose(np.trace(rho), 1.0)
@@ -538,13 +527,12 @@ class TestRandomChannels:
 
 
 
-# (in_sys, out_sys, env_dim) of the stacked-draw reference checks.
+# (in_sys, out_sys) of the stacked-draw reference checks.
 CHANNEL_SPECS = [
-    (System((1,)), System((2,)), None),
-    (System((2,)), System((3,)), None),
-    (System((3,)), System((2,)), None),
-    (System((2, 2)), System((2, 2)), None),
-    (System((2,)), System((2,)), 3),
+    (System((1,)), System((2,))),
+    (System((2,)), System((3,))),
+    (System((3,)), System((2,))),
+    (System((2, 2)), System((2, 2))),
 ]
 
 
@@ -554,7 +542,7 @@ def assert_bit_equal(got, want):
 
 
 class TestStackedDraw:
-    @pytest.mark.parametrize("spec", CHANNEL_SPECS, ids=lambda s: f"{s[0].dims}->{s[1].dims} env={s[2]}")
+    @pytest.mark.parametrize("spec", CHANNEL_SPECS, ids=lambda s: f"{s[0].dims}->{s[1].dims}")
     def test_equals_drawing_one_at_a_time(self, spec):
         got = _random_causal_channels(np.random.default_rng(5), [spec], 4)
         rng = np.random.default_rng(5)
@@ -579,16 +567,6 @@ class TestStackedDraw:
         for phi, psi in got:
             assert_bit_equal(phi, random_causal_channel_one_at_a_time(System((in_dims[0],)), System((out_dims[0],)), seed=rng))
             assert_bit_equal(psi, random_causal_channel_one_at_a_time(System((in_dims[1],)), System((out_dims[1],)), seed=rng))
-
-    def test_an_environment_too_small_raises_before_drawing(self):
-        rng = np.random.default_rng(10)
-        state = rng.bit_generator.state
-        with pytest.raises(DimensionError, match="too small"):
-            _random_causal_channels(rng, [CHANNEL_SPECS[0], (System((3,)), System((2,)), 1)], 2)
-        assert rng.bit_generator.state == state
-        with pytest.raises(DimensionError, match="too small"):
-            random_causal_channel(System((3,)), System((2,)), env_dim=1, seed=rng)
-        assert rng.bit_generator.state == state
 
 
 class TestWireFormat:
