@@ -29,6 +29,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .affine import decompose_nonsignalling, random_product_span
 from .dsl import evaluate
 from .errors import (
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
 from .predicates import is_causal, is_nonsignalling, is_soc, is_soc2
-from .process import Process, _sides, process_from_dict
+from .process import Process, _read_json, _sides, process_from_dict
 from .supermap import supermap_from_dict, supermap_from_process
 from .tensor import DEFAULT_EPS
 
@@ -87,11 +89,6 @@ def _resolve_eps(args) -> float:
     return DEFAULT_EPS
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -121,16 +118,21 @@ def _process_document(p: Process) -> str:
 def _cmd_eval(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
-    proc = evaluate(text, base_dir=os.path.dirname(os.path.abspath(args.file)))
+    # Finite boxes can still compose to entries past the float range; the
+    # result is checked for that below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        proc = evaluate(text, base_dir=os.path.dirname(os.path.abspath(args.file)))
     if proc is None:
         print("error: diagram holds only declarations, nothing to evaluate", file=sys.stderr)
         return 2
+    if not np.isfinite(proc.tensor).all():
+        raise DimensionError("the diagram's Choi matrix overflowed: some entries are not finite numbers")
     sys.stdout.write(_process_document(proc) + "\n")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    p = process_from_dict(_load_json(args.file))
+    p = process_from_dict(_read_json(args.file))
     if args.split is not None:
         _check_split(p, args.split, "--split")
     eps = _resolve_eps(args)
@@ -146,7 +148,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_soc(args) -> int:
-    p = process_from_dict(_load_json(args.file))
+    p = process_from_dict(_read_json(args.file))
     _check_split(p, args.slots, "--slots")
     verdict = is_soc(p, in_split=args.slots[0], out_split=args.slots[1], eps=_resolve_eps(args))
     _emit({"soc": {"holds": verdict.holds, "residual": verdict.residual}})
@@ -154,7 +156,7 @@ def _cmd_soc(args) -> int:
 
 
 def _cmd_soc2(args) -> int:
-    data = _load_json(args.file)
+    data = _read_json(args.file)
     if args.slots is not None:
         a1, a2, b1, b2 = args.slots
         p = process_from_dict(data)
@@ -169,7 +171,7 @@ def _cmd_soc2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w = supermap_from_dict(_load_json(args.file))
+    w = supermap_from_dict(_read_json(args.file))
     config = HarnessConfig(
         trials=args.trials, seed=args.seed, ancilla_dim=args.dims, eps=_resolve_eps(args)
     )
@@ -181,7 +183,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    f = process_from_dict(_load_json(args.file))
+    f = process_from_dict(_read_json(args.file))
     ins, outs = args.split
     if not (0 < ins < len(f.in_sys)) or not (0 < outs < len(f.out_sys)):
         raise ValueError(f"--split {ins} {outs} must leave each side an input and an output factor")

@@ -21,7 +21,6 @@ Parsing raises :class:`DiagramSyntaxError` and evaluation raises
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from typing import NamedTuple, Union
 from .errors import DiagramSyntaxError, DiagramTypeError
 from .process import (
     Process,
+    _read_json,
     cap,
     compose_par,
     compose_seq,
@@ -355,8 +355,8 @@ def build_environment(program: Program, base_dir: str = ".") -> tuple[dict[str, 
             continue
         in_sys = _resolve(systems, d.in_type, d.line, d.col)
         out_sys = _resolve(systems, d.out_type, d.line, d.col)
-        with open(os.path.join(base_dir, d.path)) as fh:  # an absolute path stays as it is
-            body = process_from_dict(json.load(fh))
+        # An absolute path stays as it is.
+        body = process_from_dict(_read_json(os.path.join(base_dir, d.path)))
         if body.in_sys.dims != in_sys.dims or body.out_sys.dims != out_sys.dims:
             raise DiagramTypeError(
                 f"box {d.name!r} declared {in_sys.dims} -> {out_sys.dims} "

@@ -33,6 +33,8 @@ one-channel case.
 
 from __future__ import annotations
 
+import json
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -112,6 +114,11 @@ def processes_close(f: Process, g: Process, eps: float) -> bool:
     return norm(f.choi - g.choi) <= eps
 
 
+# numpy asks for huge pages (MADV_HUGEPAGE) on Linux for every allocation
+# this large, and _wiring maps a body of this size instead.
+_MAPPED_BYTES = 1 << 22
+
+
 def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     """The process that only connects wires; the one writer of a wiring
     pattern.  Each branch lists wires over the factors ``in_sys + out_sys``:
@@ -119,7 +126,13 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     and ``(i, j, k)`` holds both at value ``k``; values on one factor add.
     The Choi matrix is 1 on the rows and columns of the basis vectors on
     which every wire of one branch agrees (branches pick disjoint sets) and
-    0 elsewhere.  Its size is checked before any index is computed."""
+    0 elsewhere.  Its size is checked before any index is computed.
+
+    A body of :data:`_MAPPED_BYTES` or more starts as a private anonymous
+    mapping (POSIX), whose pages all read the kernel's zero page until
+    written, so only the pages that hold ones take memory; ``np.zeros``
+    would get huge pages there, which the scattered ones back in full.  A
+    smaller body comes from ``np.zeros``, which is faster to make."""
     dims = in_sys.dims + out_sys.dims
     side = prod(dims)
     check_size((side, side), "wiring body")
@@ -132,7 +145,12 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
             found = [r + v * step for r in found for v in value or range(min(dims[i], dims[j]))]
         rows += found
     rows = np.array(rows)
-    c = np.zeros((side, side), dtype=complex)
+    nbytes = side * side * np.dtype(complex).itemsize
+    if nbytes >= _MAPPED_BYTES:
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        c = np.frombuffer(buf, dtype=complex).reshape(side, side)
+    else:
+        c = np.zeros((side, side), dtype=complex)
     c[rows[:, None], rows] = 1
     return Process._adopt(in_sys, out_sys, c)
 
@@ -368,6 +386,17 @@ def process_to_dict(p: Process) -> dict:
     """Wire format: dims plus the Choi matrix as nested [re, im] pairs."""
     c = np.stack([p.choi.real, p.choi.imag], axis=-1)
     return {"in": list(p.in_sys.dims), "out": list(p.out_sys.dims), "choi": c.tolist()}
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``.  A document nested too
+    deeply for the parser is a :class:`DimensionError`, as other malformed
+    records are."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DimensionError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _json_dims(value, what: str) -> tuple[int, ...]:

@@ -53,7 +53,6 @@ from soclab.supermap import (
     dress_slots,
     fixed_order_a_then_b,
     fixed_order_b_then_a,
-    insert,
     insert_merged,
     mix,
 )

@@ -387,6 +387,22 @@ class TestErrorPaths:
         code, out, err = run(argv, capsys)
         assert code == 3 and not out and "exceeds limit" in err
 
+    @pytest.mark.parametrize("command, file", [("classify", "deep.json"), ("eval", "deep.diag")])
+    def test_a_choi_nested_too_deeply_for_the_parser_is_a_malformed_file(self, command, file, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text('{"in": [2], "out": [2], "choi": ' + "[" * 5000 + "]" * 5000 + "}")
+        (tmp_path / "deep.diag").write_text('system Q = 2 ;\nbox f : Q -> Q @ "deep.json" ;\nf\n')
+        code, out, err = run([command, str(tmp_path / file)], capsys)
+        assert code == 3 and not out and err.startswith("error:") and "nested too deeply" in err
+
+    def test_an_eval_that_overflows_is_refused(self, tmp_path, capsys):
+        # Each entry of f is finite, but f ; f holds 1e320, past the float
+        # range; the result must not be written with Infinity and NaN in it.
+        f = identity_process(System((2,)))
+        (tmp_path / "big.json").write_text(json.dumps(process_to_dict(Process(f.in_sys, f.out_sys, f.choi * 1e160))))
+        (tmp_path / "big.diag").write_text('system Q = 2 ;\nbox f : Q -> Q @ "big.json" ;\nf ; f\n')
+        code, out, err = run(["eval", str(tmp_path / "big.diag")], capsys)
+        assert code == 3 and not out and err.startswith("error:") and "not finite" in err
+
     def test_oversized_system_is_a_dimension_error(self, tmp_path, capsys):
         # The identity on a million dimensions must be refused before numpy
         # is asked for it, not die with a MemoryError traceback.

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from soclab.extras import quantum_switch
-from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
+from soclab.predicates import is_soc2, is_soc2_oracle
 from soclab.process import (
     channel_from_kraus,
     processes_close,

@@ -758,6 +758,45 @@ class TestMarginalsReadInPlace:
         assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-9 * max(1.0, want.residual)
 
 
+def _huge_pages_always() -> bool:
+    """Whether the kernel backs every anonymous mapping with huge pages."""
+    try:
+        return "[always]" in Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status to read VmRSS")
+@pytest.mark.skipif(_huge_pages_always(), reason="with huge pages always on, a private mapping takes them too")
+class TestWiringBodiesStayUnbacked:
+    # A ququart fixed order has a 4096 x 4096 body (268 MB) holding 4096
+    # ones.  Its zeros must take no memory, neither when it is built nor
+    # when the closed-form verdicts read it.  In a child process, so that
+    # what earlier tests left in the allocator cannot move VmRSS.
+    SCRIPT = (
+        "from soclab.predicates import is_nonsignalling, is_soc, is_soc2\n"
+        "from soclab.supermap import fixed_order_a_then_b, merged_slot_process\n"
+        "from test_predicates import flip\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith('VmRSS:'))\n"
+        "before = rss()\n"
+        "w = fixed_order_a_then_b(4, 4, 4, 4)\n"
+        "built = rss()\n"
+        "verdicts = is_soc2(w), is_nonsignalling(flip(w), 1, 1), is_soc(merged_slot_process(w), 2, 1)\n"
+        "print(built - before, rss() - built, *(v.holds for v in verdicts))\n"
+    )
+
+    def test_building_and_deciding_a_ququart_order_back_few_pages(self):
+        tests = Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(soclab.__file__).parent.parent), str(tests)])}
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, check=True, env=env).stdout
+        built, decided, *holds = out.split()
+        assert holds == ["True", "True", "False"]
+        assert int(built) < 16 << 20
+        assert int(decided) < 32 << 20
+
+
 class TestReconstruction:
     def test_probe_states_are_causal_and_complete(self):
         states = probe_states(3)
