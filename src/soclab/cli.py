@@ -274,9 +274,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def app() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

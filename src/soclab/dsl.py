@@ -15,7 +15,9 @@ first), ``*`` is side-by-side placement and binds tighter.  Builtins are
 names the empty type.  Box bodies are loaded from process files, resolved
 relative to the diagram's own directory.
 
-Parsing raises :class:`DiagramSyntaxError` and evaluation raises
+A chain of one operator parses to one node, :class:`SeqComp` or
+:class:`ParComp`, holding its parts in order, so only parentheses nest
+nodes.  Parsing raises :class:`DiagramSyntaxError` and evaluation raises
 :class:`DiagramTypeError`, both carrying line and column.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple, Union
 
 from .errors import DiagramSyntaxError, DiagramTypeError
@@ -45,8 +48,9 @@ KEYWORDS = ("system", "box")
 # name -> (constructor, number of system arguments)
 BUILTINS = {"id": (identity_process, 1), "swap": (swap_process, 2), "cup": (cup, 1), "cap": (cap, 1), "discard": (discard_process, 1)}
 RESERVED = {*KEYWORDS, *BUILTINS, "I"}
-# Each level of parentheses costs the parser three stack frames; this bound
-# keeps a parse well inside Python's recursion limit.
+# Each level of parentheses costs the parser three stack frames, and ``==``,
+# ``unparse_expr`` and ``eval_expr`` a few more; this bound keeps them all
+# well inside Python's recursion limit.
 _MAX_NESTING = 100
 
 # One alternative per token class, tried in order at each position.  A name
@@ -119,41 +123,20 @@ class Builtin:
     col: int = field(compare=False, repr=False)
 
 
-def _same_tree(e: "Expr", other) -> bool:
-    """``e == other`` for a composition, compared with an explicit stack so
-    that trees of any depth compare; positions are not compared."""
-    if type(other) is not type(e):
-        return NotImplemented
-    todo = [(e, other)]
-    while todo:
-        a, b = todo.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (SeqComp, ParComp)):
-            todo += [(a.right, b.right), (a.left, b.left)]
-        elif a != b:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SeqComp:
-    left: "Expr"
-    right: "Expr"
-    line: int = field(compare=False, repr=False)
-    col: int = field(compare=False, repr=False)
+    """``parts[0] ; parts[1] ; ...``, run left to right; ``ops`` holds the
+    ``(line, col)`` of each ``;``."""
 
-    __eq__ = _same_tree
+    parts: tuple["Expr", ...]
+    ops: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ParComp:
-    left: "Expr"
-    right: "Expr"
-    line: int = field(compare=False, repr=False)
-    col: int = field(compare=False, repr=False)
+    """``parts[0] * parts[1] * ...``, side by side."""
 
-    __eq__ = _same_tree
+    parts: tuple["Expr", ...]
 
 
 Expr = Union[Ref, Builtin, SeqComp, ParComp]
@@ -230,20 +213,25 @@ class _Parser:
         return tuple(names)
 
     def parse_seq(self) -> Expr:
-        node = self.parse_par()
+        parts, ops = [self.parse_par()], []
         while self.peek().kind == ";":
             op = self.advance()
             if self.peek().kind == "eof":
                 raise DiagramSyntaxError("expected expression after ';'", op.line, op.col)
-            node = SeqComp(node, self.parse_par(), op.line, op.col)
-        return node
+            parts.append(self.parse_par())
+            ops.append((op.line, op.col))
+        if ops and isinstance(parts[0], SeqComp):  # (a ; b) ; c is a ; b ; c, composed in the same order
+            parts[:1], ops[:0] = parts[0].parts, parts[0].ops
+        return SeqComp(tuple(parts), tuple(ops)) if ops else parts[0]
 
     def parse_par(self) -> Expr:
-        node = self.parse_atom()
+        parts = [self.parse_atom()]
         while self.peek().kind == "*":
-            op = self.advance()
-            node = ParComp(node, self.parse_atom(), op.line, op.col)
-        return node
+            self.advance()
+            parts.append(self.parse_atom())
+        if len(parts) > 1 and isinstance(parts[0], ParComp):
+            parts[:1] = parts[0].parts
+        return ParComp(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def parse_atom(self) -> Expr:
         t = self.peek()
@@ -297,31 +285,17 @@ def unparse(program: Program) -> str:
 
 
 def unparse_expr(e: Expr) -> str:
-    """The text that parses back to ``e``, bracketing only what left
-    association and ``*`` binding tighter than ``;`` do not already say.
-    Written with an explicit stack, so a chain of any length prints."""
-    out: list[str] = []
-    # Each entry is text to emit or an expression with the binding level
-    # of its place: 0 anywhere, 1 a left operand of ``*`` or right operand
-    # of ``;``, 2 a right operand of ``*``.
-    todo: list = [(e, 0)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        e, level = item
-        if isinstance(e, Ref):
-            out.append(e.name)
-        elif isinstance(e, Builtin):
-            out.append(f"{e.kind}[{', '.join(e.args)}]")
-        else:
-            bind = 1 if isinstance(e, ParComp) else 0
-            if bind < level:
-                out.append("(")
-                todo.append(")")
-            todo += [(e.right, bind + 1), " * " if bind else " ; ", (e.left, bind)]
-    return "".join(out)
+    """The text that parses back to ``e``: a part is bracketed only where
+    ``*`` binding tighter, or a leading chain being spliced, would misread it."""
+    if isinstance(e, Ref):
+        return e.name
+    if isinstance(e, Builtin):
+        return f"{e.kind}[{', '.join(e.args)}]"
+    texts = [unparse_expr(p) for p in e.parts]
+    for k, p in enumerate(e.parts):
+        if isinstance(p, SeqComp) and isinstance(e, ParComp) or type(p) is type(e) and k > 0:
+            texts[k] = f"({texts[k]})"
+    return (" * " if isinstance(e, ParComp) else " ; ").join(texts)
 
 
 def _resolve(systems: dict[str, int], names: tuple[str, ...], line: int, col: int) -> System:
@@ -369,32 +343,25 @@ def build_environment(program: Program, base_dir: str = ".") -> tuple[dict[str, 
 
 
 def eval_expr(e: Expr, systems: dict[str, int], boxes: dict[str, Process]) -> Process:
-    # A chain ``a ; b ; c`` parses as a left spine; walk it in a loop, so
-    # only parentheses (whose depth the parser bounds) cost recursion.
-    spine = []
-    while isinstance(e, (SeqComp, ParComp)):
-        spine.append(e)
-        e = e.left
+    # Parts compose left to right, so only parentheses (whose depth the
+    # parser bounds) cost recursion.
     if isinstance(e, Builtin):
         make, _ = BUILTINS[e.kind]
-        result = make(*(_resolve(systems, (a,), e.line, e.col) for a in e.args))
-    elif e.name in boxes:
-        result = boxes[e.name]
-    else:
+        return make(*(_resolve(systems, (a,), e.line, e.col) for a in e.args))
+    if isinstance(e, Ref):
+        if e.name in boxes:
+            return boxes[e.name]
         hint = " (it names a system)" if e.name in systems else ""
         raise DiagramTypeError(f"unknown box {e.name!r}{hint}", e.line, e.col)
-    for node in reversed(spine):
-        right = eval_expr(node.right, systems, boxes)
-        if isinstance(node, ParComp):
-            result = compose_par(result, right)
-        elif result.out_sys.dims == right.in_sys.dims:
-            result = compose_seq(result, right)
-        else:
-            raise DiagramTypeError(
-                f"cannot chain: left side produces {result.out_sys.dims}, right side expects {right.in_sys.dims}",
-                node.line,
-                node.col,
-            )
+    if isinstance(e, ParComp):
+        return reduce(compose_par, (eval_expr(p, systems, boxes) for p in e.parts))
+    result = eval_expr(e.parts[0], systems, boxes)
+    for part, (line, col) in zip(e.parts[1:], e.ops, strict=True):
+        right = eval_expr(part, systems, boxes)
+        if result.out_sys.dims != right.in_sys.dims:
+            message = f"cannot chain: left side produces {result.out_sys.dims}, right side expects {right.in_sys.dims}"
+            raise DiagramTypeError(message, line, col)
+        result = compose_seq(result, right)
     return result
 
 

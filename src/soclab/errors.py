@@ -13,8 +13,8 @@ class ReconstructionError(ArithmeticError):
     """Channel tomography hit a singular or inconsistent linear system."""
 
 
-class DiagramSyntaxError(ValueError):
-    """Source text for a diagram failed to parse."""
+class _AtPosition(Exception):
+    """An error at a line and column of a diagram's source text."""
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -22,11 +22,9 @@ class DiagramSyntaxError(ValueError):
         self.col = col
 
 
-class DiagramTypeError(TypeError):
-    """A parsed diagram is wired inconsistently with its declarations."""
+class DiagramSyntaxError(_AtPosition, ValueError):
+    """Source text for a diagram failed to parse."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        where = f"{line}:{col}: " if line is not None else ""
-        super().__init__(where + message)
-        self.line = line
-        self.col = col
+
+class DiagramTypeError(_AtPosition, TypeError):
+    """A parsed diagram is wired inconsistently with its declarations."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import hypot, prod, sqrt
+from math import hypot, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -210,8 +210,10 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
     gap_cross = norm(_defect(m, d5, 3, 1))
 
-    residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
     parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}
+    residual = sqrt(sum(g * g for g in parts.values()))
+    if not isfinite(residual):  # a part past about 1e154 overflows when squared
+        residual = hypot(*parts.values())
     return CausalVerdict(residual <= eps, float(residual), None, parts)
 
 

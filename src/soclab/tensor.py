@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import prod, sqrt
+from math import isfinite, prod, sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -264,7 +264,14 @@ def norm(x: np.ndarray | Iterable) -> float:
     contiguous float view, complex entries read as interleaved re/im, so
     contiguous input is neither copied nor squared into a temporary."""
     v = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).reshape(-1).view(float)
-    return sqrt(np.einsum("i,i->", v, v))
+    total = np.einsum("i,i->", v, v)
+    if not isfinite(total) and np.isfinite(v).all():
+        # Squares of entries past about 1e154 overflow; scaling by a power
+        # of two brings the largest below 1 and is exact.
+        scale = 2.0 ** -int(np.frexp(np.abs(v).max())[1])
+        v = v * scale
+        return sqrt(np.einsum("i,i->", v, v)) / scale
+    return sqrt(total)
 
 
 def is_hermitian(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:

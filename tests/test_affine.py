@@ -180,6 +180,10 @@ class TestControlledChannel:
         assert ctrl.out_sys.dims == (2,)
         assert is_causal(ctrl)
 
+    def test_no_branches_rejected(self):
+        with pytest.raises(DimensionError, match="^need at least one branch$"):
+            controlled_local_channel([])
+
     def test_mismatched_branches_rejected(self):
         a = random_causal_channel(System((2,)), System((2,)), seed=0)
         b = random_causal_channel(System((3,)), System((2,)), seed=1)
@@ -188,6 +192,10 @@ class TestControlledChannel:
 
 
 class TestRealize:
+    def test_an_empty_combination_is_refused(self):
+        with pytest.raises(DimensionError, match="^affine combination needs at least one term$"):
+            AffineCombination(())
+
     def test_routes_agree(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 5):
@@ -297,6 +305,11 @@ class TestDecompose:
         # coefficients themselves are only identified when the family is
         # affinely independent; six generic terms are, so compare directly
         assert np.allclose(got, r, atol=1e-6)
+
+    def test_an_empty_family_is_refused(self):
+        f = realize_affine(AffineCombination(((1.0, *random_product_span(1, seed=4)[0]),)))
+        with pytest.raises(DimensionError, match="^need a non-empty spanning family$"):
+            decompose_nonsignalling(f, [])
 
     def test_small_family_is_deficient(self):
         span = random_product_span(6, seed=3)

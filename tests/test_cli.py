@@ -353,6 +353,38 @@ class TestErrorPaths:
         code, out, err = run([command, str(bad_file)], capsys)
         assert code == 3 and not out and f"{keys[-1]} must be a list of integers" in err
 
+    def test_dims_that_do_not_match_the_choi_side_are_a_malformed_file(self, tmp_path, capsys):
+        record = json.loads((GOLDEN / "identity_channel.json").read_text())
+        record["in"] = [3]
+        path = tmp_path / "wrong_side.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(["classify", str(path)], capsys)
+        assert (code, out, err) == (3, "", "error: expected side 6, got 4\n")
+
+    @pytest.mark.parametrize(
+        "command, name, flags",
+        [
+            (["classify"], "identity_channel.json", []),
+            (["soc"], "cup_loop.json", ["--slots", "1", "1"]),
+            (["soc2"], "fixed_order_a_then_b.json", []),
+            (["verify", "theorem1"], "fixed_order_a_then_b.json", ["--trials", "2"]),
+        ],
+        ids=["classify", "soc", "soc2", "verify"],
+    )
+    def test_residuals_of_large_finite_entries_are_json_numbers(self, command, name, flags, tmp_path, capsys):
+        # Squared, an entry of 1e200 overflows; its residual must still be
+        # a JSON number, not Infinity.
+        record = json.loads((GOLDEN / name).read_text())
+        record.get("process", record)["choi"][0][0] = [1e200, 0.0]
+        (tmp_path / name).write_text(json.dumps(record))
+        code, out, _ = run([*command, str(tmp_path / name), *flags], capsys)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert code == 1
+        for doc in out.splitlines() if command[0] == "verify" else [out]:
+            json.loads(doc, parse_constant=refuse)
 
     def test_a_digit_int_cannot_read_is_a_syntax_error(self, tmp_path, capsys):
         d = tmp_path / "superscript.diag"

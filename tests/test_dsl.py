@@ -27,6 +27,7 @@ from soclab.errors import DiagramSyntaxError, DiagramTypeError, DimensionError
 from soclab.process import (
     cap,
     compose_par,
+    compose_seq,
     cup,
     discard_process,
     identity_process,
@@ -183,20 +184,24 @@ class TestParser:
         assert isinstance(prog.expr, SeqComp)
 
     def test_par_binds_tighter(self):
-        prog = parse("a ; b * c")
-        e = prog.expr
-        assert isinstance(e, SeqComp)
-        assert isinstance(e.right, ParComp)
+        assert parse("a ; b * c").expr == SeqComp((ref("a"), ParComp((ref("b"), ref("c")))), ())
 
     def test_parens_override(self):
-        e = parse("(a ; b) * c").expr
-        assert isinstance(e, ParComp)
-        assert isinstance(e.left, SeqComp)
+        assert parse("(a ; b) * c").expr == ParComp((SeqComp((ref("a"), ref("b")), ()), ref("c")))
 
-    def test_seq_is_left_associative(self):
-        e = parse("a ; b ; c").expr
-        assert isinstance(e.left, SeqComp)
-        assert isinstance(e.right, Ref)
+    def test_a_chain_is_one_node_with_its_parts_in_order(self):
+        e = parse("a ; b ; c\n; d").expr
+        assert e == SeqComp(tuple(map(ref, "abcd")), ())
+        assert e.ops == ((1, 3), (1, 7), (2, 1))
+        assert parse("a * b * c * d").expr == ParComp(tuple(map(ref, "abcd")))
+
+    def test_a_leading_bracketed_chain_is_spliced_and_a_later_one_nests(self):
+        e = parse("(a ; b) ; c").expr
+        assert e == parse("a ; b ; c").expr and e.ops == ((1, 4), (1, 9))
+        assert parse("(a * b) * c").expr == parse("a * b * c").expr
+        assert parse("a ; (b ; c)").expr == SeqComp((ref("a"), SeqComp((ref("b"), ref("c")), ())), ())
+        assert parse("a ; (b ; c)").expr != parse("a ; b ; c").expr
+        assert parse("a * (b * c)").expr != parse("a * b * c").expr
 
     def test_nesting_past_the_limit_is_a_syntax_error(self):
         ok = "(" * 100 + "f" + ")" * 100
@@ -251,21 +256,30 @@ EXPR_NAMES = st.sampled_from(["f", "g", "h"])
 SYS_NAMES = st.sampled_from(["A", "B"])
 
 
+def ref(name):
+    return Ref(name, 0, 0)
+
+
 def exprs():
     leaves = st.one_of(
-        st.builds(lambda n: Ref(n, 0, 0), EXPR_NAMES),
+        st.builds(ref, EXPR_NAMES),
         st.builds(lambda a: Builtin("id", (a,), 0, 0), SYS_NAMES),
         st.builds(lambda a, b: Builtin("swap", (a, b), 0, 0), SYS_NAMES, SYS_NAMES),
         st.builds(lambda a: Builtin("cup", (a,), 0, 0), SYS_NAMES),
     )
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.builds(lambda l, r: SeqComp(l, r, 0, 0), inner, inner),
-            st.builds(lambda l, r: ParComp(l, r, 0, 0), inner, inner),
-        ),
-        max_leaves=12,
-    )
+
+    def chain(kind, parts):
+        # The parser splices a leading chain of its parent's kind, so a
+        # node's first part is never of that kind.
+        if isinstance(parts[0], kind):
+            parts = [*parts[0].parts, *parts[1:]]
+        return SeqComp(tuple(parts), ((0, 0),) * (len(parts) - 1)) if kind is SeqComp else ParComp(tuple(parts))
+
+    def chains(inner):
+        parts = st.lists(inner, min_size=2, max_size=4)
+        return st.one_of(st.builds(chain, st.just(SeqComp), parts), st.builds(chain, st.just(ParComp), parts))
+
+    return st.recursive(leaves, chains, max_leaves=12)
 
 
 class TestUnparse:
@@ -287,6 +301,15 @@ class TestUnparse:
         assert parse(text) == prog
         assert unparse(parse(text)) == text
         assert text.count("(") == 0
+
+    def test_parentheses_nested_to_the_limit_compare_and_print(self):
+        def nested(inner):
+            return "system Q = 2 ;\n" + "id[Q] ; (" * 100 + inner + ")" * 100 + "\n"
+
+        prog = parse(nested("id[Q] ; id[Q]"))
+        assert parse(nested("id[Q] ; id[Q]")) == prog
+        assert parse(nested("id[Q] ; cap[Q]")) != prog
+        assert unparse(prog) == nested("id[Q] ; id[Q]")
 
     def test_long_chains_that_differ_at_the_far_end_compare_unequal(self):
         terms = ["id[Q]"] * 1200
@@ -359,6 +382,12 @@ class TestEvaluation:
         assert err.value.line == 3
         assert "(2,)" in str(err.value) and "(3,)" in str(err.value)
 
+    @pytest.mark.parametrize("chain, where", [("id[Q] ; id[Q]\n  ; id[R]", (4, 3)), ("(id[Q] ; id[Q]) ; id[R] ; id[R]", (3, 17))])
+    def test_a_mismatch_in_a_chain_is_reported_at_its_own_semicolon(self, chain, where):
+        with pytest.raises(DiagramTypeError) as err:
+            evaluate("system Q = 2 ;\nsystem R = 3 ;\n" + chain)
+        assert (err.value.line, err.value.col) == where
+
     def test_name_errors(self):
         with pytest.raises(DiagramTypeError):
             evaluate("id[Q]")
@@ -387,6 +416,24 @@ class TestEvaluation:
         want = identity_process(System((2,)))
         assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
         assert np.array_equal(got.choi, want.choi)
+
+    def test_parentheses_nested_to_the_limit_evaluate(self):
+        got = evaluate("system Q = 2 ;\n" + "id[Q] ; (" * 100 + "id[Q] ; id[Q]" + ")" * 100)
+        want = identity_process(System((2,)))
+        assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
+        assert np.array_equal(got.choi, want.choi)
+
+    def test_chains_compose_in_the_order_they_are_bracketed(self, tmp_path):
+        write_box(tmp_path / "f.json", random_causal_channel(System((2,)), System((2,)), seed=8))
+        decls = 'system Q = 2 ;\nbox f : Q -> Q @ "f.json" ;\n'
+        f = evaluate(decls + "f", base_dir=str(tmp_path))
+        assert parse(decls + "f ; (f ; f)") != parse(decls + "f ; f ; f")
+        assert parse(decls + "(f ; f) ; f") == parse(decls + "f ; f ; f")
+        nested = evaluate(decls + "f ; (f ; f)", base_dir=str(tmp_path))
+        assert np.array_equal(nested.choi, compose_seq(f, compose_seq(f, f)).choi)
+        spliced = evaluate(decls + "(f ; f) ; f", base_dir=str(tmp_path))
+        assert np.array_equal(spliced.choi, compose_seq(compose_seq(f, f), f).choi)
+        assert np.array_equal(spliced.choi, evaluate(decls + "f ; f ; f", base_dir=str(tmp_path)).choi)
 
     def test_declarations_only(self):
         assert evaluate("system Q = 2 ;") is None

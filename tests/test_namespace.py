@@ -50,18 +50,38 @@ def public_definitions(path):
                 yield name, node.lineno
 
 
+def code_references(tree):
+    """Every name that ``tree`` reads, looks up as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
 def test_every_public_name_is_used_or_documented():
     # A public name that only the tests use is an option or alias nobody
-    # else needs: it must be used by another line of the package, by the
-    # scripts, the bench or the project file, or be documented in README.
-    lines = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
-    outside = [ROOT / "README.md", ROOT / "pyproject.toml", *(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    outside_text = "\n".join(path.read_text() for path in outside)
+    # else needs: code of the package (outside the name's own definition),
+    # the scripts or the bench must use it, an entry point of the project
+    # file must name it, or README must document it.  Docstrings and
+    # comments do not count.
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    used |= set(re.findall(r'^[\w-]+\s*=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(), re.M))
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        used |= set(code_references(ast.parse(path.read_text())))
+    modules = {path: ast.parse(path.read_text()).body for path in sorted(PACKAGE.glob("*.py"))}
     unused = []
-    for path in lines:
+    for path in modules:
         for name, lineno in public_definitions(path):
-            word = re.compile(rf"\b{name}\b")
-            elsewhere = (line for p, ls in lines.items() for k, line in enumerate(ls, 1) if (p, k) != (path, lineno))
-            if not word.search(outside_text) and not any(word.search(line) for line in elsewhere):
+            elsewhere = (
+                ref
+                for p, stmts in modules.items()
+                for stmt in stmts
+                if (p, stmt.lineno) != (path, lineno)
+                for ref in code_references(stmt)
+            )
+            if name not in used and name not in elsewhere:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names used only by the tests: {unused}"

@@ -498,6 +498,13 @@ class TestNonSignalling:
         with pytest.raises(DimensionError):
             make_strongly_nonsignalling(psi_a, psi_b, shared)
 
+    def test_the_shared_part_must_be_a_state(self):
+        psi_a = random_causal_channel(System((2, 2)), Q, seed=0)
+        psi_b = random_causal_channel(System((2, 2)), Q, seed=1)
+        not_a_state = identity_process(System((2, 2)))
+        with pytest.raises(DimensionError, match=r"^the shared resource must be a state \(no inputs\)$"):
+            make_strongly_nonsignalling(psi_a, psi_b, not_a_state)
+
 
 def causal_affine_basis_by_kron(d_in: int, d_out: int) -> np.ndarray:
     """The basis as it was built before it was written in place: one kron

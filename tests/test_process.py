@@ -378,6 +378,12 @@ class TestBending:
     def test_bend_of_identity_is_cup(self):
         assert processes_close(move_boundary(identity_process(A), 0), cup(A), 1e-12)
 
+    @pytest.mark.parametrize("n_in", [-1, 5])
+    def test_move_boundary_out_of_range_is_refused(self, n_in):
+        f = identity_process(System((2, 3)))
+        with pytest.raises(DimensionError, match=f"^n_in={n_in} out of range for 4 factors$"):
+            move_boundary(f, n_in)
+
     def test_move_boundary_is_data_identity(self):
         rng = np.random.default_rng(8)
         f = random_process(rng, System((2, 3)), System((2,)))

@@ -553,6 +553,12 @@ class TestWireFormat:
         again = supermap_from_process(flat, (2, 2), (2, 2))
         assert processes_close(again.body, w.body, 0.0)
 
+    def test_from_process_needs_two_outputs(self):
+        w = fixed_order_a_then_b(2, 2, 2, 2)
+        one_output = Process(System((4, 4)), System((4,)), w.body.choi)
+        with pytest.raises(DimensionError, match="^supermap body needs exactly two output factors, got 1$"):
+            supermap_from_process(one_output, (2, 2), (2, 2))
+
     def test_bad_records_raise(self):
         w = fixed_order_a_then_b(2, 2, 2, 2)
         d = supermap_to_dict(w)

@@ -11,6 +11,7 @@ from soclab.tensor import (
     MAX_SIDE,
     System,
     UNIT,
+    as_matrix,
     check_size,
     hermitian_basis,
     is_hermitian,
@@ -362,6 +363,21 @@ class TestNorm:
         assert type(got) is float
         assert math.isclose(got, np.linalg.norm(x.ravel()), rel_tol=1e-13)
 
+    @pytest.mark.parametrize(
+        "x",
+        [np.array([1e200, 1e200]), np.array([[1e200j, 3.0], [-1e-300, 1e180]]), np.array([1.7e308, 1.0])],
+        ids=["two-large", "mixed-complex", "near-the-float-range"],
+    )
+    def test_entries_whose_squares_overflow_give_a_finite_norm(self, x):
+        got = norm(x)
+        assert type(got) is float and math.isfinite(got)
+        assert math.isclose(got, math.hypot(*np.abs(x).ravel()), rel_tol=1e-15)
+
+    def test_non_finite_entries_and_a_norm_past_the_float_range_stay_non_finite(self):
+        assert norm([np.inf, 1.0]) == np.inf
+        assert math.isnan(norm([np.nan, 1e200]))
+        assert norm([1.7e308, 1.7e308]) == np.inf
+
     def test_contiguous_input_is_read_in_place(self):
         m = random_matrix(np.random.default_rng(12), 256)
         tracemalloc.start()
@@ -371,6 +387,16 @@ class TestNorm:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes // 100
+
+
+class TestAsMatrix:
+    def test_a_matrix_that_is_not_square_is_refused(self):
+        with pytest.raises(DimensionError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            as_matrix(np.zeros((2, 3)))
+
+    def test_a_matrix_of_the_wrong_side_is_refused(self):
+        with pytest.raises(DimensionError, match="^expected side 6, got 4$"):
+            as_matrix(np.eye(4), 6)
 
 
 class TestPsd:
