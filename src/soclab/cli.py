@@ -14,8 +14,9 @@ Subcommands::
                                           fit as an affine mix of product pairs
 
 Exit codes: 0 when the checked property holds, 1 when it fails, 2 for
-syntax, typing, or argument problems, 3 for unreadable or malformed files
-and singular numerics.  Results go to stdout, diagnostics to stderr.  The
+syntax, typing, or argument problems, 3 for unreadable or malformed files,
+singular numerics and results that are not finite.  Results go to stdout
+as strict JSON, diagnostics to stderr.  The
 comparison tolerance is ``--eps`` when given, else the ``SOCLAB_EPS``
 environment variable, else 1e-9.
 """
@@ -89,8 +90,18 @@ def _resolve_eps(args) -> float:
     return DEFAULT_EPS
 
 
+def _strict(dump, *args, **kwargs) -> str:
+    """``dump(*args, **kwargs)``, a writer of strict JSON (``allow_nan=False``):
+    a result that is not finite has no JSON form, so it is refused with a
+    :class:`DimensionError` before anything is written."""
+    try:
+        return dump(*args, **kwargs)
+    except ValueError:
+        raise DimensionError("the result is not finite, so it has no JSON form") from None
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_strict(json.dumps, payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _dims_document(dims) -> str:
@@ -118,10 +129,7 @@ def _process_document(p: Process) -> str:
 def _cmd_eval(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
-    # Finite boxes can still compose to entries past the float range; the
-    # result is checked for that below, so numpy need not warn of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        proc = evaluate(text, base_dir=os.path.dirname(os.path.abspath(args.file)))
+    proc = evaluate(text, base_dir=os.path.dirname(os.path.abspath(args.file)))
     if proc is None:
         print("error: diagram holds only declarations, nothing to evaluate", file=sys.stderr)
         return 2
@@ -177,7 +185,7 @@ def _cmd_verify(args) -> int:
     )
     run = verify_theorem1 if args.claim == "theorem1" else verify_corollary1
     report = run(w, config)
-    for line in report_to_jsonl(report):
+    for line in _strict(report_to_jsonl, report):
         print(line)
     return 0 if report.premise_holds and report.all_causal else 1
 
@@ -262,7 +270,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # Finite inputs can still give entries or residuals past the float
+        # range; every result is checked for that before it is written, so
+        # numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DiagramSyntaxError, DiagramTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -161,22 +161,12 @@ def verify_corollary1(w: BipartiteSupermap, config: HarnessConfig = HarnessConfi
 
 
 def report_to_jsonl(report: HarnessReport) -> list[str]:
-    lines = [
-        json.dumps(
-            {"premise": "soc2", "holds": report.premise_holds, "residual": report.premise_residual}
-        )
+    """The report as strict JSON lines; a residual that is not finite has
+    no JSON form, so it raises ``ValueError`` and no line is made."""
+    summary = {"trials": len(report.records), "all_causal": report.all_causal, "max_residual": report.max_residual}
+    records = [
+        {"premise": "soc2", "holds": report.premise_holds, "residual": report.premise_residual},
+        *({"trial": r.trial, "causal": r.causal, "residual": r.residual, "seed": r.seed} for r in report.records),
+        {"summary": summary},
     ]
-    for r in report.records:
-        lines.append(json.dumps({"trial": r.trial, "causal": r.causal, "residual": r.residual, "seed": r.seed}))
-    lines.append(
-        json.dumps(
-            {
-                "summary": {
-                    "trials": len(report.records),
-                    "all_causal": report.all_causal,
-                    "max_residual": report.max_residual,
-                }
-            }
-        )
-    )
-    return lines
+    return [json.dumps(record, allow_nan=False) for record in records]

@@ -7,9 +7,9 @@ Conventions, fixed once for the whole package:
 * A process's Choi matrix lives on the factor list ``in_sys + out_sys``
   (inputs first), in row-major kron order, leftmost factor first.
 * States are processes from the empty system; effects are processes to it.
-* Moving a factor between the input and output lists while keeping its
-  position in the concatenated list does not change the Choi data at all,
-  which is what :func:`move_boundary` exploits.
+* Only connectivity matters: crossing two wires and bending an input round
+  into an output are both a new reading of the factor list, so
+  :func:`rewire` does either without touching the Choi data.
 
 A process stores its data once, as a read-only *factor tensor* with one row
 axis and one column axis per factor (shape ``factor_dims + factor_dims``).
@@ -201,8 +201,8 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: Sys
 def swap_process(a: System, b: System) -> Process:
     """The channel ``A (x) B -> B (x) A`` that crosses the wires: the
     identity on ``a + b`` with its output factors reordered."""
-    n = len(a)
-    return permute_output_factors(identity_process(a + b), [*range(n, n + len(b)), *range(n)])
+    n, k = len(a), len(a) + len(b)
+    return rewire(identity_process(a + b), range(k), [*range(k + n, 2 * k), *range(k, k + n)])
 
 
 def compose_seq(f: Process, g: Process) -> Process:
@@ -220,18 +220,6 @@ def compose_par(f: Process, g: Process) -> Process:
     # Free factors [f.in, f.out, g.in, g.out], gathered into [ins | outs].
     c = link(f.choi, fd, [], g.choi, gd, [], (0, 2, 1, 3))
     return Process._adopt(f.in_sys + g.in_sys, f.out_sys + g.out_sys, c)
-
-
-def move_boundary(p: Process, n_in: int) -> Process:
-    """Re-read the same Choi data with the first ``n_in`` factors as inputs.
-
-    The concatenated factor list is untouched, so this is free: the result
-    shares ``p``'s tensor.
-    """
-    dims = p.factor_dims
-    if not 0 <= n_in <= len(dims):
-        raise DimensionError(f"n_in={n_in} out of range for {len(dims)} factors")
-    return Process._adopt(System(dims[:n_in]), System(dims[n_in:]), p.tensor)
 
 
 def relabel(p: Process, in_dims: Sequence[int], out_dims: Sequence[int]) -> Process:
@@ -289,14 +277,6 @@ def rewire(p: Process, in_positions: Sequence[int], out_positions: Sequence[int]
     new_in = System(tuple(dims[q] for q in in_positions))
     new_out = System(tuple(dims[q] for q in out_positions))
     return Process._adopt(new_in, new_out, view)
-
-
-def permute_input_factors(p: Process, perm: Sequence[int]) -> Process:
-    return rewire(p, perm, range(p.n_in, len(p.factor_dims)))
-
-
-def permute_output_factors(p: Process, perm: Sequence[int]) -> Process:
-    return rewire(p, range(p.n_in), [p.n_in + q for q in perm])
 
 
 def apply_to_state(f: Process, rho: np.ndarray) -> np.ndarray:
@@ -420,7 +400,6 @@ def process_from_dict(d: dict) -> Process:
     odd = set(map(type, chain.from_iterable(chain.from_iterable(d["choi"])))) - {int, float}
     if odd:
         raise DimensionError(f"choi entries must be JSON numbers, got {', '.join(sorted(t.__name__ for t in odd))}")
-    # 1j * inf is nan + inf j, with a warning; Process rejects it just after.
-    with np.errstate(invalid="ignore"):
-        choi = arr[..., 0] + 1j * arr[..., 1]
-    return Process(in_sys, out_sys, choi)
+    # arr is a fresh C-contiguous float array, so each [re, im] pair reads
+    # in place as one complex entry.
+    return Process(in_sys, out_sys, arr.view(complex)[..., 0])

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite, prod, sqrt
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,10 +52,18 @@ class System:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"factor dimensions must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        # operator.index takes Python and numpy integers and refuses floats
+        # and strings, which int() would truncate or parse; to it a bool is
+        # an int, so bools are refused by type.  One pass over the dims.
+        dims = []
+        try:
+            for d in self.dims:
+                if type(d) is bool or (d := index(d)) < 1:
+                    raise TypeError
+                dims.append(d)
+        except TypeError:
+            raise DimensionError(f"factor dimensions must be positive integers, got {self.dims!r}") from None
+        object.__setattr__(self, "dims", tuple(dims))
 
     @property
     def total(self) -> int:

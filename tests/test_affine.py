@@ -24,11 +24,11 @@ from soclab.process import (
     compose_par,
     compose_seq,
     identity_process,
-    permute_output_factors,
     processes_close,
     random_causal_channel,
     random_density,
     relabel,
+    rewire,
 )
 from soclab.tensor import UNIT, System, hermitian_basis, is_psd, partial_trace
 
@@ -54,7 +54,7 @@ def realize_by_wiring(comb):
     ctrl_a = controlled_local_channel([relabel(f, (a1,), (a2,)) for _, f, _ in comb.terms])
     ctrl_b = controlled_local_channel([relabel(g, (b1,), (b2,)) for _, _, g in comb.terms])
     prep = compose_par(pseudo_state(comb.coeffs), identity_process(System((a1, b1))))
-    arranged = permute_output_factors(prep, (0, 2, 1, 3))
+    arranged = rewire(prep, (0, 1), (2, 4, 3, 5))
     return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
 
 

@@ -386,6 +386,31 @@ class TestErrorPaths:
         for doc in out.splitlines() if command[0] == "verify" else [out]:
             json.loads(doc, parse_constant=refuse)
 
+    @pytest.mark.parametrize(
+        "command, name, flags",
+        [
+            (["classify"], "identity_channel.json", []),
+            (["classify"], "product_channel.json", ["--split", "1", "1"]),
+            (["soc"], "cup_loop.json", ["--slots", "1", "1"]),
+            (["soc2"], "fixed_order_a_then_b.json", []),
+            (["verify", "theorem1"], "fixed_order_a_then_b.json", ["--trials", "1"]),
+            (["verify", "corollary1"], "fixed_order_a_then_b.json", ["--trials", "1"]),
+            (["decompose"], "ns_mix.json", ["--span-size", "180", "--seed", "2"]),
+        ],
+        ids=["classify", "classify-split", "soc", "soc2", "theorem1", "corollary1", "decompose"],
+    )
+    def test_a_result_that_is_not_finite_is_refused(self, command, name, flags, tmp_path, capsys):
+        # Two diagonal entries near the float maximum are finite, but their
+        # sums overflow, so the residual or coefficients are not finite and
+        # have no JSON form.  Nothing is written, and numpy warns of nothing
+        # (a warning would fail this test).
+        record = json.loads((GOLDEN / name).read_text())
+        choi = record.get("process", record)["choi"]
+        choi[0][0] = choi[1][1] = [1.7e308, 0.0]
+        (tmp_path / name).write_text(json.dumps(record))
+        code, out, err = run([*command, str(tmp_path / name), *flags], capsys)
+        assert (code, out, err) == (3, "", "error: the result is not finite, so it has no JSON form\n")
+
     def test_a_digit_int_cannot_read_is_a_syntax_error(self, tmp_path, capsys):
         d = tmp_path / "superscript.diag"
         d.write_text("system Q = \u00b2 ;\nid[Q]\n")

@@ -26,10 +26,10 @@ from soclab.process import (
     compose_par,
     compose_seq,
     identity_process,
-    permute_input_factors,
     processes_close,
     random_causal_channel,
     random_density,
+    rewire,
 )
 from soclab.supermap import (
     dress_slots,
@@ -272,7 +272,7 @@ class TestCorollary1Harness:
         psi_b = random_causal_channel(System((2, 2)), System((2,)), seed=rng)
         shared = Process(UNIT, System((2, 2)), random_density(System((2, 2)), seed=rng))
         opened = insert_with_ancilla(
-            w, permute_input_factors(psi_a, (1, 0)), psi_b, (1, 0), (1, 0)
+            w, rewire(psi_a, (1, 0), [2]), psi_b, (1, 0), (1, 0)
         ).process
         closed = compose_seq(compose_par(shared, identity_process(System((2,)))), opened)
         joint = make_strongly_nonsignalling(psi_a, psi_b, shared)

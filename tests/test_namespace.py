@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import soclab
+from test_bench_names import tracer_constant
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -61,14 +62,24 @@ def code_references(tree):
             yield node.name.rpartition(".")[2]
 
 
+def kept_for_users():
+    """``module.name`` of each helper that README's kept-for-users list names."""
+    text = README.read_text()
+    start = text.index("kept for users though nothing in the package calls them:")
+    bullets = text[start:].split("\n\n", 2)[1]
+    return {f"{mod}.{name}" for mod, name in re.findall(r"`(\w+)\.(\w+)\(", bullets)}
+
+
 def test_every_public_name_is_used_or_documented():
     # A public name that only the tests use is an option or alias nobody
     # else needs: code of the package (outside the name's own definition),
     # the scripts or the bench must use it, an entry point of the project
-    # file must name it, or README must document it.  Docstrings and
-    # comments do not count.
-    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    used |= set(re.findall(r'^[\w-]+\s*=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(), re.M))
+    # file must name it, the bench tracer must look it up as a layer, or
+    # README's kept-for-users list must name it.  Docstrings, comments and
+    # other prose do not count.
+    kept = kept_for_users()
+    kept |= {f"{mod}.{name}" for mod, names in tracer_constant("LAYERS").items() for name in names}
+    used = set(re.findall(r'^[\w-]+\s*=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(), re.M))
     for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
         used |= set(code_references(ast.parse(path.read_text())))
     modules = {path: ast.parse(path.read_text()).body for path in sorted(PACKAGE.glob("*.py"))}
@@ -82,6 +93,7 @@ def test_every_public_name_is_used_or_documented():
                 if (p, stmt.lineno) != (path, lineno)
                 for ref in code_references(stmt)
             )
-            if name not in used and name not in elsewhere:
-                unused.append(f"{path.stem}.{name}")
+            qualified = f"{path.stem}.{name}"
+            if qualified not in kept and name not in used and name not in elsewhere:
+                unused.append(qualified)
     assert not unused, f"public names used only by the tests: {unused}"

@@ -23,9 +23,6 @@ from soclab.process import (
     discard_process,
     identity_process,
     make_effect,
-    move_boundary,
-    permute_input_factors,
-    permute_output_factors,
     process_from_dict,
     process_to_dict,
     processes_close,
@@ -363,6 +360,18 @@ class TestComposition:
         assert processes_close(lhs, rhs, 1e-9)
 
 
+class TestClose:
+    def test_processes_whose_wiring_differs_are_not_close(self):
+        # Both Choi matrices are 6 x 6 and equal, but the wires differ.
+        f = Process(A, B, np.eye(6))
+        g = Process(B, A, np.eye(6))
+        assert not processes_close(f, g, 1.0) and not processes_close(g, f, 1.0)
+        assert processes_close(f, Process(A, B, np.eye(6)), 0.0)
+
+    def test_repr_names_the_wiring(self):
+        assert repr(Process(System((2, 3)), System((2,)), np.eye(12))) == "Process(in=(2, 3), out=(2,))"
+
+
 class TestBending:
     def test_yanking_both_snakes(self):
         ident = identity_process(A)
@@ -376,18 +385,12 @@ class TestBending:
         assert np.allclose(loop.choi, [[9.0]])
 
     def test_bend_of_identity_is_cup(self):
-        assert processes_close(move_boundary(identity_process(A), 0), cup(A), 1e-12)
-
-    @pytest.mark.parametrize("n_in", [-1, 5])
-    def test_move_boundary_out_of_range_is_refused(self, n_in):
-        f = identity_process(System((2, 3)))
-        with pytest.raises(DimensionError, match=f"^n_in={n_in} out of range for 4 factors$"):
-            move_boundary(f, n_in)
+        assert processes_close(rewire(identity_process(A), [], range(2)), cup(A), 1e-12)
 
     def test_move_boundary_is_data_identity(self):
         rng = np.random.default_rng(8)
         f = random_process(rng, System((2, 3)), System((2,)))
-        assert processes_close(move_boundary(move_boundary(f, 0), 2), f, 0.0)
+        assert processes_close(rewire(rewire(f, [], range(3)), range(2), [2]), f, 0.0)
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -396,7 +399,7 @@ class TestBending:
         # f(a (x) b) recovered as Tr_B[(b^T (x) I) L(a)].
         rng = np.random.default_rng(seed)
         f = random_process(rng, System((2, 3)), System((2,)))
-        bent = move_boundary(f, 1)
+        bent = rewire(f, [0], [1, 2])
         assert bent.in_sys.dims == (2,) and bent.out_sys.dims == (3, 2)
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
         lifted = apply_to_state(bent, a)
@@ -416,7 +419,7 @@ class TestFactorPermutation:
     def test_input_permutation_semantics(self):
         rng = np.random.default_rng(10)
         f = random_process(rng, System((2, 3)), System((2,)))
-        g = permute_input_factors(f, (1, 0))
+        g = rewire(f, (1, 0), [2])
         rho = random_matrix(rng, 6)
         rho_swapped = permute_subsystems(rho, (2, 3), (1, 0))
         assert np.allclose(apply_to_state(g, rho_swapped), apply_to_state(f, rho))
@@ -424,7 +427,7 @@ class TestFactorPermutation:
     def test_output_permutation_semantics(self):
         rng = np.random.default_rng(11)
         f = random_process(rng, A, System((2, 3)))
-        g = permute_output_factors(f, (1, 0))
+        g = rewire(f, [0], (2, 1))
         rho = random_matrix(rng, 2)
         assert np.allclose(
             apply_to_state(g, rho),
@@ -489,9 +492,9 @@ class TestStorage:
         dims = p.factor_dims
         cases = [
             (rewire(p, [3, 0], [2, 1]), (3, 0, 2, 1)),
-            (permute_input_factors(p, (1, 0)), (1, 0, 2, 3)),
-            (permute_output_factors(p, (1, 0)), (0, 1, 3, 2)),
-            (move_boundary(p, 3), (0, 1, 2, 3)),
+            (rewire(p, (1, 0), (2, 3)), (1, 0, 2, 3)),
+            (rewire(p, (0, 1), (3, 2)), (0, 1, 3, 2)),
+            (rewire(p, range(3), [3]), (0, 1, 2, 3)),
             (relabel(p, (6,), (8,)), (0, 1, 2, 3)),
         ]
         for got, order in cases:
@@ -620,3 +623,10 @@ class TestWireFormat:
         record["choi"][1][2][1] = bad
         with pytest.raises(DimensionError, match="finite"):
             process_from_dict(record)
+
+    @pytest.mark.parametrize("re, im", [(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0)])
+    def test_both_zero_signs_survive_the_load(self, re, im):
+        # Each [re, im] pair is read as one complex entry, with no
+        # arithmetic that could turn a -0.0 into a +0.0.
+        entry = process_from_dict({"in": [1], "out": [1], "choi": [[[re, im]]]}).choi[0, 0]
+        assert (np.signbit(entry.real), np.signbit(entry.imag)) == (np.signbit(re), np.signbit(im))

@@ -16,7 +16,6 @@ from soclab.process import (
     compose_par,
     compose_seq,
     identity_process,
-    move_boundary,
     processes_close,
     random_causal_channel,
     relabel,
@@ -72,8 +71,8 @@ def insert_with_ancilla_reference(w, pa, pb, a_split=(0, 0), b_split=(0, 0)):
 
     # Open the slot wires: keep each channel's ancilla inputs as inputs and
     # bend everything else out, preserving factor order.
-    bent_a = move_boundary(pa, len(a_anc_in))
-    bent_b = move_boundary(pb, len(b_anc_in))
+    bent_a = rewire(pa, range(len(a_anc_in)), range(len(a_anc_in), len(pa.factor_dims)))
+    bent_b = rewire(pb, range(len(b_anc_in)), range(len(b_anc_in), len(pb.factor_dims)))
     q = compose_par_kron(bent_a, bent_b)
 
     # q factor list: [aAncIn, bAncIn | aSlotIn, aAncOut, aSlotOut, bSlotIn, bAncOut, bSlotOut]
@@ -542,6 +541,10 @@ class TestAlgebra:
 
 
 class TestWireFormat:
+    def test_repr_names_the_slots(self):
+        w = fixed_order_a_then_b(2, 3, 3, 2)
+        assert repr(w) == "BipartiteSupermap(a=2->3, b=3->2, c=2->2)"
+
     def test_round_trip(self):
         w = fixed_order_a_then_b(2, 3, 3, 2)
         back = supermap_from_dict(supermap_to_dict(w))

@@ -54,6 +54,16 @@ class TestSystem:
         with pytest.raises(DimensionError):
             System((2, 0))
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, "2", None], ids=["float", "whole-float", "true", "false", "string", "none"])
+    def test_rejects_dims_that_are_not_integers(self, bad):
+        # int() would truncate 2.7 to 2, read True as 1 and parse "2".
+        with pytest.raises(DimensionError, match="^factor dimensions must be positive integers, got "):
+            System((2, bad))
+
+    def test_numpy_integers_are_dims(self):
+        s = System((np.int64(2), np.uint8(3)))
+        assert s.dims == (2, 3) and all(type(d) is int for d in s.dims)
+
 
 class TestKron:
     def test_known_diagonal(self):
