@@ -17,8 +17,8 @@ discarded, so each filling is the effect it leaves on the channel input.
 The closed forms ask one question of such a marginal: does it act as the
 identity on one factor?  :func:`_defect` measures how far it is from it,
 ``(1 - P_k) m`` with ``P_k m = Tr_k(m)/d_k (x) I_k``, for one factor or
-for several in turn.  It copies the marginal once and subtracts each
-projection in place from the diagonal blocks it touches.
+for several in turn.  It subtracts each projection in place, in the
+marginal's own memory, so a verdict reads all else from it first.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class CausalVerdict:
 def _defect(m: np.ndarray, dims: tuple[int, ...], *ks: int) -> np.ndarray:
     """``m`` with ``1 - P_k`` applied for each factor ``k`` of ``ks`` in
     turn, where ``P_k m = Tr_k(m)/d_k (x) I_k`` in ``m``'s own factor order:
-    the part of ``m`` that acts as the identity on none of them.  ``m`` is copied once
-    and each projection is subtracted in place from the ``d_k`` diagonal
-    blocks, the only entries it touches."""
-    out = m.copy()
+    the part of ``m`` that acts as the identity on none of them.  Each
+    projection is subtracted in place from the ``d_k`` diagonal blocks, in
+    ``m`` itself when it is writable and C-contiguous, else in one copy."""
+    out = m if m.flags.writeable and m.flags.c_contiguous else m.copy()
     for k in ks:
         left, d, right = prod(dims[:k]), dims[k], prod(dims[k + 1 :])
         t = out.reshape(left, d, right, left, d, right)
@@ -64,15 +64,14 @@ def _defect(m: np.ndarray, dims: tuple[int, ...], *ks: int) -> np.ndarray:
     return out
 
 
-def _signalling_gap(f: Process, in_split: int, out_split: int, side_a: bool) -> tuple[np.ndarray, tuple[int, ...], float]:
+def _side_marginal(f: Process, in_split: int, out_split: int, side_a: bool) -> tuple[np.ndarray, tuple[int, int, int]]:
     """The marginal on every input and one side's outputs (the A side's, the
     first ``out_split``, when ``side_a``), traced from ``f``'s tensor in
-    place; its dims; and how far it depends on the other side's input."""
+    place, and its dims; its defect on the other side's input is the gap."""
     ai, bi, ao, bo = _sides(f, in_split, out_split)
     outs = range(len(f.out_sys))
     m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split])
-    dims = (ai, bi, ao if side_a else bo)
-    return m, dims, norm(_defect(m, dims, 1 if side_a else 0))
+    return m, (ai, bi, ao if side_a else bo)
 
 
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
@@ -93,8 +92,8 @@ def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: flo
     ``f`` acts on a bipartite system; ``in_split``/``out_split`` count how
     many leading input/output factors belong to side A.
     """
-    b_to_a = _signalling_gap(f, in_split, out_split, side_a=True)[2]
-    a_to_b = _signalling_gap(f, in_split, out_split, side_a=False)[2]
+    b_to_a = norm(_defect(*_side_marginal(f, in_split, out_split, side_a=True), 1))
+    a_to_b = norm(_defect(*_side_marginal(f, in_split, out_split, side_a=False), 0))
     residual = hypot(b_to_a, a_to_b)
     return CausalVerdict(residual <= eps, residual, None, {"b_to_a": b_to_a, "a_to_b": a_to_b})
 
@@ -173,8 +172,9 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     yields a causal channel.
     """
     # The slot output must not signal to the channel input; the rest must be normalized.
-    m, (si, so, ci), gap_slot = _signalling_gap(w, in_split, out_split, side_a=True)
+    m, (si, so, ci) = _side_marginal(w, in_split, out_split, side_a=True)
     gap_norm = norm(partial_trace(m, (si, so, ci), keep=(2,)) / so - np.eye(ci))
+    gap_slot = norm(_defect(m, (si, so, ci), 1))
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None, {"gap_slot": gap_slot, "gap_norm": gap_norm})
 
@@ -207,7 +207,7 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     # is counted once.
     gap_norm = norm(partial_trace(m, d5, keep=(4,)) / (a2 * b2) - np.eye(c1))
     # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
-    # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m.
+    # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m, written into m: it comes last.
     gap_cross = norm(_defect(m, d5, 3, 1))
 
     parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import System, UNIT, as_matrix, as_stack, check_size, link, norm, partial_trace
+from .tensor import HUGE_PAGE_BYTES, System, UNIT, as_matrix, as_stack, check_size, link, norm, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -114,11 +114,6 @@ def processes_close(f: Process, g: Process, eps: float) -> bool:
     return norm(f.choi - g.choi) <= eps
 
 
-# numpy asks for huge pages (MADV_HUGEPAGE) on Linux for every allocation
-# this large, and _wiring maps a body of this size instead.
-_MAPPED_BYTES = 1 << 22
-
-
 def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     """The process that only connects wires; the one writer of a wiring
     pattern.  Each branch lists wires over the factors ``in_sys + out_sys``:
@@ -128,7 +123,7 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     which every wire of one branch agrees (branches pick disjoint sets) and
     0 elsewhere.  Its size is checked before any index is computed.
 
-    A body of :data:`_MAPPED_BYTES` or more starts as a private anonymous
+    A body of ``HUGE_PAGE_BYTES`` or more starts as a private anonymous
     mapping (POSIX), whose pages all read the kernel's zero page until
     written, so only the pages that hold ones take memory; ``np.zeros``
     would get huge pages there, which the scattered ones back in full.  A
@@ -146,7 +141,7 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
         rows += found
     rows = np.array(rows)
     nbytes = side * side * np.dtype(complex).itemsize
-    if nbytes >= _MAPPED_BYTES:
+    if nbytes >= HUGE_PAGE_BYTES:
         buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         c = np.frombuffer(buf, dtype=complex).reshape(side, side)
     else:
@@ -250,9 +245,9 @@ def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, in
 
 def _discard_outputs(p: Process, drop: Sequence[int]) -> np.ndarray:
     """The Choi matrix of ``p`` with the output factors at positions ``drop``
-    traced out of its tensor in place (``p.choi`` when ``drop`` is empty).
-    Each dropped factor reads as a factor of dimension 1, so whatever wiring
-    fits ``p`` fits the marginal.  Bodies are discarded here; the verify
+    traced out of its tensor in place, a fresh array that the caller owns
+    (``p.choi`` when ``drop`` is empty).  Each dropped factor reads as a
+    factor of dimension 1, so whatever wiring fits ``p`` fits the marginal.  Bodies are discarded here; the verify
     harness traces its argument stacks' ancillas with ``partial_trace``."""
     if not drop:
         return p.choi
@@ -370,13 +365,18 @@ def process_to_dict(p: Process) -> dict:
 
 def _read_json(path: str):
     """The JSON document in the file at ``path``.  A document nested too
-    deeply for the parser is a :class:`DimensionError`, as other malformed
+    deeply for the parser, or holding an integer with more digits than
+    ``int()`` reads, is a :class:`DimensionError`, as other malformed
     records are."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise DimensionError(f"{path}: JSON nested too deeply to read") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise DimensionError(f"{path}: {exc}") from None
 
 
 def _json_dims(value, what: str) -> tuple[int, ...]:
@@ -391,7 +391,7 @@ def process_from_dict(d: dict) -> Process:
         in_sys = System(_json_dims(d["in"], "in"))
         out_sys = System(_json_dims(d["out"], "out"))
         arr = np.asarray(d["choi"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimensionError(f"malformed process record: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"choi entries must be square [re, im] pairs, got shape {arr.shape}")

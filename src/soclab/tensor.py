@@ -37,6 +37,10 @@ MAX_SIDE = 1 << 13
 # Contraction plans remembered per kind; a run uses a few dozen shapes.
 PLANS = 256
 
+# numpy asks Linux for huge pages for every allocation this large (2**18 complex
+# entries): ``process._wiring`` maps such bodies, ``partial_trace`` slices such results.
+HUGE_PAGE_BYTES = 1 << 22
+
 
 def check_size(shape: Sequence[int], what: str) -> None:
     """Raise :class:`DimensionError` when an array of ``shape`` would hold
@@ -225,7 +229,8 @@ def link(
 
 @lru_cache(maxsize=PLANS)
 def _trace_plan(dims, keep, shape):
-    """Every check and the einsum sublists of :func:`partial_trace`."""
+    """Every check and the einsum sublists of :func:`partial_trace`, and for
+    a large result those of one slice of its first kept factor's row axis."""
     n = len(dims)
     if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
         raise DimensionError(f"bad keep={keep} for {n} factors")
@@ -237,7 +242,13 @@ def _trace_plan(dims, keep, shape):
         if i not in keep:
             subs[n + i] = subs[i]
     side = prod(dims[k] for k in keep)
-    return batch + dims + dims, (..., *subs), (..., *keep, *(n + k for k in keep)), batch + (side, side)
+    t, out = batch + dims + dims, (*keep, *(n + k for k in keep))
+    whole = (..., *subs), (..., *out)
+    if batch or not keep or side * side * np.dtype(complex).itemsize < HUGE_PAGE_BYTES:
+        return t, whole, batch + (side, side), None
+    del subs[keep[0]]
+    rows = tuple(dims[k] for k in keep)
+    return t, whole, (side, side), (keep[0], rows + rows, tuple(subs), out[1:])
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -248,11 +259,21 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     of shape ``dims + dims`` (a process's :attr:`tensor`, strided views
     included), which is read in place, or a matrix; axes of a matrix before
     its last two are batch axes and are kept as they are.  Checks and
-    einsum subscripts are planned once per set of shapes.
+    einsum subscripts are planned once per set of shapes.  A result of
+    :data:`HUGE_PAGE_BYTES` or more, not a stack, that one einsum would give
+    out of C order for ``reshape`` to copy is written into one C-ordered
+    array, one slice of its first kept factor at a time, to the same bits.
     """
     m = np.asarray(m, dtype=complex)
-    t, subs, out, shape = _trace_plan(tuple(dims), tuple(keep), m.shape)
-    return np.einsum(m.reshape(t), subs, out).reshape(shape)
+    t, (subs, out), shape, sliced = _trace_plan(tuple(dims), tuple(keep), m.shape)
+    # A contiguous input kept in its own order gives a C-ordered einsum output.
+    if sliced is None or (m.flags.c_contiguous and list(keep) == sorted(keep)):
+        return np.einsum(m.reshape(t), subs, out).reshape(shape)
+    axis, rows, subs, out = sliced
+    res = np.empty(rows, dtype=complex)
+    for i, part in enumerate(np.moveaxis(m.reshape(t), axis, 0)):
+        res[i] = np.einsum(part, subs, out)
+    return res.reshape(shape)
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +413,41 @@ class TestErrorPaths:
         code, out, err = run([*command, str(tmp_path / name), *flags], capsys)
         assert (code, out, err) == (3, "", "error: the result is not finite, so it has no JSON form\n")
 
+    @pytest.mark.parametrize(
+        "command, name, flags",
+        [
+            (["classify"], "identity_channel.json", []),
+            (["soc"], "cup_loop.json", ["--slots", "1", "1"]),
+            (["soc2"], "fixed_order_a_then_b.json", []),
+            (["verify", "theorem1"], "fixed_order_a_then_b.json", ["--trials", "1"]),
+            (["decompose"], "ns_mix.json", ["--span-size", "180"]),
+            (["eval"], "noise.json", []),
+        ],
+        ids=["classify", "soc", "soc2", "verify", "decompose", "eval-box"],
+    )
+    def test_a_choi_integer_past_the_float_range_is_a_malformed_file(self, command, name, flags, tmp_path, capsys):
+        # json reads 1 followed by 400 zeros as a Python int, which no float
+        # holds; converting it raises OverflowError, not ValueError.
+        source = GOLDEN / "boxes" / name if command == ["eval"] else GOLDEN / name
+        record = json.loads(source.read_text())
+        record.get("process", record)["choi"][0][0] = [10**400, 0]
+        (tmp_path / name).write_text(json.dumps(record))
+        (tmp_path / "box.diag").write_text(f'system Q = 2 ;\nbox noise : Q -> Q @ "{name}" ;\nnoise\n')
+        target = tmp_path / ("box.diag" if command == ["eval"] else name)
+        code, out, err = run([*command, str(target), *flags], capsys)
+        assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("malformed process record: int too large to convert to float\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python reads integers of any length")
+    @pytest.mark.parametrize("command, file", [("classify", "long.json"), ("eval", "long.diag")])
+    def test_a_choi_integer_too_long_for_the_parser_is_a_malformed_file(self, command, file, tmp_path, capsys):
+        # json refuses an integer of more digits than int() reads with a
+        # ValueError that is not a JSONDecodeError.
+        (tmp_path / "long.json").write_text('{"in": [2], "out": [2], "choi": [[[1' + "0" * 5000 + ", 0]]]}")
+        (tmp_path / "long.diag").write_text('system Q = 2 ;\nbox f : Q -> Q @ "long.json" ;\nf\n')
+        code, out, err = run([command, str(tmp_path / file)], capsys)
+        assert code == 3 and not out and err.startswith("error:") and "long.json: " in err and "digits" in err
+
     def test_a_digit_int_cannot_read_is_a_syntax_error(self, tmp_path, capsys):
         d = tmp_path / "superscript.diag"
         d.write_text("system Q = \u00b2 ;\nid[Q]\n")
@@ -555,3 +592,118 @@ class TestOtherRoutes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["causal"]["holds"] is True
+
+
+def _fuzz_leaf(value):
+    """What a mutation puts in place of one node of a document."""
+    return st.sampled_from(
+        [
+            "2", "", True, False, None, {}, [], [value], 0, -2, 3, 10**6, 2**40,
+            1e308, -1e308, 1e-320, 5e-324, 10**400, float("nan"), float("inf"),
+        ]
+    )
+
+
+@st.composite
+def _mutated_document(draw, text: str) -> str:
+    """``text``, a golden document, with one mutation: a node replaced by a
+    wrong type, an extreme number, a bool, a string or a bad dimension; a
+    node nested once more; a list entry dropped or repeated, which makes a
+    matrix non-square; a key dropped; or the text cut short.  A diagram's
+    numbers are replaced, or its text cut short."""
+    # Most replacements leave a document that loads, so they come thrice.
+    kind = draw(st.sampled_from(["replace"] * 3 + ["nest", "drop", "repeat", "dims", "truncate"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if not text.lstrip().startswith("{"):
+        # A size of 10**6 is refused before anything is allocated; one of 9
+        # would make a yanking diagram of a gigabyte, which is its right.
+        sizes = [str(n) for n in (0, -1, 1, 3, 10**6)] + ["9" * 5000, "2.5", "x"]
+        return re.sub(r"\d+", lambda _: draw(st.sampled_from(sizes)), text, count=draw(st.integers(1, 3)))
+    doc = json.loads(text)
+    if kind == "dims":
+        record = doc.get("process", doc)
+        key = draw(st.sampled_from(["in", "out"]))
+        dims = record[key]
+        bad = draw(st.sampled_from([0, -1, -2, 10**6, 2**31, 3, 1]))
+        record[key] = draw(st.sampled_from([dims[:-1] + [bad], [bad, bad], []]))
+        return json.dumps(doc)
+    # Walk down from the root to a node, one drawn step at a time; three
+    # steps in four go on, so that most walks end at a number.
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.integers(0, 3))):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    if parent is None:
+        return json.dumps(draw(_fuzz_leaf(doc)))
+    if kind == "replace":
+        parent[key] = draw(_fuzz_leaf(node))
+    elif kind == "nest":
+        parent[key] = [node]
+    elif kind == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(node)
+    return json.dumps(doc)
+
+
+FUZZ_FILES = sorted(p.relative_to(GOLDEN).as_posix() for pattern in ("*.json", "*.diag", "boxes/*.json") for p in GOLDEN.glob(pattern))
+# Each verb, with the arguments before and after the file.
+FUZZ_VERBS = [
+    (["classify"], []),
+    (["classify"], ["--split", "1", "1"]),
+    (["soc"], ["--slots", "1", "1"]),
+    (["soc2"], []),
+    (["verify", "theorem1"], ["--trials", "1"]),
+    (["verify", "corollary1"], ["--trials", "1"]),
+    (["decompose"], ["--span-size", "8"]),
+    (["eval"], []),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the golden box files, which the golden diagrams name."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "boxes").mkdir()
+    for p in GOLDEN.glob("boxes/*.json"):
+        (d / "boxes" / p.name).write_text(p.read_text())
+    return d
+
+
+class TestFuzzedDocuments:
+    @given(data=st.data(), name=st.sampled_from(FUZZ_FILES))
+    @settings(max_examples=150, deadline=None)
+    def test_every_verb_exits_with_a_code_and_writes_strict_json(self, fuzz_dir, data, name):
+        # Every mutated golden document goes through every verb, in process:
+        # no exception may escape main, the exit code is one of the four it
+        # documents, stdout is strict JSON (no NaN or Infinity), and what
+        # eval writes loads back as a process.  A JSON file goes to eval as
+        # the one box of a diagram.
+        original = (GOLDEN / name).read_text()
+        path = fuzz_dir / f"doc{Path(name).suffix}"
+        path.write_text(data.draw(_mutated_document(original), label="document"))
+        if name.endswith(".json"):
+            record = json.loads(original)
+            record = record.get("process", record)
+            sides = [" * ".join(["Q"] * len(record[k])) or "I" for k in ("in", "out")]
+            (fuzz_dir / "box.diag").write_text(f'system Q = 2 ;\nbox f : {sides[0]} -> {sides[1]} @ "{path.name}" ;\nf\n')
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for head, tail in FUZZ_VERBS:
+            target = fuzz_dir / "box.diag" if head == ["eval"] and name.endswith(".json") else path
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*head, str(target), *tail])
+            out = out.getvalue()
+            assert code in (0, 1, 2, 3), (head, err.getvalue())
+            if code in (2, 3):
+                assert not out and err.getvalue().startswith("error:")
+                continue
+            for doc in out.splitlines() if head[0] == "verify" else [out]:
+                json.loads(doc, parse_constant=refuse)
+            if head == ["eval"]:
+                process_from_dict(json.loads(out))

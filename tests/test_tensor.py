@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclab import tensor
 from soclab.errors import DimensionError
 from soclab.tensor import (
     MAX_SIDE,
@@ -22,6 +24,21 @@ from soclab.tensor import (
     partial_trace,
     permute_subsystems,
 )
+
+
+@contextmanager
+def slicing_forced():
+    """Every trace that keeps a factor, not of a stack, and that one einsum
+    would make out of C order written slice by slice: the line at one byte,
+    and no plan made under the old line kept before or after."""
+    line = tensor.HUGE_PAGE_BYTES
+    tensor.HUGE_PAGE_BYTES = 1
+    tensor._trace_plan.cache_clear()
+    try:
+        yield
+    finally:
+        tensor.HUGE_PAGE_BYTES = line
+        tensor._trace_plan.cache_clear()
 
 
 def random_matrix(rng, side):
@@ -307,6 +324,66 @@ class TestPartialTrace:
         for _ in range(2):
             with pytest.raises(DimensionError):
                 partial_trace(np.zeros((3, 4, 4)), (2, 3), keep=(0,))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+            lambda dims: st.tuples(st.just(tuple(dims)), st.permutations(range(len(dims))), st.permutations(range(len(dims))))
+        ),
+        st.integers(0, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_sliced_trace_has_the_bits_of_one_einsum(self, seed, dims_order_keep, n_keep, as_tensor):
+        # A large result out of the input's memory order is written one
+        # slice of its first kept factor at a time.  Each entry is summed in
+        # the same order as by one einsum over the whole, so the bits are the
+        # same, on a rewired (strided) view and whatever factors are kept, in
+        # any order.
+        dims, order, keep = dims_order_keep
+        order, keep = tuple(order), tuple(keep[:n_keep])
+        n, side = len(dims), math.prod(dims)
+        view = random_matrix(np.random.default_rng(seed), side).reshape(dims + dims).transpose(order + tuple(n + k for k in order))
+        vdims = tuple(dims[k] for k in order)
+        m = view if as_tensor else view.reshape(side, side)
+        want = partial_trace(m, vdims, keep)
+        with slicing_forced():
+            got = partial_trace(m, vdims, keep)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_only_a_large_result_may_be_sliced(self):
+        # The line is 4 MiB, a 512 x 512 result; a stack is never sliced.
+        sliced = lambda dims, keep, shape: tensor._trace_plan(dims, keep, shape)[-1] is not None  # noqa: E731
+        assert sliced((8, 8, 8, 2), (2, 0, 1), (8, 8, 8, 2) * 2)
+        assert sliced((8, 8, 8, 2), (2, 0, 1), (1024, 1024))
+        assert not sliced((8, 8, 4, 2), (2, 0, 1), (8, 8, 4, 2) * 2)
+        assert not sliced((8, 8, 8, 2), (2, 0, 1), (1, 1024, 1024))
+        assert not sliced((8, 8, 8, 2), (), (8, 8, 8, 2) * 2)
+
+    @pytest.mark.parametrize(
+        "axes, keep, bound",
+        [
+            ((2, 0, 1, 3, 6, 4, 5, 7), (0, 1, 2), 1.3),
+            (tuple(range(8)), (2, 0, 1), 1.3),
+            (tuple(range(8)), (0, 1, 2), 1.05),
+        ],
+        ids=["rewired-view", "keep-out-of-order", "in-order"],
+    )
+    def test_a_large_trace_allocates_its_result_once(self, axes, keep, bound):
+        # A 512 x 512 result (4 MiB).  Out of the input's memory order, one
+        # einsum would give it in that order and reshape would copy it, twice
+        # its size; written slice by slice it takes its own size and one
+        # slice (an eighth) more.  In order, one einsum gives it in C order.
+        dims = (8, 8, 8, 2)
+        m = np.zeros(dims + dims, dtype=complex).transpose(axes)
+        tracemalloc.start()
+        try:
+            got = partial_trace(m, dims, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * got.nbytes
 
     @pytest.mark.parametrize("keep", [(0, 0), (2,), (-1,)])
     def test_rejects_bad_keep(self, keep):
