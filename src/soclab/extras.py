@@ -18,7 +18,7 @@ import numpy as np
 
 from .process import Process, _wiring
 from .supermap import _A_THEN_B, _B_THEN_A, BipartiteSupermap, fixed_order_a_then_b
-from .tensor import System
+from .tensor import System, _zeros
 
 
 def quantum_switch(d: int = 2) -> BipartiteSupermap:
@@ -37,9 +37,15 @@ def spoiled_supermap(d: int = 2) -> BipartiteSupermap:
     """The A-then-B order on wires of dimension ``d`` plus
     ``I (x) |0><0| (x) I / d**3`` on the body, with the projector on the
     ``C1`` factor: every causal filling misses causality by the same
-    margin."""
-    good = fixed_order_a_then_b(d, d, d, d)
-    proj = np.zeros((d, d))
-    proj[0, 0] = 1.0
-    bump = np.kron(np.eye(d**4), np.kron(proj, np.eye(d))) / d**3
-    return BipartiteSupermap(Process(good.body.in_sys, good.body.out_sys, good.body.choi + bump))
+    margin.  The order's nonzeros are copied into ``tensor._zeros`` and the
+    bump is added on its diagonal entries alone, to the bits of the dense
+    sum, so a large body takes memory only for the pages written."""
+    good = fixed_order_a_then_b(d, d, d, d).body
+    c = _zeros(good.choi.shape)
+    t, flat = good.choi.reshape(-1), c.reshape(-1)
+    idx = np.flatnonzero(t != 0)
+    flat[idx] = t[idx]
+    # The basis vectors of [A1 A2 B1 B2, C1, C2] whose C1 value is 0.
+    diag = np.arange(d**6).reshape(d**4, d, d)[:, 0].reshape(-1)
+    c[diag, diag] += 1 / d**3
+    return BipartiteSupermap(Process._adopt(good.in_sys, good.out_sys, c))

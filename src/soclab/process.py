@@ -34,17 +34,16 @@ one-channel case.
 from __future__ import annotations
 
 import json
-import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .tensor import HUGE_PAGE_BYTES, System, UNIT, as_matrix, as_stack, check_size, link, norm, partial_trace
+from .tensor import System, UNIT, _zeros, as_matrix, as_stack, check_size, link, norm, partial_trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -121,13 +120,9 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
     and ``(i, j, k)`` holds both at value ``k``; values on one factor add.
     The Choi matrix is 1 on the rows and columns of the basis vectors on
     which every wire of one branch agrees (branches pick disjoint sets) and
-    0 elsewhere.  Its size is checked before any index is computed.
-
-    A body of ``HUGE_PAGE_BYTES`` or more starts as a private anonymous
-    mapping (POSIX), whose pages all read the kernel's zero page until
-    written, so only the pages that hold ones take memory; ``np.zeros``
-    would get huge pages there, which the scattered ones back in full.  A
-    smaller body comes from ``np.zeros``, which is faster to make."""
+    0 elsewhere.  Its size is checked before any index is computed.  The
+    body starts from ``tensor._zeros``, so a large one takes memory only
+    for the pages that hold ones."""
     dims = in_sys.dims + out_sys.dims
     side = prod(dims)
     check_size((side, side), "wiring body")
@@ -140,12 +135,7 @@ def _wiring(in_sys: System, out_sys: System, *branches) -> Process:
             found = [r + v * step for r in found for v in value or range(min(dims[i], dims[j]))]
         rows += found
     rows = np.array(rows)
-    nbytes = side * side * np.dtype(complex).itemsize
-    if nbytes >= HUGE_PAGE_BYTES:
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        c = np.frombuffer(buf, dtype=complex).reshape(side, side)
-    else:
-        c = np.zeros((side, side), dtype=complex)
+    c = _zeros((side, side))
     c[rows[:, None], rows] = 1
     return Process._adopt(in_sys, out_sys, c)
 
@@ -313,23 +303,25 @@ def _channel_draw_size(specs: Sequence[tuple[System, System]], n: int) -> int:
 def _causal_chois(specs: Sequence[tuple[System, System]], draws: np.ndarray) -> list[np.ndarray]:
     """The Choi matrices of the random causal channels that ``draws``, one
     row of :func:`_channel_draw_size` Gaussians per row of channels, gives:
-    one ``(rows, side, side)`` stack per spec.  Each spec takes one stacked
-    QR, one stacked phase fix (which makes the isometry Haar distributed)
-    and one stacked ``v v^dagger``."""
+    one ``(rows, side, side)`` stack per spec.  Each run of consecutive
+    specs of one ``(d_in, d_out)`` takes one stacked QR, one stacked phase
+    fix (which makes the isometry Haar distributed) and one stacked ``v
+    v^dagger``; each matrix of a stack is computed on its own, so the bits
+    do not depend on the grouping."""
     n, start, chois = len(draws), 0, []
-    for i, o in specs:
-        d_in, d_out = i.total, o.total
-        env = d_in * d_out
-        stop = start + 2 * d_in * d_out * env
-        g = draws[:, start:stop].reshape(n, 2, d_out * env, d_in)
+    for (d_in, d_out), run in groupby(((i.total, o.total) for i, o in specs)):
+        k, env = len(list(run)), d_in * d_out
+        stop = start + k * 2 * d_in * d_out * env
+        # Spec-major, so that spec j's stack is the contiguous block j.
+        g = draws[:, start:stop].reshape(n, k, 2, d_out * env, d_in).transpose(1, 0, 2, 3, 4)
         start = stop
-        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-        diag = np.diagonal(r, axis1=1, axis2=2).copy()
+        q, r = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])
+        diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
         diag[np.abs(diag) == 0] = 1.0
-        q = q * (diag / np.abs(diag))[:, None, :]
+        q = q * (diag / np.abs(diag))[..., None, :]
         # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
-        v = q.reshape(n, d_out, env, d_in).transpose(0, 3, 1, 2).reshape(n, d_in * d_out, env)
-        chois.append(v @ v.conj().transpose(0, 2, 1))
+        v = q.reshape(k, n, d_out, env, d_in).transpose(0, 1, 4, 2, 3).reshape(k, n, d_in * d_out, env)
+        chois.extend(v @ v.conj().swapaxes(-1, -2))
     return chois
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _discard_outputs, _json_dims, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import UNIT, System, as_stack, check_size, link
+from .tensor import UNIT, System, _zeros, as_stack, check_size, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +281,14 @@ def fixed_order_b_then_a(a_in: int, a_out: int, b_in: int, b_out: int) -> Bipart
 
 
 def mix(pairs) -> BipartiteSupermap:
-    """Affine combination ``sum_k weight_k W_k`` of same-shaped supermaps."""
+    """Affine combination ``sum_k weight_k W_k`` of same-shaped supermaps.
+
+    Every weight and type is checked before anything is allocated.  The sum
+    starts from ``tensor._zeros`` and adds each term, in order, only where
+    its body is nonzero: a skipped term would only add a signed zero, which
+    leaves a nonzero sum as it is and ``+0`` at ``+0``, so the bits are
+    those of the dense sum, while a large mixture of sparse bodies takes
+    memory only for the pages that hold their nonzeros."""
     pairs = list(pairs)
     if not pairs:
         raise DimensionError("cannot mix an empty collection of supermaps")
@@ -289,11 +296,15 @@ def mix(pairs) -> BipartiteSupermap:
         if not np.isfinite(weight):
             raise DimensionError(f"mix weights must be finite numbers, got {weight!r}")
     first = pairs[0][1].body
-    acc = np.zeros_like(first.choi)
-    for weight, w in pairs:
+    for _, w in pairs:
         if w.body.in_sys.dims != first.in_sys.dims or w.body.out_sys.dims != first.out_sys.dims:
             raise WireMismatchError("mixed supermaps must share slot and output types")
-        acc = acc + weight * w.body.choi
+    acc = _zeros(first.choi.shape)
+    flat = acc.reshape(-1)
+    for weight, w in pairs:
+        t = w.body.choi.reshape(-1)
+        idx = np.flatnonzero(t != 0)
+        flat[idx] += weight * t[idx]
     return BipartiteSupermap(Process._adopt(first.in_sys, first.out_sys, acc))
 
 

@@ -19,6 +19,7 @@ so its bits do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite, prod, sqrt
@@ -38,7 +39,7 @@ MAX_SIDE = 1 << 13
 PLANS = 256
 
 # numpy asks Linux for huge pages for every allocation this large (2**18 complex
-# entries): ``process._wiring`` maps such bodies, ``partial_trace`` slices such results.
+# entries): :func:`_zeros` maps such arrays, ``partial_trace`` slices such results.
 HUGE_PAGE_BYTES = 1 << 22
 
 
@@ -47,6 +48,19 @@ def check_size(shape: Sequence[int], what: str) -> None:
     more than ``MAX_SIDE**2`` elements; call it before allocating one."""
     if prod(shape) > MAX_SIDE * MAX_SIDE:
         raise DimensionError(f"{what} of shape {tuple(shape)} exceeds limit of {MAX_SIDE}**2 elements")
+
+
+def _zeros(shape: Sequence[int]) -> np.ndarray:
+    """A writable complex array of zeros, for a sparse body to be written
+    into.  One of :data:`HUGE_PAGE_BYTES` or more is a private anonymous
+    mapping (POSIX), whose pages all read the kernel's zero page until
+    written, so only the pages written take memory; ``np.zeros`` would get
+    huge pages there, which scattered writes back in full.  A smaller one
+    comes from ``np.zeros``, which is faster to make."""
+    nbytes = prod(shape) * np.dtype(complex).itemsize
+    if nbytes < HUGE_PAGE_BYTES:
+        return np.zeros(shape, dtype=complex)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=complex).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from soclab.extras import quantum_switch
+from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import is_soc2, is_soc2_oracle
 from soclab.process import (
     channel_from_kraus,
@@ -95,3 +96,19 @@ class TestDecoheredControl:
             block = whole[c, :, c, :, c, :, c, :].reshape(d * d, d * d)
             piece = insert(order(d, d, d, d), pa, pb).process.choi
             assert np.allclose(block, piece, atol=1e-9)
+
+
+def spoiled_body_reference(d):
+    """The dense construction that spoiled_supermap replaced, kept as a
+    reference: the fixed order plus a kron of the C1 projector."""
+    good = fixed_order_a_then_b(d, d, d, d)
+    proj = np.zeros((d, d))
+    proj[0, 0] = 1.0
+    bump = np.kron(np.eye(d**4), np.kron(proj, np.eye(d))) / d**3
+    return good.body.choi + bump
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spoiled_body_is_byte_identical_to_the_dense_construction(d):
+    got, want = spoiled_supermap(d).body.choi, spoiled_body_reference(d)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclab import process
 from soclab.affine import random_product_span
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.process import (
@@ -163,11 +164,14 @@ class TestGenerators:
         ],
         ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus", "identity-huge", "density", "channel-stack", "channel-draw"],
     )
-    def test_oversized_systems_raise_before_allocating(self, make):
+    def test_oversized_systems_raise_before_allocating(self, make, monkeypatch):
         # Each Choi matrix or Gaussian draw would pass MAX_SIDE**2 entries
         # (1.1 GB for the identity on 91 dimensions; the rows of the
         # identity on 10**12 dimensions alone would take 8 TB); the check
-        # must fire while memory use stays at the size of the inputs.
+        # must fire while memory use stays at the size of the inputs.  A
+        # mapped body is not seen by tracemalloc, so the zero-page
+        # allocator must not be reached at all.
+        monkeypatch.setattr(process, "_zeros", lambda shape: pytest.fail("allocated before checking"))
         tracemalloc.start()
         try:
             with pytest.raises(DimensionError, match="exceeds limit"):

@@ -1,12 +1,21 @@
+import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
+from contextlib import nullcontext
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_process import assert_same_bits, assert_same_process, compose_par_kron, compose_seq_einsum, omega_reference
+from test_tensor import slicing_forced
 
+import soclab
+from soclab import process, supermap
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
@@ -309,8 +318,10 @@ class TestTraceEarlyCausality:
         assert insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).causal.holds
         assert len(calls) <= 1
 
-    def test_an_oversized_switch_raises_before_allocating(self):
-        # d = 4 gives a body of side 4 * 4**6 = 16384, about 4.3 GB complex.
+    def test_an_oversized_switch_raises_before_allocating(self, monkeypatch):
+        # d = 4 gives a body of side 4 * 4**6 = 16384, about 4.3 GB complex,
+        # which a mapping would take without tracemalloc seeing it.
+        monkeypatch.setattr(process, "_zeros", lambda shape: pytest.fail("allocated before checking"))
         tracemalloc.start()
         try:
             with pytest.raises(DimensionError, match="exceeds limit"):
@@ -410,6 +421,43 @@ class TestFixedOrders:
         assert res.causal.residual < 1e-10
 
 
+# Builds one d = 4 body in a fresh interpreter and prints how far the
+# process's peak resident memory (VmHWM, in KiB) rose, beside the body's size.
+BUILD_D4 = """
+import sys
+from soclab.extras import spoiled_supermap
+from soclab.supermap import fixed_order_a_then_b, fixed_order_b_then_a, mix
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+kind = sys.argv[1]
+orders = [fixed_order_a_then_b(4, 4, 4, 4), fixed_order_b_then_a(4, 4, 4, 4)] if kind == "mix" else []
+before = peak_kib()
+if kind == "a_then_b":
+    w = fixed_order_a_then_b(4, 4, 4, 4)
+elif kind == "mix":
+    w = mix([(0.25, orders[0]), (0.75, orders[1])])
+else:
+    w = spoiled_supermap(4)
+print(peak_kib() - before, w.body.choi.nbytes // 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the peak resident memory from Linux's /proc")
+@pytest.mark.parametrize("kind", ["a_then_b", "mix", "spoiled"])
+def test_d4_bodies_take_memory_only_for_their_nonzeros(kind):
+    # A d = 4 body is 268 MB of mostly zeros.  It is built in a fresh
+    # interpreter, which reads the high-water mark of its own memory
+    # (VmHWM): its ru_maxrss would start from the peak of the test run
+    # that started it.
+    src = str(Path(soclab.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", BUILD_D4, kind], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    rise, size = map(int, out.stdout.split())
+    assert rise < size / 4
+
+
 class TestInsertion:
     def test_insert_rejects_badly_typed_channels(self):
         w = fixed_order_a_then_b(2, 2, 2, 2)
@@ -484,7 +532,65 @@ class TestInsertion:
         assert out.in_sys.dims == (2,) and out.out_sys.dims == (2,)
 
 
+def mix_reference(pairs):
+    """The dense sum that mix made before it skipped zeros, kept as a reference."""
+    acc = np.zeros_like(pairs[0][1].body.choi)
+    for weight, w in pairs:
+        acc = acc + weight * w.body.choi
+    return acc
+
+
+def sparse_body(rng, dims):
+    """A supermap whose body is mostly zeros of either sign, with complex
+    entries of any sign elsewhere."""
+    side = prod(dims)
+    parts = rng.standard_normal((2, side, side)) * 10.0 ** rng.integers(-3, 4, (2, side, side))
+    parts[rng.random((2, side, side)) < 0.6] = 0.0
+    parts[rng.random((2, side, side)) < 0.2] = -0.0
+    return BipartiteSupermap(Process(System(dims[:4]), System(dims[4:]), parts[0] + 1j * parts[1]))
+
+
+def backing(a):
+    """The object that owns the memory of array ``a``."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+weights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e300, 1e300), st.floats(-4.0, 4.0))
+
+
 class TestAlgebra:
+    @given(seeds, st.lists(weights, min_size=1, max_size=4), st.sampled_from([(2, 1, 1, 2, 2, 1), (1, 2, 2, 1, 1, 3)]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_mix_is_the_dense_sum_byte_for_byte(self, seed, ws, dims, mapped):
+        # Both allocations: np.zeros, or with the line at one byte a private mapping.
+        rng = np.random.default_rng(seed)
+        pairs = [(t, sparse_body(rng, dims)) for t in ws]
+        want = mix_reference(pairs)
+        with slicing_forced() if mapped else nullcontext():
+            got = mix(pairs).body.choi
+        assert isinstance(backing(got), mmap.mmap) == mapped
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pairs", [
+        lambda ab4, ab3: [(0.5, ab4), (0.5, ab3)],
+        lambda ab4, ab3: [(1.0, ab4), (float("nan"), ab4)],
+    ], ids=["mismatched", "non-finite"])
+    def test_mix_checks_every_pair_before_allocating(self, pairs, monkeypatch):
+        # At d = 4 the sum would take 268 MB; a mapped one is not seen by
+        # tracemalloc, so the allocator must not be reached at all.
+        bad = pairs(fixed_order_a_then_b(4, 4, 4, 4), fixed_order_a_then_b(3, 3, 3, 3))
+        monkeypatch.setattr(supermap, "_zeros", lambda shape: pytest.fail("allocated before checking"))
+        tracemalloc.start()
+        try:
+            with pytest.raises((DimensionError, WireMismatchError)):
+                mix(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_mixtures_act_as_mixtures(self, seed):

@@ -29,8 +29,9 @@ from soclab.tensor import (
 @contextmanager
 def slicing_forced():
     """Every trace that keeps a factor, not of a stack, and that one einsum
-    would make out of C order written slice by slice: the line at one byte,
-    and no plan made under the old line kept before or after."""
+    would make out of C order written slice by slice, and every nonempty
+    ``tensor._zeros`` array mapped: the line at one byte, and no plan made
+    under the old line kept before or after."""
     line = tensor.HUGE_PAGE_BYTES
     tensor.HUGE_PAGE_BYTES = 1
     tensor._trace_plan.cache_clear()
