@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, WireMismatchError
-from .process import Process, _random_causal_channels, _sides
+from .process import Process, _random_causal_channels, _random_causal_stacks, _sides
 from .tensor import System, UNIT, norm
 
 
@@ -88,14 +88,23 @@ class AffineCombination:
         return tuple(r for r, _, _ in self.terms)
 
 
-def _product_columns(pairs: Sequence[tuple[Process, Process]]) -> np.ndarray:
-    """``vec(Phi_k) (x) vec(Psi_k)`` for each pair, as the columns of one
-    matrix.  Its rows run over ``[A1, A2, A1', A2', B1, B2, B1', B2']``
-    (row and column indices of each side's Choi matrix), not over the
+def _product_columns(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """``vec(Phi_k) (x) vec(Psi_k)`` for each pair of Choi matrices of the
+    ``(n, side, side)`` stacks ``phis`` and ``psis``, as the columns of one
+    C-ordered matrix.  Its rows run over ``[A1, A2, A1', A2', B1, B2, B1',
+    B2']`` (row and column indices of each side's Choi matrix), not over the
     product channel's ``[A1, B1, A2, B2]`` order."""
-    phis = np.stack([phi.choi.ravel() for phi, _ in pairs], axis=1)
-    psis = np.stack([psi.choi.ravel() for _, psi in pairs], axis=1)
-    return (phis[:, None, :] * psis[None, :, :]).reshape(-1, len(pairs))
+    n = len(phis)
+    # C-ordered columns, so that the least squares sees the same layout,
+    # and gives the same bits, whichever way the stacks were made.
+    a = np.ascontiguousarray(phis.reshape(n, -1).T)
+    b = np.ascontiguousarray(psis.reshape(n, -1).T)
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, n)
+
+
+def _stacks(pairs: Sequence[tuple[Process, Process]]) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi matrices of the pairs' two sides, as two stacks."""
+    return np.stack([phi.choi for phi, _ in pairs]), np.stack([psi.choi for _, psi in pairs])
 
 
 def realize_affine(comb: AffineCombination) -> Process:
@@ -104,7 +113,7 @@ def realize_affine(comb: AffineCombination) -> Process:
     _, f0, g0 = comb.terms[0]
     a1, a2 = f0.in_sys.total, f0.out_sys.total
     b1, b2 = g0.in_sys.total, g0.out_sys.total
-    acc = _product_columns([(f, g) for _, f, g in comb.terms]) @ np.array(comb.coeffs)
+    acc = _product_columns(*_stacks([(f, g) for _, f, g in comb.terms])) @ np.array(comb.coeffs)
     side = a1 * b1 * a2 * b2
     choi = acc.reshape(a1, a2, a1, a2, b1, b2, b1, b2).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(side, side)
     return Process(System((a1, b1)), System((a2, b2)), choi)
@@ -129,6 +138,10 @@ def nonsignalling_direction_dim(ai: int, bi: int, ao: int, bo: int) -> int:
     return (ai * ai * (ao * ao - 1) + 1) * (bi * bi * (bo * bo - 1) + 1) - 1
 
 
+def _span_specs(in_dims: tuple[int, int], out_dims: tuple[int, int]) -> list[tuple[System, System]]:
+    return [(System((d_in,)), System((d_out,))) for d_in, d_out in zip(in_dims, out_dims)]
+
+
 def random_product_span(
     n: int,
     in_dims: tuple[int, int] = (2, 2),
@@ -138,8 +151,7 @@ def random_product_span(
     """``n`` pairs ``(Phi_k, Psi_k)`` of random causal channels, ``Phi_k``
     on ``in_dims[0] -> out_dims[0]`` and ``Psi_k`` on ``in_dims[1] ->
     out_dims[1]``, drawn in one stacked batch."""
-    specs = [(System((d_in,)), System((d_out,))) for d_in, d_out in zip(in_dims, out_dims)]
-    return _random_causal_channels(np.random.default_rng(seed), specs, n)
+    return _random_causal_channels(np.random.default_rng(seed), _span_specs(in_dims, out_dims), n)
 
 
 def decompose_nonsignalling(
@@ -161,7 +173,23 @@ def decompose_nonsignalling(
     ai, bi, ao, bo = _sides(f, in_split, out_split)
     if any((phi.in_sys.total, phi.out_sys.total, psi.in_sys.total, psi.out_sys.total) != (ai, ao, bi, bo) for phi, psi in pairs):
         raise WireMismatchError("spanning pair does not match the target's shape")
-    cols = _product_columns(pairs)
+    return _fit(f, *_stacks(pairs), in_split, out_split)
+
+
+def _decompose_over_random_span(f: Process, n: int, in_split: int, out_split: int, seed) -> DecompositionResult:
+    """``decompose_nonsignalling(f, random_product_span(n, ..., seed=seed),
+    in_split, out_split)`` for the span of ``f``'s two sides, bit for bit,
+    fitted from the drawn stacks without a process per channel."""
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
+    phis, psis = _random_causal_stacks(np.random.default_rng(seed), _span_specs((ai, bi), (ao, bo)), n)
+    return _fit(f, phis, psis, in_split, out_split)
+
+
+def _fit(f: Process, phis: np.ndarray, psis: np.ndarray, in_split: int, out_split: int) -> DecompositionResult:
+    """The fit of :func:`decompose_nonsignalling` over the pairs of Choi
+    matrices of the stacks ``phis`` and ``psis``, whose shapes fit ``f``."""
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
+    cols = _product_columns(phis, psis)
     a = np.concatenate([cols.real, cols.imag])
     # The target's Choi matrix in the product columns' row order.
     target = f.choi.reshape(ai, bi, ao, bo, ai, bi, ao, bo).transpose(0, 2, 4, 6, 1, 3, 5, 7).ravel()
@@ -170,7 +198,7 @@ def decompose_nonsignalling(
     # Coefficients summing to one: the uniform point plus a step along the
     # differences between the first pair and each other one.  A lone pair
     # leaves no direction, which the solve takes as zero columns.
-    n = len(pairs)
+    n = len(phis)
     base = np.full(n, 1.0 / n)
     y, _, span_rank, _ = np.linalg.lstsq(a[:, 1:] - a[:, :1], b - a @ base, rcond=None)
     r = base + np.concatenate([[-y.sum()], y])

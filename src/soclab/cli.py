@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .affine import decompose_nonsignalling, random_product_span
+from .affine import _decompose_over_random_span
 from .dsl import evaluate
 from .errors import (
     DiagramSyntaxError,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
 from .predicates import is_causal, is_nonsignalling, is_soc, is_soc2
-from .process import Process, _read_json, _sides, process_from_dict
+from .process import Process, _read_json, process_from_dict
 from .supermap import supermap_from_dict, supermap_from_process
 from .tensor import DEFAULT_EPS
 
@@ -195,9 +195,7 @@ def _cmd_decompose(args) -> int:
     ins, outs = args.split
     if not (0 < ins < len(f.in_sys)) or not (0 < outs < len(f.out_sys)):
         raise ValueError(f"--split {ins} {outs} must leave each side an input and an output factor")
-    ai, bi, ao, bo = _sides(f, ins, outs)
-    span = random_product_span(args.span_size, (ai, bi), (ao, bo), seed=args.seed)
-    res = decompose_nonsignalling(f, span, in_split=ins, out_split=outs)
+    res = _decompose_over_random_span(f, args.span_size, ins, outs, args.seed)
     _emit(
         {
             "coeffs": list(res.coeffs),

@@ -7,6 +7,7 @@ from test_predicates import _embed_identity
 from soclab.affine import (
     AffineCombination,
     DecompositionResult,
+    _decompose_over_random_span,
     controlled_local_channel,
     decompose_nonsignalling,
     nonsignalling_direction_dim,
@@ -318,6 +319,13 @@ class TestDecompose:
         )
         res = decompose_nonsignalling(f, span)
         assert res.span_deficient
+
+    @pytest.mark.parametrize("dims, n", [((2, 2, 2, 2), 180), ((2, 3, 3, 2), 9), ((3, 2, 2, 4), 12)])
+    def test_the_cli_fit_from_drawn_stacks_equals_the_public_fit_bit_for_bit(self, dims, n):
+        a1, a2, b1, b2 = dims
+        target = realize_affine(random_combination(np.random.default_rng(5), 3, dims=dims))
+        span = random_product_span(n, in_dims=(a1, b1), out_dims=(a2, b2), seed=7)
+        assert _decompose_over_random_span(target, n, 1, 1, 7) == decompose_nonsignalling(target, span)
 
     def test_large_family_spans_the_hull(self):
         rng = np.random.default_rng(22)

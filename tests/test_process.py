@@ -603,6 +603,26 @@ class TestWireFormat:
         assert len(calls) == 1 and back is calls[0]
         assert is_psd(back.choi)
 
+    def test_a_frozen_array_that_owns_its_data_is_adopted_and_any_other_copied(self):
+        record = process_to_dict(random_causal_channel(A, B, seed=5))
+        choi = np.array(record["choi"])
+        copied = process_from_dict({**record, "choi": choi})
+        choi.setflags(write=False)
+        adopted = process_from_dict({**record, "choi": choi})
+        view = process_from_dict({**record, "choi": choi[:]})
+        assert np.shares_memory(adopted.tensor, choi)
+        assert not np.shares_memory(copied.tensor, choi) and not np.shares_memory(view.tensor, choi)
+        assert copied.choi.tobytes() == adopted.choi.tobytes() == view.choi.tobytes()
+        assert not adopted.tensor.flags.writeable
+
+    @pytest.mark.parametrize("spoil, message", [(lambda c: c[:-1, :-1], "expected side 6"), (lambda c: c + np.inf, "finite")])
+    def test_an_adopted_array_is_checked_as_a_copied_one(self, spoil, message):
+        record = process_to_dict(random_causal_channel(A, B, seed=5))
+        choi = np.array(spoil(np.array(record["choi"])))
+        choi.setflags(write=False)
+        with pytest.raises(DimensionError, match=message):
+            process_from_dict({**record, "choi": choi})
+
     def test_non_cp_choi_is_accepted_and_flagged(self):
         p = Process(A, UNIT, np.diag([1.0, -1.0]))
         back = process_from_dict(process_to_dict(p))
