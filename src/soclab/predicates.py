@@ -4,21 +4,16 @@ Every predicate returns a :class:`CausalVerdict` carrying a numeric
 residual (Frobenius distance from the constraint set being tested), so
 callers can both branch on ``holds`` and report how badly something
 fails; a residual made of several constraints names each one's share in
-``parts``.  The hole-preservation checks come in two independent flavours: a
-closed form on the body's marginals, and an oracle that actually fills
-the holes with a spanning family of arguments and checks every output.
-Both compute the same residual up to floating point error.
-
-Every check reads a discarded body: the marginal that
-``process._discard_outputs`` traces from the factor tensor in place, so a
-rewired process (a strided view) is never copied into its new order.  The
-oracles fill the body with the produced channel's output already
-discarded, so each filling is the effect it leaves on the channel input.
-The closed forms ask one question of such a marginal: does it act as the
-identity on one factor?  :func:`_defect` measures how far it is from it,
-``(1 - P_k) m`` with ``P_k m = Tr_k(m)/d_k (x) I_k``, for one factor or
-for several in turn.  It subtracts each projection in place, in the
-marginal's own memory, so a verdict reads all else from it first.
+``parts``.  Order preservation comes in two independent forms, each of
+which decides one hole as two with a trivial B slot (1 -> 1): a closed
+form on the body's marginals (:func:`_gaps`), and an oracle that fills
+the holes with a spanning family of arguments (:func:`_fill_oracle`).
+Both read the body with ``C2`` discarded, traced by
+``process._discard_outputs`` from the factor tensor in place, and compute
+the same residual up to floating point error.  The closed form asks
+whether a marginal acts as the identity on a factor; :func:`_defect`
+measures that in the marginal's own memory, so a verdict reads all else
+from it first.
 """
 
 from __future__ import annotations
@@ -64,16 +59,6 @@ def _defect(m: np.ndarray, dims: tuple[int, ...], *ks: int) -> np.ndarray:
     return out
 
 
-def _side_marginal(f: Process, in_split: int, out_split: int, side_a: bool) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """The marginal on every input and one side's outputs (the A side's, the
-    first ``out_split``, when ``side_a``), traced from ``f``'s tensor in
-    place, and its dims; its defect on the other side's input is the gap."""
-    ai, bi, ao, bo = _sides(f, in_split, out_split)
-    outs = range(len(f.out_sys))
-    m = _discard_outputs(f, outs[out_split:] if side_a else outs[:out_split])
-    return m, (ai, bi, ao if side_a else bo)
-
-
 def is_causal(f: Process, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Trace preservation: discarding the outputs leaves the identity effect.
 
@@ -92,8 +77,10 @@ def is_nonsignalling(f: Process, in_split: int = 1, out_split: int = 1, eps: flo
     ``f`` acts on a bipartite system; ``in_split``/``out_split`` count how
     many leading input/output factors belong to side A.
     """
-    b_to_a = norm(_defect(*_side_marginal(f, in_split, out_split, side_a=True), 1))
-    a_to_b = norm(_defect(*_side_marginal(f, in_split, out_split, side_a=False), 0))
+    ai, bi, ao, bo = _sides(f, in_split, out_split)
+    outs = range(len(f.out_sys))
+    b_to_a = norm(_defect(_discard_outputs(f, outs[out_split:]), (ai, bi, ao), 1))
+    a_to_b = norm(_defect(_discard_outputs(f, outs[:out_split]), (ai, bi, bo), 0))
     residual = hypot(b_to_a, a_to_b)
     return CausalVerdict(residual <= eps, residual, None, {"b_to_a": b_to_a, "a_to_b": a_to_b})
 
@@ -162,6 +149,38 @@ def causal_affine_basis(d_in: int, d_out: int) -> np.ndarray:
     return points
 
 
+def _gaps(m: np.ndarray, dims: tuple[int, int, int, int, int]) -> dict[str, float]:
+    """The four gaps of a body ``m`` with ``C2`` discarded, on ``dims = (A1,
+    A2, B1, B2, C1)``.  A defect on a factor of dimension 1 is exactly 0 for
+    finite entries, so it takes no pass.  A side marginal is a view of ``m``
+    when the other slot is 1 -> 1, so ``gap_norm`` reads ``m`` first."""
+    a1, a2, b1, b2, c1 = dims
+    # The normalization gap is shared between the two sides: counted once.
+    gaps = {"gap_a": 0.0, "gap_b": 0.0, "gap_norm": norm(partial_trace(m, dims, (4,)) / (a2 * b2) - np.eye(c1)), "gap_cross": 0.0}
+    for name, keep, d, other in (("gap_a", (0, 1, 4), a2, b2), ("gap_b", (2, 3, 4), b2, a2)):
+        if d > 1:
+            side = partial_trace(m, dims, keep)
+            gaps[name] = norm(_defect(side / other if other > 1 else side, (dims[keep[0]], d, c1), 1))
+    if a2 > 1 and b2 > 1:
+        # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
+        # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m, written into m: it comes last.
+        gaps["gap_cross"] = norm(_defect(m, dims, 3, 1))
+    return gaps
+
+
+def _fill_oracle(w: BipartiteSupermap, eps: float) -> CausalVerdict:
+    """Two-hole order preservation of ``w`` with ``C2`` discarded: both
+    holes filled with affine bases of causal channels, a ``(Ka, Kb, C1,
+    C1)`` grid of effects from one stacked insertion."""
+    wit = insert_stacked(w, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out)) - np.eye(w.c_in)
+    # Successive differences leave the base pair's witness at [0, 0], each hole's
+    # first-order changes along the edges, and the mixed second differences inside.
+    wit[1:] -= wit[:1]
+    wit[:, 1:] -= wit[:, :1]
+    residual = norm(wit)
+    return CausalVerdict(residual <= eps, residual, None)
+
+
 def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """One-hole order preservation, by a closed form on body marginals.
 
@@ -169,48 +188,28 @@ def is_soc(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAU
     ``[slot-in..., slot-out...]`` (split by ``in_split``), outputs are the
     produced channel's wires ``[chan-in..., chan-out...]`` (split by
     ``out_split``).  Holds iff filling the hole with any causal channel
-    yields a causal channel.
-    """
-    # The slot output must not signal to the channel input; the rest must be normalized.
-    m, (si, so, ci) = _side_marginal(w, in_split, out_split, side_a=True)
-    gap_norm = norm(partial_trace(m, (si, so, ci), keep=(2,)) / so - np.eye(ci))
-    gap_slot = norm(_defect(m, (si, so, ci), 1))
+    yields a causal channel: :func:`is_soc2` with B 1 -> 1, ``gap_a`` named
+    ``gap_slot``."""
+    si, so, ci, _ = _sides(w, in_split, out_split)
+    gaps = _gaps(_discard_outputs(w, range(out_split, len(w.out_sys))), (si, so, 1, 1, ci))
+    gap_slot, gap_norm = gaps["gap_a"], gaps["gap_norm"]
     residual = hypot(gap_slot, gap_norm)
     return CausalVerdict(residual <= eps, residual, None, {"gap_slot": gap_slot, "gap_norm": gap_norm})
 
 
 def is_soc_oracle(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    """Same predicate as :func:`is_soc`, decided by exhausting an affine
-    basis of causal arguments through the hole and checking every output.
-    The whole basis goes through the hole as one stack, into the body with
-    the channel output discarded: each output is an effect on its input."""
-    si, so, ci, co = _sides(w, in_split, out_split)
-    basis = causal_affine_basis(si, so)  # first, so that an oversized basis raises before any trace
+    """Same predicate as :func:`is_soc`, decided as :func:`is_soc2_oracle`
+    decides the body with a trivial B slot."""
+    si, so, ci, _ = _sides(w, in_split, out_split)
+    causal_affine_basis(si, so)  # first, so that an oversized basis raises before any trace
     m = _discard_outputs(w, range(out_split, len(w.out_sys)))
-    wit = link(basis, (si * so,), [0], m, (si * so, ci), [0]) - np.eye(ci)
-    # The base point's witness, then each direction's change from it.
-    wit[1:] -= wit[:1]
-    residual = norm(wit)
-    return CausalVerdict(residual <= eps, residual, None)
+    return _fill_oracle(BipartiteSupermap(Process._adopt(System((si, so, 1, 1)), System((ci, 1)), m)), eps)
 
 
 def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Two-hole order preservation: every pair of causal fillings (applied
     to either hole independently) must come out causal.  Closed form."""
-    a1, a2, b1, b2, c1 = w.a_in, w.a_out, w.b_in, w.b_out, w.c_in
-    d5 = (a1, a2, b1, b2, c1)
-    m = _discard_outputs(w.body, [1])
-
-    gap_a = norm(_defect(partial_trace(m, d5, keep=(0, 1, 4)) / b2, (a1, a2, c1), 1))
-    gap_b = norm(_defect(partial_trace(m, d5, keep=(2, 3, 4)) / a2, (b1, b2, c1), 1))
-    # The overall normalization gap is shared between the two sides, so it
-    # is counted once.
-    gap_norm = norm(partial_trace(m, d5, keep=(4,)) / (a2 * b2) - np.eye(c1))
-    # With P_k m = Tr_k(m)/d_k (x) I_k, the cross term m - P_A2 m - P_B2 m
-    # + P_A2 P_B2 m is (1 - P_A2)(1 - P_B2) m, written into m: it comes last.
-    gap_cross = norm(_defect(m, d5, 3, 1))
-
-    parts = {"gap_a": gap_a, "gap_b": gap_b, "gap_norm": gap_norm, "gap_cross": gap_cross}
+    parts = _gaps(_discard_outputs(w.body, [1]), (w.a_in, w.a_out, w.b_in, w.b_out, w.c_in))
     residual = sqrt(sum(g * g for g in parts.values()))
     if not isfinite(residual):  # a part past about 1e154 overflows when squared
         residual = hypot(*parts.values())
@@ -218,19 +217,9 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
 
 
 def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    """Same predicate as :func:`is_soc2`, decided by filling both holes with
-    affine bases of causal channels through the public insertion path.
-    Every pair of basis arguments is filled by one stacked insertion into
-    the body with ``C2`` discarded: a ``(Ka, Kb, C1, C1)`` grid of effects."""
-    grid = insert_stacked(w._discarded, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
-    wit = grid - np.eye(w.c_in)
-    # Successive differences leave the base pair's witness at [0, 0], each
-    # hole's first-order changes along the edges, and the mixed second
-    # differences inside.
-    wit[1:] -= wit[:1]
-    wit[:, 1:] -= wit[:, :1]
-    residual = norm(wit)
-    return CausalVerdict(residual <= eps, residual, None)
+    """Same predicate as :func:`is_soc2`, decided by filling both holes
+    through the public insertion path."""
+    return _fill_oracle(w._discarded, eps)
 
 
 def probe_states(d: int) -> list[np.ndarray]:

@@ -248,10 +248,10 @@ def _sides(p: Process, in_split: int, out_split: int) -> tuple[int, int, int, in
 
 def _discard_outputs(p: Process, drop: Sequence[int]) -> np.ndarray:
     """The Choi matrix of ``p`` with the output factors at positions ``drop``
-    traced out of its tensor in place, a fresh array that the caller owns
-    (``p.choi`` when ``drop`` is empty).  Each dropped factor reads as a
-    factor of dimension 1, so whatever wiring fits ``p`` fits the marginal.  Bodies are discarded here; the verify
-    harness traces its argument stacks' ancillas with ``partial_trace``."""
+    traced out of its tensor in place: ``p.choi`` if ``drop`` is empty, a
+    read-only view when the strides allow and each dropped factor has
+    dimension 1, else a fresh array that the caller owns.  Each dropped
+    factor reads as one of dimension 1, so whatever wiring fits ``p`` fits."""
     if not drop:
         return p.choi
     keep = [*range(p.n_in), *[p.n_in + j for j in range(len(p.out_sys)) if j not in drop]]

@@ -13,7 +13,7 @@ filling (the link product is associative), so an insertion's ``causal``,
 both oracles and the verification runs trace ``C2`` out of the body (once
 per supermap) and the ancilla outputs out of the arguments before they
 link the small marginals.  A discard returns its marginal as a plain
-matrix; only the cached discarded body wraps it as a process again.  The
+matrix; the cached discarded body and the one-hole oracle wrap it.  The
 runs' premise, ``is_soc2``, is likewise decided once per supermap and kept
 on it (``_premise``), while a direct ``is_soc2`` call always computes.  An
 insertion checks its types at once and builds ``process`` on first use.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _discard_outputs, _json_dims, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import UNIT, System, _zeros, as_stack, check_size, link
+from .tensor import HUGE_PAGE_BYTES, UNIT, System, _zeros, as_stack, check_size, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +288,7 @@ def mix(pairs) -> BipartiteSupermap:
     its body is nonzero: a skipped term would only add a signed zero, which
     leaves a nonzero sum as it is and ``+0`` at ``+0``, so the bits are
     those of the dense sum, while a large mixture of sparse bodies takes
-    memory only for the pages that hold their nonzeros."""
+    memory only for its nonzeros' pages and one block's scan at a time."""
     pairs = list(pairs)
     if not pairs:
         raise DimensionError("cannot mix an empty collection of supermaps")
@@ -300,11 +300,12 @@ def mix(pairs) -> BipartiteSupermap:
         if w.body.in_sys.dims != first.in_sys.dims or w.body.out_sys.dims != first.out_sys.dims:
             raise WireMismatchError("mixed supermaps must share slot and output types")
     acc = _zeros(first.choi.shape)
-    flat = acc.reshape(-1)
+    flat, step = acc.reshape(-1), HUGE_PAGE_BYTES // acc.itemsize
     for weight, w in pairs:
         t = w.body.choi.reshape(-1)
-        idx = np.flatnonzero(t != 0)
-        flat[idx] += weight * t[idx]
+        for lo in range(0, t.size, step):
+            idx = lo + np.flatnonzero(t[lo : lo + step] != 0)
+            flat[idx] += weight * t[idx]
     return BipartiteSupermap(Process._adopt(first.in_sys, first.out_sys, acc))
 
 

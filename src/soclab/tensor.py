@@ -243,19 +243,22 @@ def link(
 
 @lru_cache(maxsize=PLANS)
 def _trace_plan(dims, keep, shape):
-    """Every check and the einsum sublists of :func:`partial_trace`, and for
-    a large result those of one slice of its first kept factor's row axis."""
+    """Every check and the einsum sublists of :func:`partial_trace` (none
+    for a reshape), and for a large result those of one slice of its first
+    kept factor's row axis."""
     n = len(dims)
     if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
         raise DimensionError(f"bad keep={keep} for {n} factors")
     batch = () if shape == dims + dims else _check_stack(shape, prod(dims))[:-2]
+    side = prod(dims[k] for k in keep)
+    if list(keep) == sorted(keep) and side == prod(dims):
+        return None, None, batch + (side, side), None
     # Sublist einsum: row axis i gets index i, column axis i gets index n+i,
     # then identify row with column on every traced factor.
     subs = list(range(2 * n))
     for i in range(n):
         if i not in keep:
             subs[n + i] = subs[i]
-    side = prod(dims[k] for k in keep)
     t, out = batch + dims + dims, (*keep, *(n + k for k in keep))
     whole = (..., *subs), (..., *out)
     if batch or not keep or side * side * np.dtype(complex).itemsize < HUGE_PAGE_BYTES:
@@ -277,9 +280,15 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     :data:`HUGE_PAGE_BYTES` or more, not a stack, that one einsum would give
     out of C order for ``reshape`` to copy is written into one C-ordered
     array, one slice of its first kept factor at a time, to the same bits.
+    A trace of factors of dimension 1 only, keeping the rest in order, is
+    ``m.reshape``: a view of ``m`` where its strides allow, whose ``-0.0``
+    entries stay (einsum's sum gives ``+0.0``).
     """
     m = np.asarray(m, dtype=complex)
-    t, (subs, out), shape, sliced = _trace_plan(tuple(dims), tuple(keep), m.shape)
+    t, whole, shape, sliced = _trace_plan(tuple(dims), tuple(keep), m.shape)
+    if whole is None:
+        return m.reshape(shape)
+    subs, out = whole
     # A contiguous input kept in its own order gives a C-ordered einsum output.
     if sliced is None or (m.flags.c_contiguous and list(keep) == sorted(keep)):
         return np.einsum(m.reshape(t), subs, out).reshape(shape)

@@ -38,6 +38,7 @@ from soclab.process import (
     processes_close,
     random_causal_channel,
     random_density,
+    relabel,
     rewire,
     swap_process,
 )
@@ -657,6 +658,23 @@ class TestOneHolePreservation:
         body = Process(System((2, 2)), System((2, 2)), m)
         assert abs(is_soc(body).residual - is_soc_oracle(body).residual) < 1e-8
 
+    @given(seeds, st.sampled_from([(2, 3), (3, 1, 2)]), st.sampled_from([(2, 3), (1, 2, 2)]))
+    @settings(max_examples=8, deadline=None)
+    def test_one_hole_is_two_holes_with_a_trivial_b_slot(self, seed, ins, outs):
+        # The body read as a supermap with slots (si, so, 1, 1) and outputs
+        # (ci, co), built here with relabel, at every split: unequal slots,
+        # a trivial one, and all outputs on the channel input or none.
+        body = random_hermitian_process(np.random.default_rng(seed), System(ins), System(outs))
+        for in_split in range(len(ins) + 1):
+            for out_split in range(len(outs) + 1):
+                si, so, ci, co = _sides(body, in_split, out_split)
+                w = BipartiteSupermap(relabel(body, (si, so, 1, 1), (ci, co)))
+                one, two = is_soc(body, in_split, out_split).parts, is_soc2(w).parts
+                assert (one["gap_slot"].hex(), one["gap_norm"].hex()) == (two["gap_a"].hex(), two["gap_norm"].hex())
+                assert two["gap_b"].hex() == two["gap_cross"].hex() == "0x0.0p+0"
+                want = is_soc2_oracle(w).residual
+                assert abs(is_soc_oracle(body, in_split, out_split).residual - want) <= 1e-12 * max(1.0, want)
+
     def test_split_flattening(self):
         # Multi-factor wires are grouped by the split counts.
         rho = random_density(System((2, 2)), seed=7)
@@ -811,6 +829,55 @@ class TestMarginalsReadInPlace:
         assert peak < w.body.choi.nbytes / 2
         want = closed(w)
         assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-9 * max(1.0, want.residual)
+
+
+def _reversed_view(p: Process) -> Process:
+    """``p`` as a strided view: a contiguous process on its factors in
+    reverse order, rewired back."""
+    n_in, n = p.n_in, len(p.factor_dims)
+    back = rewire(p, range(n_in - 1, -1, -1), range(n - 1, n_in - 1, -1))
+    rev = Process(back.in_sys, back.out_sys, back.choi)
+    return rewire(rev, range(n_in - 1, -1, -1), range(n - 1, n_in - 1, -1))
+
+
+class TestDimensionOneDiscards:
+    # A discard of outputs of dimension 1 only, and the trace of a trivial
+    # B slot, are reshapes: a read-only view of the frozen tensor where its
+    # strides allow, which a defect copies before it writes.
+    RNG = np.random.default_rng(17)
+    ONE_HOLE = [
+        (random_hermitian_process(RNG, System((2, 3)), System((2, 3))), 2),
+        (random_hermitian_process(RNG, System((3, 2)), System((3, 1))), 1),
+    ]
+    TWO_HOLE = random_hermitian_process(RNG, System((2, 3, 3, 2)), System((2, 1)))
+
+    @staticmethod
+    def same(got, want):
+        assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+        for name, gap in want.parts.items():
+            assert abs(got.parts[name] - gap) <= 1e-12 * max(1.0, gap)
+
+    @pytest.mark.parametrize("rewired", [False, True], ids=["contiguous", "rewired"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["all_outputs_on_c1", "c2_of_dimension_1"])
+    def test_a_one_hole_verdict_leaves_the_tensor_unwritten(self, case, rewired):
+        body, out_split = self.ONE_HOLE[case]
+        body = _reversed_view(body) if rewired else body
+        assert body.tensor.flags.c_contiguous is not rewired
+        before = body.tensor.tobytes()
+        copy = Process(body.in_sys, body.out_sys, body.choi)
+        for decide in (is_soc, is_soc_oracle, is_nonsignalling):
+            self.same(decide(body, 1, out_split), decide(copy, 1, out_split))
+        assert body.tensor.tobytes() == before
+
+    @pytest.mark.parametrize("rewired", [False, True], ids=["contiguous", "rewired"])
+    def test_a_two_hole_verdict_with_c2_of_dimension_1_leaves_the_tensor_unwritten(self, rewired):
+        body = _reversed_view(self.TWO_HOLE) if rewired else self.TWO_HOLE
+        before = body.tensor.tobytes()
+        w, copy = BipartiteSupermap(body), BipartiteSupermap(Process(body.in_sys, body.out_sys, body.choi))
+        assert np.shares_memory(w._discarded.body.tensor, body.tensor) is not rewired
+        for decide in (is_soc2, is_soc2_oracle):
+            self.same(decide(w), decide(copy))
+        assert body.tensor.tobytes() == before
 
 
 def _huge_pages_always() -> bool:

@@ -573,6 +573,33 @@ class TestAlgebra:
         assert isinstance(backing(got), mmap.mmap) == mapped
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @given(seeds, st.lists(weights, min_size=1, max_size=3), st.sampled_from([16, 48, 1 << 10]))
+    @settings(max_examples=20, deadline=None)
+    def test_mix_scanned_in_blocks_is_the_dense_sum_byte_for_byte(self, seed, ws, line):
+        # A line of 16 bytes scans one entry at a time; 48, blocks of three
+        # over 64 entries, the last one short; 1 KiB, the body in one block.
+        rng = np.random.default_rng(seed)
+        pairs = [(t, sparse_body(rng, (2, 1, 1, 2, 2, 1))) for t in ws]
+        want = mix_reference(pairs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(supermap, "HUGE_PAGE_BYTES", line)
+            got = mix(pairs).body.choi
+        assert got.tobytes() == want.tobytes()
+
+    def test_mixing_two_ququart_orders_scans_a_block_at_a_time(self):
+        # Each body is 268 MB on the zero page, and so is the sum; a mask
+        # over a whole body took 16 MiB, one over a 4 MiB block of entries
+        # takes 256 KiB.
+        ab, ba = fixed_order_a_then_b(4, 4, 4, 4), fixed_order_b_then_a(4, 4, 4, 4)
+        tracemalloc.start()
+        try:
+            w = mix([(0.25, ab), (0.75, ba)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert is_soc2(w).holds
+
     @pytest.mark.parametrize("pairs", [
         lambda ab4, ab3: [(0.5, ab4), (0.5, ab3)],
         lambda ab4, ab3: [(1.0, ab4), (float("nan"), ab4)],

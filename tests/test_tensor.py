@@ -386,6 +386,33 @@ class TestPartialTrace:
             tracemalloc.stop()
         assert peak <= bound * got.nbytes
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["matrix", "stack", "strided"]))
+    @settings(max_examples=15, deadline=None)
+    def test_a_trace_of_dimension_1_factors_is_a_reshape_with_the_bits_of_einsum(self, seed, layout):
+        # Factors (2, 1, 3, 1), keeping 0 and 2.  A matrix or a stack is
+        # handed back as a view; a strided factor tensor (the body of
+        # factors (3, 1, 2, 1) read in the order 2, 1, 0, 3) is copied.
+        dims, keep = (2, 1, 3, 1), (0, 2)
+        rng = np.random.default_rng(seed)
+        if layout == "strided":
+            m = random_matrix(rng, 6).reshape((3, 1, 2, 1) * 2).transpose(2, 1, 0, 3, 6, 5, 4, 7)
+            t = m
+        else:
+            m = random_matrix(rng, 6) if layout == "matrix" else rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+            t = m.reshape(m.shape[:-2] + dims + dims)
+        want = np.einsum("...ijklmjnl->...ikmn", t)
+        want = want.reshape(want.shape[:-4] + (6, 6))
+        got = partial_trace(m, dims, keep)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, m) is (layout != "strided")
+
+    def test_a_reshaped_trace_keeps_the_sign_of_a_zero_and_checks_keep(self):
+        # einsum's sum would give +0.0 here; the reshape keeps the entry.
+        assert np.signbit(partial_trace(np.array([[complex(-0.0, 0.0)]]), (1,), ()).real).all()
+        for keep in [(0, 0), (2,), (-1,), (1, 0, 1)]:
+            with pytest.raises(DimensionError, match="bad keep"):
+                partial_trace(np.eye(2), (2, 1), keep=keep)
+
     @pytest.mark.parametrize("keep", [(0, 0), (2,), (-1,)])
     def test_rejects_bad_keep(self, keep):
         # Twice: a plan that failed must not be remembered as made.
