@@ -108,22 +108,55 @@ def _dims_document(dims) -> str:
     return "[\n    " + ",\n    ".join(map(str, dims)) + "\n  ]" if dims else "[]"
 
 
-def _process_document(p: Process) -> str:
-    """``json.dumps(process_to_dict(p), indent=2, sort_keys=True)``, byte for
-    byte.  ``indent`` sends ``json`` to its pure-Python encoder, so the
-    numbers come from one compact (C-encoded) ``dumps`` of the entries and
-    are laid out in the indented form by one string template."""
+# One block of whole rows holds at most this many floats (re and im parts):
+# ``eval`` holds the text of one block at a time, not that of the document.
+BLOCK_FLOATS = 1 << 16
+# A block of fewer floats is formatted entry by entry: below this, sorting
+# out its distinct values costs more than formatting all of them.
+DEDUPE_FROM = 1 << 7
+
+# The indented layout's separators: within an entry's [re, im], between
+# entries, and between rows.
+_PAIR = ",\n        "
+_ENTRY = "\n      ],\n      [\n        "
+_ROW = "\n      ]\n    ],\n    [\n      [\n        "
+
+
+def _tokens(floats: np.ndarray) -> list[str]:
+    """The JSON text of each float, from one compact (C-encoded) ``json.dumps``."""
+    return json.dumps(floats.tolist())[1:-1].split(", ")
+
+
+def _dump_process(p: Process, fp) -> None:
+    """Write ``json.dumps(process_to_dict(p), indent=2, sort_keys=True)`` to
+    ``fp``, byte for byte, one block of whole rows at a time, so that the
+    text of one block is held, not that of the document.  ``indent`` would
+    send ``json`` to its pure-Python encoder, so the numbers come from a
+    compact (C-encoded) ``dumps``; a block of :data:`DEDUPE_FROM` floats or
+    more formats each of its distinct values once, told apart by their bits
+    so that ``-0.0`` is not ``0.0``.  The tokens go between the separators
+    of one row, repeated, in one ``"".join``."""
     side = p.choi.shape[0]
-    # A complex array read as floats interleaves each entry's re and im.
-    tokens = json.dumps(p.choi.ravel().view(float).tolist())[1:-1].split(", ")
-    # Separators between an entry's [re, im], between entries, and between rows.
-    pair = "%s,\n        %s"
-    row = "\n      ],\n      [\n        ".join([pair] * side)
-    body = "\n      ]\n    ],\n    [\n      [\n        ".join([row] * side) % tuple(tokens)
-    return (
-        '{\n  "choi": [\n    [\n      [\n        ' + body + '\n      ]\n    ]\n  ],\n'
-        f'  "in": {_dims_document(p.in_sys.dims)},\n  "out": {_dims_document(p.out_sys.dims)}\n}}'
-    )
+    rows = max(1, BLOCK_FLOATS // (2 * side))
+    seps = [_PAIR, _ENTRY] * side
+    seps[-1] = _ROW
+    fp.write('{\n  "choi": [\n    [\n      [\n        ')
+    for r in range(0, side, rows):
+        # A complex array read as floats interleaves each entry's re and im.
+        floats = np.ascontiguousarray(p.choi[r : r + rows]).view(float).reshape(-1)
+        if floats.size < DEDUPE_FROM:
+            tokens = _tokens(floats)
+        else:
+            bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+            tokens = np.array(_tokens(bits.view(float)), dtype=object)[where].tolist()
+        cells = [None] * (2 * len(tokens))
+        cells[::2], cells[1::2] = tokens, seps * (len(tokens) // len(seps))
+        if r + rows >= side:
+            cells[-1] = (
+                '\n      ]\n    ]\n  ],\n'
+                f'  "in": {_dims_document(p.in_sys.dims)},\n  "out": {_dims_document(p.out_sys.dims)}\n}}'
+            )
+        fp.write("".join(cells))
 
 
 def _cmd_eval(args) -> int:
@@ -135,7 +168,8 @@ def _cmd_eval(args) -> int:
         return 2
     if not np.isfinite(proc.tensor).all():
         raise DimensionError("the diagram's Choi matrix overflowed: some entries are not finite numbers")
-    sys.stdout.write(_process_document(proc) + "\n")
+    _dump_process(proc, sys.stdout)
+    sys.stdout.write("\n")
     return 0
 
 

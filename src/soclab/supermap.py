@@ -288,7 +288,9 @@ def mix(pairs) -> BipartiteSupermap:
     its body is nonzero: a skipped term would only add a signed zero, which
     leaves a nonzero sum as it is and ``+0`` at ``+0``, so the bits are
     those of the dense sum, while a large mixture of sparse bodies takes
-    memory only for its nonzeros' pages and one block's scan at a time."""
+    memory only for its nonzeros' pages and one block's scan at a time.
+    A sum past the float range has no process: it raises
+    :class:`DimensionError`, checked on each block's touched entries."""
     pairs = list(pairs)
     if not pairs:
         raise DimensionError("cannot mix an empty collection of supermaps")
@@ -301,11 +303,15 @@ def mix(pairs) -> BipartiteSupermap:
             raise WireMismatchError("mixed supermaps must share slot and output types")
     acc = _zeros(first.choi.shape)
     flat, step = acc.reshape(-1), HUGE_PAGE_BYTES // acc.itemsize
-    for weight, w in pairs:
-        t = w.body.choi.reshape(-1)
-        for lo in range(0, t.size, step):
-            idx = lo + np.flatnonzero(t[lo : lo + step] != 0)
-            flat[idx] += weight * t[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, w in pairs:
+            t = w.body.choi.reshape(-1)
+            for lo in range(0, t.size, step):
+                idx = lo + np.flatnonzero(t[lo : lo + step] != 0)
+                s = flat[idx] + weight * t[idx]
+                if not np.isfinite(s).all():
+                    raise DimensionError("the mixture overflows: some entries of its sum are not finite numbers")
+                flat[idx] = s
     return BipartiteSupermap(Process._adopt(first.in_sys, first.out_sys, acc))
 
 

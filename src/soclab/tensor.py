@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import isfinite, prod, sqrt
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -169,32 +169,39 @@ def _link_plan(p_dims, p_wires, q_dims, q_wires, order, pb, qb, paired) -> _Plan
     pf, qf = [i for i in range(len(pt)) if i not in pw], [j for j in range(len(qt)) if j not in qw]
     fps, fqs = tuple(pt[i] for i in pf[kp:]), tuple(qt[j] for j in qf[kq:])
     inner = prod(p_dims[i] for i in p_wires) ** 2  # entries summed per result entry
+    # The result's rows then columns, as positions in [p rows, p columns,
+    # q rows, q columns], the rows and columns being those of the free factors.
+    fp, fq = n - len(p_wires), m - len(q_wires)
+    rows = [*range(fp), *range(2 * fp, 2 * fp + fq)]
+    cols = [*range(fp, 2 * fp), *range(2 * fp + fq, 2 * (fp + fq))]
+    if order is not None:
+        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
+    final = rows + cols
     if inner == 1:
-        # Nothing is summed: drop the dimension-1 wires and broadcast to
-        # batch + fps + fqs, q's batch axes after p's unless paired.
-        op, pa, qa = np.multiply, range(len(pt)), range(len(qt))
-        pm = pb + (() if paired else (1,) * kq) + fps + (1,) * len(fqs)
-        qm = qb + (1,) * len(fps) + fqs
-        t, pb, qb = batch + fps + fqs, batch, ()
-    elif paired and pb + qb:
+        # Nothing is summed: a broadcast np.multiply writes the product
+        # C-ordered in the result's order, so the last reshape is a view,
+        # not a copy (numpy's default would follow the operands' order).  Each
+        # operand's view is permuted to that order, with dimension-1 axes for
+        # the other's factors and, unless paired, q's batch axes after p's;
+        # its dimension-1 wires go last and the reshape drops them.
+        pa = pf[:kp] + [pf[kp + k] for k in final if k < 2 * fp] + pw
+        qa = qf[:kq] + [qf[kq + k - 2 * fp] for k in final if k >= 2 * fp] + qw
+        pm = pb + (() if paired else (1,) * kq) + tuple(fps[k] if k < 2 * fp else 1 for k in final)
+        qm = qb + tuple(fqs[k - 2 * fp] if k >= 2 * fp else 1 for k in final)
+        return _Plan(partial(np.multiply, order="C"), (pt, tuple(pa), pm), (qt, tuple(qa), qm), (shape, tuple(range(len(shape)))), shape)
+    if paired and pb + qb:
         # Each pair's free axes against its wires, times the wires against
         # q's free axes: one stacked matmul makes each pair's own product.
         op, pa, qa = np.matmul, pf + pw, qf[:kq] + qw + qf[kq:]
         pm, qm = pb + (prod(fps), inner), qb + (inner, prod(fqs))
-        t, pb, qb = batch + fps + fqs, batch, ()
+        t, kp, kq = batch + fps + fqs, len(batch), 0
     else:
         op, pa, qa = np.dot, pf + pw, qw + qf
         pm, qm = (prod(pb + fps), inner), (inner, prod(qb + fqs))
         t = pb + fps + qb + fqs
-    # t holds [p batch, p rows, p columns, q batch, q rows, q columns], the
-    # rows and columns being those of the free factors.
-    kp, fp = len(pb), n - len(p_wires)
-    fq, q0 = len(free) - fp, kp + 2 * fp + len(qb)  # q0: q's first row axis
-    rows = [*range(kp, kp + fp), *range(q0, q0 + fq)]
-    cols = [*range(kp + fp, kp + 2 * fp), *range(q0 + fq, q0 + 2 * fq)]
-    if order is not None:
-        rows, cols = [rows[k] for k in order], [cols[k] for k in order]
-    axes = (*range(kp), *range(kp + 2 * fp, q0), *rows, *cols)
+    # t holds [p batch, p rows, p columns, q batch, q rows, q columns].
+    q0 = kp + 2 * fp + kq  # q's first row axis
+    axes = (*range(kp), *range(kp + 2 * fp, q0), *(kp + k if k < 2 * fp else q0 + k - 2 * fp for k in final))
     return _Plan(op, (pt, tuple(pa), pm), (qt, tuple(qa), qm), (t, axes), shape)
 
 

@@ -6,15 +6,19 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soclab
-from soclab.cli import _process_document, main
+from soclab import cli
+from soclab.cli import _dims_document, _dump_process, main
+from soclab.dsl import evaluate
 from soclab.extras import spoiled_supermap
 from soclab.process import (
     Process,
@@ -185,6 +189,40 @@ factor_lists = st.lists(st.integers(1, 3), min_size=0, max_size=2)
 entries = st.one_of(st.sampled_from(TRICKY_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 
 
+def dumped(p: Process) -> str:
+    """The text ``_dump_process`` writes."""
+    buf = io.StringIO()
+    _dump_process(p, buf)
+    return buf.getvalue()
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reported by the first character that differs: a
+    diff of two long documents would take longer than the test."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ from character {at}: {got[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}")
+
+
+# The one-string writer of `eval` before it streamed, kept as the reference.
+def _process_document(p: Process) -> str:
+    """``json.dumps(process_to_dict(p), indent=2, sort_keys=True)``, byte for
+    byte.  ``indent`` sends ``json`` to its pure-Python encoder, so the
+    numbers come from one compact (C-encoded) ``dumps`` of the entries and
+    are laid out in the indented form by one string template."""
+    side = p.choi.shape[0]
+    # A complex array read as floats interleaves each entry's re and im.
+    tokens = json.dumps(p.choi.ravel().view(float).tolist())[1:-1].split(", ")
+    # Separators between an entry's [re, im], between entries, and between rows.
+    pair = "%s,\n        %s"
+    row = "\n      ],\n      [\n        ".join([pair] * side)
+    body = "\n      ]\n    ],\n    [\n      [\n        ".join([row] * side) % tuple(tokens)
+    return (
+        '{\n  "choi": [\n    [\n      [\n        ' + body + '\n      ]\n    ]\n  ],\n'
+        f'  "in": {_dims_document(p.in_sys.dims)},\n  "out": {_dims_document(p.out_sys.dims)}\n}}'
+    )
+
+
 class TestProcessDocument:
     @given(factor_lists, factor_lists, st.lists(entries, min_size=1, max_size=12), st.lists(entries, min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -194,13 +232,88 @@ class TestProcessDocument:
         choi = np.empty((side, side), dtype=complex)
         choi.real, choi.imag = np.resize(re, (side, side)), np.resize(im, (side, side))
         p = Process(System(tuple(ins)), System(tuple(outs)), choi)
-        assert _process_document(p) == json.dumps(process_to_dict(p), indent=2, sort_keys=True)
+        assert dumped(p) == json.dumps(process_to_dict(p), indent=2, sort_keys=True)
 
     def test_non_finite_entries_are_written_as_json_writes_them(self):
         # Overflow inside a composition can leave such entries; the public
         # constructor would reject them, so adopt the array directly.
         p = Process._adopt(System((2,)), System(()), np.array([[np.inf, -np.inf], [np.nan, 1j * np.inf]]))
-        assert _process_document(p) == json.dumps(process_to_dict(p), indent=2, sort_keys=True)
+        assert dumped(p) == json.dumps(process_to_dict(p), indent=2, sort_keys=True)
+
+
+class TestStreamedDocument:
+    """The writer of ``eval`` streams row blocks and formats each distinct
+    value of a block once; its bytes are those of the one-string template
+    above, which the tests of the indented encoder checked before it."""
+
+    @given(
+        st.lists(st.integers(1, 4), max_size=2),
+        factor_lists,
+        # A few values, so that entries repeat, among them both zeros,
+        # the tricky floats and values that are not finite.
+        st.lists(st.one_of(st.sampled_from(TRICKY_FLOATS + [0.0, np.inf, -np.inf, np.nan]), st.floats()), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.sampled_from([1, 7, 64, cli.BLOCK_FLOATS]),
+        st.sampled_from([0, cli.DEDUPE_FROM]),
+    )
+    # A matrix of 300 x 300 entries spans three blocks of the real size.
+    @example([300], [], [0.0, -0.0, 1.0, 0.1], [0, 1, 2, 0, 3, 2, 1], cli.BLOCK_FLOATS, cli.DEDUPE_FROM)
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_the_one_string_template(self, ins, outs, pool, picks, block, dedupe_from):
+        side = int(np.prod(ins)) * int(np.prod(outs))
+        floats = np.array(pool)[np.resize(np.array(picks) % len(pool), 2 * side * side)]
+        p = Process._adopt(System(tuple(ins)), System(tuple(outs)), floats.view(complex).reshape(side, side))
+        with mock.patch.object(cli, "BLOCK_FLOATS", block), mock.patch.object(cli, "DEDUPE_FROM", dedupe_from):
+            assert_same_text(dumped(p), _process_document(p))
+
+
+class _DigestSink:
+    """A stdout that keeps only the length and sha256 of what it is sent."""
+
+    def __init__(self):
+        self.size, self.hash = 0, hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.hash.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestEvalMemory:
+    # At R = 6 the Choi matrix is 1296 x 1296 complex (25.6 MiB) and the
+    # document 70.6 MB; one string of it would hold several times the matrix.
+    DIAGRAM = "system R = 6 ;\ncap[R] ; cup[R]\n"
+    CHOI_BYTES = 6**8 * 16
+
+    def test_evaluating_holds_about_one_choi_matrix(self):
+        tracemalloc.start()
+        try:
+            p = evaluate(self.DIAGRAM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.choi.nbytes == self.CHOI_BYTES
+        assert peak <= 1.05 * self.CHOI_BYTES
+
+    def test_eval_streams_its_document_in_bounded_memory(self, tmp_path, monkeypatch):
+        diag = tmp_path / "r6.diag"
+        diag.write_text(self.DIAGRAM)
+        sink = _DigestSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["eval", str(diag)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * self.CHOI_BYTES
+        assert sink.size == 70_559_500
+        assert sink.hash.hexdigest() == "8d158d073bd2acbfc1dd96b25d6511d90b2f528d6c1ecc8f70e8228cfd406af7"
 
 
 class TestErrorPaths:

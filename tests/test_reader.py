@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclab import process
-from soclab.cli import _process_document, main
+from soclab.cli import main
 from soclab.process import _read_json, _strict_record, identity_process, process_from_dict
 from soclab.supermap import fixed_order_a_then_b, supermap_from_dict
 from soclab.tensor import System
-from test_cli import FUZZ_FILES, GOLDEN, _mutated_document
+from test_cli import FUZZ_FILES, GOLDEN, _mutated_document, dumped
 
 RECORDS = sorted(p.relative_to(GOLDEN).as_posix() for pattern in ("*.json", "boxes/*.json") for p in GOLDEN.glob(pattern))
 # The golden diagrams that evaluate.
@@ -147,7 +147,7 @@ TARGETED = {
     "indented": (lambda t: json.dumps(json.loads(t), indent=2), True),
     "crlf": (lambda t: json.dumps(json.loads(t), indent=2).replace("\n", "\r\n"), True),
     "tabs": (lambda t: t.replace(" ", "\t"), True),
-    "eval-layout": (lambda t: _process_document(identity_process(System((2,)))), True),
+    "eval-layout": (lambda t: dumped(identity_process(System((2,)))), True),
     "supermap": (lambda t: json.dumps({"process": json.loads(t), "slots": {"a": [1, 1], "b": [1, 2]}}), True),
     "ragged-pairs": (lambda t: _edit(t, lambda c: c[0].__setitem__(slice(0, 2), [[1.0, 0.0, 0.0], [0.0]])), False),
     "ragged-rows": (lambda t: _edit(t, lambda c: c[0].append(c[1].pop(0))), False),

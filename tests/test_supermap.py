@@ -618,6 +618,17 @@ class TestAlgebra:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("pairs", [
+        lambda ab: [(1e308, ab), (1e308, ab)],
+        lambda ab: [(1e308, mix([(2.0, ab)]))],
+    ], ids=["sum", "product"])
+    def test_a_mixture_past_the_float_range_is_refused(self, pairs):
+        # Finite weights whose sum, or one weighted term, leaves the float
+        # range: no body holding inf is made, and numpy's overflow warning
+        # (an error under this suite) is not raised either.
+        with pytest.raises(DimensionError, match="not finite"):
+            mix(pairs(fixed_order_a_then_b(2, 2, 2, 2)))
+
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_mixtures_act_as_mixtures(self, seed):
