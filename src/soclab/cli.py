@@ -104,6 +104,13 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(_strict(json.dumps, payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _emit_verdicts(verdicts: dict) -> int:
+    """Print each named verdict's ``holds`` and ``residual``; the exit code
+    is 0 when every one holds, else 1."""
+    _emit({name: {"holds": v.holds, "residual": v.residual} for name, v in verdicts.items()})
+    return 0 if all(v.holds for v in verdicts.values()) else 1
+
+
 def _dims_document(dims) -> str:
     return "[\n    " + ",\n    ".join(map(str, dims)) + "\n  ]" if dims else "[]"
 
@@ -178,23 +185,16 @@ def _cmd_classify(args) -> int:
     if args.split is not None:
         _check_split(p, args.split, "--split")
     eps = _resolve_eps(args)
-    causal = is_causal(p, eps=eps)
-    payload = {"causal": {"holds": causal.holds, "residual": causal.residual}}
-    ok = causal.holds
+    verdicts = {"causal": is_causal(p, eps=eps)}
     if args.split is not None:
-        ns = is_nonsignalling(p, in_split=args.split[0], out_split=args.split[1], eps=eps)
-        payload["nonsignalling"] = {"holds": ns.holds, "residual": ns.residual}
-        ok = ok and ns.holds
-    _emit(payload)
-    return 0 if ok else 1
+        verdicts["nonsignalling"] = is_nonsignalling(p, in_split=args.split[0], out_split=args.split[1], eps=eps)
+    return _emit_verdicts(verdicts)
 
 
 def _cmd_soc(args) -> int:
     p = process_from_dict(_read_json(args.file))
     _check_split(p, args.slots, "--slots")
-    verdict = is_soc(p, in_split=args.slots[0], out_split=args.slots[1], eps=_resolve_eps(args))
-    _emit({"soc": {"holds": verdict.holds, "residual": verdict.residual}})
-    return 0 if verdict.holds else 1
+    return _emit_verdicts({"soc": is_soc(p, in_split=args.slots[0], out_split=args.slots[1], eps=_resolve_eps(args))})
 
 
 def _cmd_soc2(args) -> int:
@@ -207,9 +207,7 @@ def _cmd_soc2(args) -> int:
         w = supermap_from_process(p, (a1, a2), (b1, b2))
     else:
         w = supermap_from_dict(data)
-    verdict = is_soc2(w, eps=_resolve_eps(args))
-    _emit({"soc2": {"holds": verdict.holds, "residual": verdict.residual}})
-    return 0 if verdict.holds else 1
+    return _emit_verdicts({"soc2": is_soc2(w, eps=_resolve_eps(args))})
 
 
 def _cmd_verify(args) -> int:

@@ -25,8 +25,9 @@ tracked: whoever needs it asks ``tensor.is_psd(p.choi)``.
 Process files are read by :func:`_read_json` and
 :func:`process_from_dict`.  A long text of short numbers goes to a strict
 reader, which parses its ``choi`` array into one float array with no Python
-object per number and hands it to ``process_from_dict`` to adopt; any text
-it does not take goes to ``json`` unchanged, so errors keep their messages.
+object per number; ``process_from_dict`` copies that array through the
+constructor, as it does nested lists.  Any text the strict reader does not
+take goes to ``json`` unchanged, so errors keep their messages.
 
 Random causal channels have one construction, which works on a stack: a
 Haar-random isometry from the phase-fixed QR of a complex Gaussian matrix
@@ -64,9 +65,13 @@ class Process:
         self.__post_init__(choi)
 
     def __post_init__(self, choi: np.ndarray):
-        """Check ``choi`` against the wiring and keep a read-only copy of it."""
+        """Check ``choi`` against the wiring, and that its entries are finite
+        numbers, and keep a read-only copy of it."""
         dims = self.factor_dims
-        t = _finite_matrix(choi, self.in_sys.total * self.out_sys.total).copy().reshape(dims + dims)
+        m = as_matrix(choi, self.in_sys.total * self.out_sys.total)
+        if not np.isfinite(m).all():
+            raise DimensionError("choi entries must be finite numbers")
+        t = m.copy().reshape(dims + dims)
         t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
@@ -103,15 +108,6 @@ class Process:
 
     def __repr__(self) -> str:
         return f"Process(in={self.in_sys.dims}, out={self.out_sys.dims})"
-
-
-def _finite_matrix(choi, side: int) -> np.ndarray:
-    """``choi`` as a complex matrix of side ``side``, whose entries must be
-    finite numbers."""
-    m = as_matrix(choi, side)
-    if not np.isfinite(m).all():
-        raise DimensionError("choi entries must be finite numbers")
-    return m
 
 
 def _set_fields(p: Process, in_sys: System, out_sys: System, tensor) -> None:
@@ -539,7 +535,6 @@ def _strict_record(text: str):
     record = doc.get("process", doc) if type(doc) is dict else None
     if type(record) is not dict or record.get("choi") != []:
         return None
-    choi.setflags(write=False)
     record["choi"] = choi
     return doc
 
@@ -547,11 +542,12 @@ def _strict_record(text: str):
 def _read_json(path: str):
     """The JSON document in the file at ``path``.  A text of
     ``_STRICT_MIN_CHARS`` or more that the strict reader takes comes back
-    with its ``choi`` array as a read-only ``(n, n, 2)`` float array, which
-    :func:`process_from_dict` adopts; any other text is read by ``json``
-    alone, as before.  A document nested too deeply for the parser, or
-    holding an integer with more digits than ``int()`` reads, is a
-    :class:`DimensionError`, as other malformed records are."""
+    with its ``choi`` array as an ``(n, n, 2)`` float array, which
+    :func:`process_from_dict` checks and copies as it does nested lists;
+    any other text is read by ``json`` alone.  A document nested too
+    deeply for the parser, or holding an integer with more digits than
+    ``int()`` reads, is a :class:`DimensionError`, as other malformed
+    records are."""
     with open(path) as fh:
         try:
             text = fh.read()
@@ -575,8 +571,9 @@ def _json_dims(value, what: str) -> tuple[int, ...]:
 def process_from_dict(d: dict) -> Process:
     """The process a record gives: its ``in`` and ``out`` dims and its
     ``choi`` matrix as [re, im] pairs, either nested lists of JSON numbers
-    or an ``(n, n, 2)`` float array.  A read-only array that owns its data,
-    as :func:`_read_json` gives, is checked and adopted, not copied."""
+    or an ``(n, n, 2)`` float array of any layout, as :func:`_read_json`
+    gives.  Either is checked and copied by :class:`Process`, so changing
+    the record afterwards changes nothing."""
     try:
         in_sys = System(_json_dims(d["in"], "in"))
         out_sys = System(_json_dims(d["out"], "out"))
@@ -592,9 +589,6 @@ def process_from_dict(d: dict) -> Process:
         odd = set(map(type, chain.from_iterable(chain.from_iterable(choi)))) - {int, float}
         if odd:
             raise DimensionError(f"choi entries must be JSON numbers, got {', '.join(sorted(t.__name__ for t in odd))}")
-    # arr is C-contiguous, so each [re, im] pair reads in place as one
+    # In a C-contiguous array each [re, im] pair reads in place as one
     # complex entry.
-    matrix = arr.view(complex)[..., 0]
-    if arr is choi and choi.flags.owndata and not choi.flags.writeable:
-        return Process._adopt(in_sys, out_sys, _finite_matrix(matrix, in_sys.total * out_sys.total))
-    return Process(in_sys, out_sys, matrix)
+    return Process(in_sys, out_sys, np.ascontiguousarray(arr).view(complex)[..., 0])

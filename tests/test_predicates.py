@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import soclab
 from soclab.errors import DimensionError, ReconstructionError
-from soclab.extras import spoiled_supermap
+from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import (
     CausalVerdict,
     _defect,
@@ -773,6 +773,72 @@ class TestNamedParts:
         assert not v.holds
         assert any(g > 0.5 for g in v.parts.values())
         assert is_soc2(fixed_order_a_then_b(2, 2, 2, 2)).parts == dict.fromkeys(v.parts, 0.0)
+
+
+def swap_holes(w: BipartiteSupermap) -> BipartiteSupermap:
+    """``w`` with its A and B slots exchanged, built by transposing the
+    factor tensor [A1, A2, B1, B2, C1, C2] on rows and columns, not by the
+    ``rewire`` that the verdicts share."""
+    body = w.body
+    rows = (2, 3, 0, 1, 4, 5)
+    t = np.transpose(body.tensor, rows + tuple(6 + k for k in rows))
+    return BipartiteSupermap(Process(System((w.b_in, w.b_out, w.a_in, w.a_out)), body.out_sys, t.reshape(body.choi.shape)))
+
+
+def relabel_fixture(kind: str, slots: tuple[int, int, int, int], chan: tuple[int, int], rng) -> BipartiteSupermap | None:
+    """A supermap of ``kind``: a random PSD body with ``slots`` and C dims
+    ``chan``, a fixed order with ``slots`` (``None`` where its wires do not
+    chain), or a qubit switch, spoiled supermap or mixture of both orders."""
+    if kind == "random":
+        side = prod(slots) * prod(chan)
+        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        return BipartiteSupermap(Process(System(slots), System(chan), g @ g.conj().T / side))
+    a1, a2, b1, b2 = slots
+    if kind == "a_then_b":
+        return fixed_order_a_then_b(*slots) if a2 == b1 else None
+    if kind == "b_then_a":
+        return fixed_order_b_then_a(*slots) if b2 == a1 else None
+    if kind == "switch":
+        return quantum_switch(2)
+    if kind == "spoiled":
+        return spoiled_supermap(2)
+    return mix([(0.3, fixed_order_a_then_b(2, 2, 2, 2)), (0.7, fixed_order_b_then_a(2, 2, 2, 2))])
+
+
+class TestSymmetryRelations:
+    # Relations fixed by the maths between the verdicts on two related
+    # supermaps.  Both forms read the shared layer (discarding, partial
+    # traces, link), so a bug there moves them together, where an agreement
+    # test cannot see it; a relation can.
+    @given(
+        seeds,
+        st.sampled_from(["random", "a_then_b", "b_then_a", "switch", "spoiled", "mix"]),
+        st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 3), (1, 2, 3, 1), (2, 2, 2, 2)]),
+        st.sampled_from([(2, 2), (3, 1), (2, 3)]),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_swapping_the_holes_swaps_gap_a_and_gap_b_and_keeps_the_rest(self, seed, kind, slots, chan, bumped):
+        # A fixture kept as it is or with a random complex bump of size
+        # 1e-2, so that its parts are not all zero.
+        rng = np.random.default_rng(seed)
+        w = relabel_fixture(kind, slots, chan, rng)
+        assume(w is not None)
+        if bumped and kind != "random":
+            side = w.body.choi.shape[0]
+            bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + 1e-2 * bump))
+        v = swap_holes(w)
+        closed, swapped = is_soc2(w).parts, is_soc2(v).parts
+
+        def close(got, want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        close(swapped["gap_a"], closed["gap_b"])
+        close(swapped["gap_b"], closed["gap_a"])
+        close(swapped["gap_norm"], closed["gap_norm"])
+        close(swapped["gap_cross"], closed["gap_cross"])
+        close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
 
 def flip(w):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from soclab import process
 from soclab.affine import random_product_span
 from soclab.errors import DimensionError, WireMismatchError
+from soclab.predicates import is_causal
 from soclab.process import (
     Process,
     _discard_outputs,
@@ -603,20 +604,38 @@ class TestWireFormat:
         assert len(calls) == 1 and back is calls[0]
         assert is_psd(back.choi)
 
-    def test_a_frozen_array_that_owns_its_data_is_adopted_and_any_other_copied(self):
+    def test_every_array_is_copied_so_changing_it_afterwards_changes_nothing(self):
         record = process_to_dict(random_causal_channel(A, B, seed=5))
-        choi = np.array(record["choi"])
-        copied = process_from_dict({**record, "choi": choi})
-        choi.setflags(write=False)
-        adopted = process_from_dict({**record, "choi": choi})
-        view = process_from_dict({**record, "choi": choi[:]})
-        assert np.shares_memory(adopted.tensor, choi)
-        assert not np.shares_memory(copied.tensor, choi) and not np.shares_memory(view.tensor, choi)
-        assert copied.choi.tobytes() == adopted.choi.tobytes() == view.choi.tobytes()
-        assert not adopted.tensor.flags.writeable
+        expected = process_from_dict(record).choi.tobytes()
+        writable = np.array(record["choi"])
+        frozen = np.array(record["choi"])
+        frozen.setflags(write=False)
+        for choi in (writable, frozen[:], frozen):
+            p = process_from_dict({**record, "choi": choi})
+            assert not np.shares_memory(p.tensor, choi)
+            assert p.choi.tobytes() == expected and not p.tensor.flags.writeable
+        # p is the frozen array's process.
+        assert is_causal(p).holds
+        frozen.setflags(write=True)
+        frozen[0, 0, 0] = 5.0
+        assert p.choi.tobytes() == expected and is_causal(p).holds
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_an_array_of_any_layout_loads_as_its_c_contiguous_copy(self, layout):
+        record = process_to_dict(random_causal_channel(A, B, seed=5))
+        pairs = np.array(record["choi"])
+        if layout == "strided":
+            big = np.zeros(pairs.shape[:2] + (4,))
+            big[:, :, ::2] = pairs
+            choi = big[:, :, ::2]
+        else:
+            choi = np.asfortranarray(pairs)
+        assert not choi.flags.c_contiguous
+        got = process_from_dict({**record, "choi": choi})
+        assert got.choi.tobytes() == process_from_dict({**record, "choi": np.ascontiguousarray(choi)}).choi.tobytes()
 
     @pytest.mark.parametrize("spoil, message", [(lambda c: c[:-1, :-1], "expected side 6"), (lambda c: c + np.inf, "finite")])
-    def test_an_adopted_array_is_checked_as_a_copied_one(self, spoil, message):
+    def test_a_frozen_array_is_checked_as_nested_lists_are(self, spoil, message):
         record = process_to_dict(random_causal_channel(A, B, seed=5))
         choi = np.array(spoil(np.array(record["choi"])))
         choi.setflags(write=False)
