@@ -30,6 +30,13 @@ from .process import Process, _random_causal_channels, _random_causal_stacks, _s
 from .tensor import System, UNIT, norm
 
 
+def _check_weights(weights: Sequence[float], what: str) -> None:
+    """Refuse a weight that is NaN or infinite, by name, as ``mix`` does."""
+    for r in weights:
+        if not np.isfinite(r):
+            raise DimensionError(f"{what} weights must be finite numbers, got {r!r}")
+
+
 def pseudo_state(coeffs: Sequence[float]) -> Process:
     """Diagonal two-register state ``sum_x r_x |xx><xx|`` with real weights
     summing to one; negative weights are allowed, which makes it non-CP."""
@@ -37,7 +44,8 @@ def pseudo_state(coeffs: Sequence[float]) -> Process:
     n = len(coeffs)
     if n == 0:
         raise DimensionError("pseudo-state needs at least one weight")
-    if abs(sum(coeffs) - 1.0) > 1e-9:
+    _check_weights(coeffs, "pseudo-state")
+    if not abs(sum(coeffs) - 1.0) <= 1e-9:
         raise DimensionError(f"weights must sum to 1, got {sum(coeffs)}")
     diag = np.zeros(n * n, dtype=complex)
     for x, c in enumerate(coeffs):
@@ -71,7 +79,9 @@ class AffineCombination:
     def __post_init__(self):
         if not self.terms:
             raise DimensionError("affine combination needs at least one term")
-        if abs(sum(r for r, _, _ in self.terms) - 1.0) > 1e-9:
+        _check_weights(self.coeffs, "affine")
+        # Finite weights can still sum past the float range: inf fails this too.
+        if not abs(sum(self.coeffs) - 1.0) <= 1e-9:
             raise DimensionError("coefficients must sum to 1")
         _, f0, g0 = self.terms[0]
         for _, f, g in self.terms:

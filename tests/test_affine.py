@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_predicates import _embed_identity
 
 from soclab.affine import (
     AffineCombination,
@@ -31,7 +30,9 @@ from soclab.process import (
     relabel,
     rewire,
 )
-from soclab.tensor import UNIT, System, hermitian_basis, is_psd, partial_trace
+from soclab.tensor import UNIT, System, is_psd
+
+import naive
 
 
 def random_combination(rng, n, dims=(2, 2, 2, 2)):
@@ -60,38 +61,21 @@ def realize_by_wiring(comb):
 
 
 # The per-pair routes that realize_affine and decompose_nonsignalling
-# replaced, kept verbatim as differential references: one compose_par of
-# two relabelled channels per pair, and a fit that factorizes its direction
-# matrix twice (once as a @ z in the solve, once for the rank).
+# replaced, kept as differential references on the naive layer: one product
+# of two channels per pair, and a fit that factorizes its direction matrix
+# twice (once as a @ z in the solve, once for the rank).
 def realize_affine_by_pairs(comb):
     _, f0, g0 = comb.terms[0]
-    a1, a2 = f0.in_sys.total, f0.out_sys.total
-    b1, b2 = g0.in_sys.total, g0.out_sys.total
-    acc = np.zeros((a1 * b1 * a2 * b2,) * 2, dtype=complex)
-    for r, f, g in comb.terms:
-        pair = compose_par(relabel(f, (a1,), (a2,)), relabel(g, (b1,), (b2,)))
-        acc = acc + r * pair.choi
-    return Process(System((a1, b1)), System((a2, b2)), acc)
+    a_dims, b_dims = (f0.in_sys.total, f0.out_sys.total), (g0.in_sys.total, g0.out_sys.total)
+    acc = sum(r * naive.par(f.choi, a_dims, g.choi, b_dims) for r, f, g in comb.terms)
+    return Process(System((a_dims[0], b_dims[0])), System((a_dims[1], b_dims[1])), acc)
 
 
 def decompose_by_two_factorizations(f, span_pairs, in_split=1, out_split=1):
     pairs = list(span_pairs)
-    if not pairs:
-        raise DimensionError("need a non-empty spanning family")
     ai, bi, ao, bo = _sides(f, in_split, out_split)
-    cols = []
-    for phi, psi in pairs:
-        if (
-            phi.in_sys.total != ai
-            or phi.out_sys.total != ao
-            or psi.in_sys.total != bi
-            or psi.out_sys.total != bo
-        ):
-            raise WireMismatchError("spanning pair does not match the target's shape")
-        pair = compose_par(relabel(phi, (ai,), (ao,)), relabel(psi, (bi,), (bo,)))
-        v = pair.choi.ravel()
-        cols.append(np.concatenate([v.real, v.imag]))
-    a = np.stack(cols, axis=1)
+    cols = [naive.par(phi.choi, (ai, ao), psi.choi, (bi, bo)).ravel() for phi, psi in pairs]
+    a = np.stack([np.concatenate([v.real, v.imag]) for v in cols], axis=1)
     target = f.choi.ravel()
     b = np.concatenate([target.real, target.imag])
 
@@ -115,23 +99,21 @@ def decompose_by_two_factorizations(f, span_pairs, in_split=1, out_split=1):
 
 def nonsignalling_direction_dim_by_rank(ai, bi, ao, bo):
     """The numerical rank that nonsignalling_direction_dim replaced, kept
-    verbatim as the closed form's oracle: the nullity of the stacked
-    causality and no-signalling constraints."""
+    as the closed form's oracle: the nullity of the stacked causality and
+    no-signalling constraints, over the matrix units ``E_ij``.  The
+    constraints commute with the adjoint, so their complex nullity is the
+    real one over Hermitian matrices."""
     side = ai * bi * ao * bo
-    basis = hermitian_basis(side)
     cols = []
-    for h in basis:
-        t1 = partial_trace(h, (ai * bi, ao * bo), keep=(0,))
-        mb = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 2))
-        kb = partial_trace(mb, (ai, bi, ao), keep=(0, 2)) / bi
-        t2 = mb - _embed_identity(kb, (ai, ao), 1, bi)
-        ma = partial_trace(h, (ai, bi, ao, bo), keep=(0, 1, 3))
-        ka = partial_trace(ma, (ai, bi, bo), keep=(1, 2)) / ai
-        t3 = ma - _embed_identity(ka, (bi, bo), 0, ai)
-        stacked = np.concatenate([t.ravel() for t in (t1, t2, t3)])
-        cols.append(np.concatenate([stacked.real, stacked.imag]))
-    rank = np.linalg.matrix_rank(np.stack(cols, axis=1))
-    return side * side - int(rank)
+    for h in np.eye(side * side).reshape(-1, side, side):
+        t1 = naive.ptrace(h, (ai * bi, ao * bo), (0,))
+        # Each marginal less its trace beside the discard (Choi matrix I) of the other input.
+        mb = naive.ptrace(h, (ai, bi, ao, bo), (0, 1, 2))
+        t2 = mb - naive.par(naive.ptrace(mb, (ai, bi, ao), (0, 2)) / bi, (ai, ao), np.eye(bi), (bi, 1))
+        ma = naive.ptrace(h, (ai, bi, ao, bo), (0, 1, 3))
+        t3 = ma - naive.par(np.eye(ai), (ai, 1), naive.ptrace(ma, (ai, bi, bo), (1, 2)) / ai, (bi, bo))
+        cols.append(np.concatenate([t.ravel() for t in (t1, t2, t3)]))
+    return side * side - int(np.linalg.matrix_rank(np.stack(cols, axis=1)))
 
 
 class TestPseudoState:
@@ -259,6 +241,23 @@ class TestRealize:
         g = random_causal_channel(System((3,)), System((2,)), seed=1)
         with pytest.raises(WireMismatchError):
             AffineCombination(((0.5, f, f), (0.5, g, f)))
+
+    @pytest.mark.parametrize("weights, bad", [((float("nan"),), "nan"), ((float("inf"), -float("inf")), "inf"), ((2.0, -float("inf")), "-inf")])
+    def test_a_weight_that_is_not_finite_is_refused_by_name(self, weights, bad):
+        # NaN passes a check that the sum is off by more than 1e-9, and
+        # inf - inf is NaN: each used to fail later, as a non-finite Choi entry.
+        f = random_causal_channel(System((2,)), System((2,)), seed=0)
+        with pytest.raises(DimensionError, match=f"^affine weights must be finite numbers, got {bad}$"):
+            AffineCombination(tuple((r, f, f) for r in weights))
+        with pytest.raises(DimensionError, match=f"^pseudo-state weights must be finite numbers, got {bad}$"):
+            pseudo_state(weights)
+
+    def test_finite_weights_whose_sum_overflows_do_not_sum_to_one(self):
+        f = random_causal_channel(System((2,)), System((2,)), seed=0)
+        with pytest.raises(DimensionError, match="^coefficients must sum to 1$"):
+            AffineCombination(((1e308, f, f), (1e308, f, f), (-2.0, f, f)))
+        with pytest.raises(DimensionError, match="^weights must sum to 1, got inf$"):
+            pseudo_state([1e308, 1e308, -2.0])
 
 
 class TestDirectionDimension:

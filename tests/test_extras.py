@@ -11,11 +11,7 @@ from soclab.process import (
 from soclab.supermap import fixed_order_a_then_b, fixed_order_b_then_a, insert
 from soclab.tensor import System
 
-
-def random_unitary(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+from naive import random_unitary
 
 
 class TestQuantumSwitch:

@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from math import hypot, prod, sqrt
+from functools import reduce
+from math import prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +49,14 @@ from soclab.supermap import (
     fixed_order_b_then_a,
     insert,
     insert_merged,
-    insert_stacked,
     merged_slot_process,
     mix,
     supermap_from_process,
 )
-from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron, partial_trace, permute_subsystems
+from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron
 from test_tensor import slicing_forced
+
+import naive
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -62,8 +64,7 @@ Q = System((2,))
 
 
 def random_hermitian_process(rng, in_sys, out_sys):
-    side = in_sys.total * out_sys.total
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    g = naive.random_matrix(rng, in_sys.total * out_sys.total)
     return Process(in_sys, out_sys, g + g.conj().T)
 
 
@@ -82,128 +83,63 @@ def classical_copy_channel():
 
 
 # The identity-embedding closed forms that the factor-defect ones replaced,
-# kept verbatim as differential references.
-def _embed_identity(small: np.ndarray, small_dims: tuple[int, ...], pos: int, d: int) -> np.ndarray:
-    """Insert an identity factor of size ``d`` at position ``pos``."""
-    raw = kron(np.eye(d, dtype=complex), small)
-    n = len(small_dims) + 1
-    perm = list(range(1, pos + 1)) + [0] + list(range(pos + 1, n))
-    return permute_subsystems(raw, (d,) + tuple(small_dims), perm)
+# kept as differential references on the naive layer.  A marginal that acts
+# as the identity on a factor is its trace beside the discard of that
+# factor, whose Choi matrix is the identity: ``naive.par(x, dims, I, (d, 1))``.
+def _totals(f: Process, in_split: int, out_split: int) -> tuple[int, int, int, int]:
+    """The side totals (A in, B in, A out, B out), computed here rather than
+    by ``process._sides``, which the subjects use."""
+    ins, outs = f.in_sys.dims, f.out_sys.dims
+    return prod(ins[:in_split]), prod(ins[in_split:]), prod(outs[:out_split]), prod(outs[out_split:])
 
 
-def is_nonsignalling_b_to_a_reference(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    ai = prod(f.in_sys.dims[:in_split])
-    bi = prod(f.in_sys.dims[in_split:])
-    ao = prod(f.out_sys.dims[:out_split])
-    bo = prod(f.out_sys.dims[out_split:])
-    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 2))
-    k = partial_trace(m, (ai, bi, ao), keep=(0, 2)) / bi
-    residual = float(np.linalg.norm(m - _embed_identity(k, (ai, ao), 1, bi)))
-    return CausalVerdict(residual <= eps, residual, None)
+def nonsignalling_parts_reference(f: Process, in_split: int = 1, out_split: int = 1) -> dict[str, float]:
+    ai, bi, ao, bo = _totals(f, in_split, out_split)
+    mb = naive.ptrace(f.choi, (ai, bi, ao, bo), (0, 1, 2))
+    kb = naive.ptrace(mb, (ai, bi, ao), (0, 2)) / bi
+    ma = naive.ptrace(f.choi, (ai, bi, ao, bo), (0, 1, 3))
+    ka = naive.ptrace(ma, (ai, bi, bo), (1, 2)) / ai
+    return {
+        "b_to_a": float(np.linalg.norm(mb - naive.par(kb, (ai, ao), np.eye(bi), (bi, 1)))),
+        "a_to_b": float(np.linalg.norm(ma - naive.par(np.eye(ai), (ai, 1), ka, (bi, bo)))),
+    }
 
 
-def is_nonsignalling_a_to_b_reference(f: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    ai = prod(f.in_sys.dims[:in_split])
-    bi = prod(f.in_sys.dims[in_split:])
-    ao = prod(f.out_sys.dims[:out_split])
-    bo = prod(f.out_sys.dims[out_split:])
-    m = partial_trace(f.choi, (ai, bi, ao, bo), keep=(0, 1, 3))
-    k = partial_trace(m, (ai, bi, bo), keep=(1, 2)) / ai
-    residual = float(np.linalg.norm(m - _embed_identity(k, (bi, bo), 0, ai)))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_soc_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    si = prod(w.in_sys.dims[:in_split])
-    so = prod(w.in_sys.dims[in_split:])
-    ci = prod(w.out_sys.dims[:out_split])
-    co = prod(w.out_sys.dims[out_split:])
-    m = partial_trace(w.choi, (si, so, ci, co), keep=(0, 1, 2))
-    n = partial_trace(m, (si, so, ci), keep=(0, 2)) / so
-    gap_slot = float(np.linalg.norm(m - _embed_identity(n, (si, ci), 1, so)))
-    gap_norm = float(np.linalg.norm(partial_trace(n, (si, ci), keep=(1,)) - np.eye(ci)))
-    residual = hypot(gap_slot, gap_norm)
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_soc2_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    a1, a2, b1, b2 = w.a_in, w.a_out, w.b_in, w.b_out
-    c1 = w.c_in
-    m = partial_trace(w.body.choi, w.body.factor_dims, keep=(0, 1, 2, 3, 4))
+def soc2_residual_reference(body: np.ndarray, dims: tuple[int, ...]) -> float:
+    """The closed form's residual for a body on ``dims = (A1, A2, B1, B2, C1,
+    C2)``; one hole is two with a trivial B slot."""
+    a1, a2, b1, b2, c1, _ = dims
+    m = naive.ptrace(body, dims, range(5))
     d5 = (a1, a2, b1, b2, c1)
 
-    ma = partial_trace(m, d5, keep=(0, 1, 4)) / b2
-    na = partial_trace(ma, (a1, a2, c1), keep=(0, 2)) / a2
-    gap_a = float(np.linalg.norm(ma - _embed_identity(na, (a1, c1), 1, a2)))
+    ma = naive.ptrace(m, d5, (0, 1, 4)) / b2
+    na = naive.ptrace(ma, (a1, a2, c1), (0, 2)) / a2
+    gap_a = float(np.linalg.norm(ma - naive.par(na, (a1, c1), np.eye(a2), (a2, 1))))
 
-    mb = partial_trace(m, d5, keep=(2, 3, 4)) / a2
-    nb = partial_trace(mb, (b1, b2, c1), keep=(0, 2)) / b2
-    gap_b = float(np.linalg.norm(mb - _embed_identity(nb, (b1, c1), 1, b2)))
+    mb = naive.ptrace(m, d5, (2, 3, 4)) / a2
+    nb = naive.ptrace(mb, (b1, b2, c1), (0, 2)) / b2
+    gap_b = float(np.linalg.norm(mb - naive.par(nb, (b1, c1), np.eye(b2), (b2, 1))))
 
     # The overall normalization gap is shared between the two sides, so it
     # is counted once (Tr over A1 of na equals Tr over B1 of nb identically).
-    gap_norm = float(np.linalg.norm(partial_trace(na, (a1, c1), keep=(1,)) - np.eye(c1)))
+    gap_norm = float(np.linalg.norm(naive.ptrace(na, (a1, c1), (1,)) - np.eye(c1)))
 
-    pa = _embed_identity(partial_trace(m, d5, keep=(0, 2, 3, 4)) / a2, (a1, b1, b2, c1), 1, a2)
-    pb = _embed_identity(partial_trace(m, d5, keep=(0, 1, 2, 4)) / b2, (a1, a2, b1, c1), 3, b2)
-    papb = _embed_identity(
-        _embed_identity(partial_trace(m, d5, keep=(0, 2, 4)) / (a2 * b2), (a1, b1, c1), 2, b2),
-        (a1, b1, b2, c1),
-        1,
-        a2,
-    )
+    pa = naive.par(naive.ptrace(m, d5, (0, 2, 3, 4)) / a2, (a1, b1 * b2 * c1), np.eye(a2), (a2, 1))
+    pb = naive.par(naive.ptrace(m, d5, (0, 1, 2, 4)) / b2, (a1 * a2 * b1, c1), np.eye(b2), (b2, 1))
+    papb = naive.ptrace(m, d5, (0, 2, 4)) / (a2 * b2)
+    papb = naive.par(naive.par(papb, (a1 * b1, c1), np.eye(b2), (b2, 1)), (a1, b1 * b2 * c1), np.eye(a2), (a2, 1))
     gap_cross = float(np.linalg.norm(m - pa - pb + papb))
-
-    residual = sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
-    return CausalVerdict(residual <= eps, float(residual), None)
+    return sqrt(gap_a**2 + gap_b**2 + gap_norm**2 + gap_cross**2)
 
 
-# The per-pair oracles that the stacked ones replaced, kept verbatim as
-# differential references: one apply_to_state, or one insertion, per argument.
-def is_soc_oracle_reference(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    si, so, ci, co = _sides(w, in_split, out_split)
-    points = causal_affine_basis(si, so)
-
-    def witness(x):
-        out = Process(System((ci,)), System((co,)), apply_to_state(w, x))
-        return is_causal(out, eps).witness
-
-    wit = np.array([witness(x) for x in points])
-    # The base point's witness, then each direction's change from it.
-    wit[1:] -= wit[:1]
-    residual = float(np.linalg.norm(wit))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_soc2_oracle_reference(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    procs_a = [Process(System((w.a_in,)), System((w.a_out,)), x) for x in causal_affine_basis(w.a_in, w.a_out)]
-    procs_b = [Process(System((w.b_in,)), System((w.b_out,)), x) for x in causal_affine_basis(w.b_in, w.b_out)]
-    wit = np.array([[insert(w, pa, pb).causal.witness for pb in procs_b] for pa in procs_a])
-    # Successive differences leave the base pair's witness at [0, 0], each
-    # hole's first-order changes along the edges, and the mixed second
-    # differences inside.
-    wit[1:] -= wit[:1]
-    wit[:, 1:] -= wit[:, :1]
-    residual = float(np.linalg.norm(wit))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-# The stacked oracles as they were before they discarded the channel output
-# first: they fill the whole body and trace C2 out of every filling.  Kept
-# verbatim as differential references.
-def is_soc_oracle_fill_then_trace(w: Process, in_split: int = 1, out_split: int = 1, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    si, so, ci, co = _sides(w, in_split, out_split)
-    outs = apply_to_state(w, causal_affine_basis(si, so))
-    wit = partial_trace(outs, (ci, co), keep=(0,)) - np.eye(ci)
-    # The base point's witness, then each direction's change from it.
-    wit[1:] -= wit[:1]
-    residual = float(np.linalg.norm(wit))
-    return CausalVerdict(residual <= eps, residual, None)
-
-
-def is_soc2_oracle_fill_then_trace(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
-    grid = insert_stacked(w, causal_affine_basis(w.a_in, w.a_out), causal_affine_basis(w.b_in, w.b_out))
-    wit = partial_trace(grid, (w.c_in, w.c_out), keep=(0,)) - np.eye(w.c_in)
+def soc2_oracle_reference(body: np.ndarray, dims: tuple[int, ...], eps: float = DEFAULT_EPS) -> CausalVerdict:
+    """The oracle on the naive layer: both holes of a body on ``dims = (A1,
+    A2, B1, B2, C1, C2)`` filled with every pair of ``naive.tp_basis``
+    points, each filling's causality witness ``Tr_C2 - I``, and the norm of
+    their successive differences."""
+    a1, a2, b1, b2, c1, c2 = dims
+    grid = naive.fill(body, dims, naive.tp_basis(a1, a2), naive.tp_basis(b1, b2))
+    wit = naive.ptrace(grid, (c1, c2), (0,)) - np.eye(c1)
     # Successive differences leave the base pair's witness at [0, 0], each
     # hole's first-order changes along the edges, and the mixed second
     # differences inside.
@@ -232,20 +168,24 @@ class TestStackedOraclesMatchPerPairReference:
             in_sys, out_sys, base, scale = System(slots), System((2, 2)), 0, 1.0
         else:
             in_sys, out_sys, base, scale = order.body.in_sys, order.body.out_sys, order.body.choi, 1e-2 * spoil
-        side = in_sys.total * out_sys.total
-        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        bump = naive.random_matrix(rng, in_sys.total * out_sys.total)
         w = BipartiteSupermap(Process(in_sys, out_sys, base + scale * bump))
 
         def same(got, want):
             assert got.holds is want.holds
             assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
 
-        same(is_soc2_oracle(w), is_soc2_oracle_reference(w))
-        same(is_soc2_oracle(w), is_soc2_oracle_fill_then_trace(w))
-        # The one-hole oracle on the merged slot A1 B1 -> A2 B2.
+        # The naive oracle on the body, and on the body with C2 discarded.
+        # The one-hole oracle on the merged slot A1 B1 -> A2 B2 is the same
+        # with a trivial B slot.
         merged = merged_slot_process(w)
-        same(is_soc_oracle(merged, 2, 1), is_soc_oracle_reference(merged, 2, 1))
-        same(is_soc_oracle(merged, 2, 1), is_soc_oracle_fill_then_trace(merged, 2, 1))
+        c1, c2 = w.c_in, w.c_out
+        for got, body, dims in (
+            (is_soc2_oracle(w), w.body.choi, (a1, a2, b1, b2, c1, c2)),
+            (is_soc_oracle(merged, 2, 1), merged.choi, (a1 * b1, a2 * b2, 1, 1, c1, c2)),
+        ):
+            same(got, soc2_oracle_reference(body, dims))
+            same(got, soc2_oracle_reference(naive.ptrace(body, dims, range(5)), dims[:5] + (1,)))
 
     @pytest.mark.parametrize("w", [fixed_order_a_then_b(3, 3, 3, 3), fixed_order_b_then_a(3, 3, 3, 3), spoiled_supermap(3)], ids=["a_then_b", "b_then_a", "spoiled"])
     def test_qutrit_oracle_agrees_with_the_closed_form(self, w):
@@ -272,20 +212,21 @@ class TestDefectMatchesEmbeddingReference:
         if causal:
             order = fixed_order_a_then_b(*slots)
             in_sys, out_sys, base = order.body.in_sys, order.body.out_sys, order.body.choi
-        side = in_sys.total * out_sys.total
-        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        bump = naive.random_matrix(rng, in_sys.total * out_sys.total)
         body = Process(in_sys, out_sys, base + (1e-3 if causal else 1.0) * bump)
 
         def close(got, want):
             assert abs(got - want) <= 1e-12 * max(1.0, want)
 
-        close(is_soc2(BipartiteSupermap(body)).residual, is_soc2_reference(BipartiteSupermap(body)).residual)
+        close(is_soc2(BipartiteSupermap(body)).residual, soc2_residual_reference(body.choi, body.factor_dims))
         for in_split in (1, 2, 3):
             for out_split in (0, 1, 2):
                 parts = is_nonsignalling(body, in_split, out_split).parts
-                close(parts["b_to_a"], is_nonsignalling_b_to_a_reference(body, in_split, out_split).residual)
-                close(parts["a_to_b"], is_nonsignalling_a_to_b_reference(body, in_split, out_split).residual)
-                close(is_soc(body, in_split, out_split).residual, is_soc_reference(body, in_split, out_split).residual)
+                want = nonsignalling_parts_reference(body, in_split, out_split)
+                close(parts["b_to_a"], want["b_to_a"])
+                close(parts["a_to_b"], want["a_to_b"])
+                si, so, ci, co = _totals(body, in_split, out_split)
+                close(is_soc(body, in_split, out_split).residual, soc2_residual_reference(body.choi, (si, so, 1, 1, ci, co)))
 
 
 def _defect_broadcast_reference(m: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
@@ -398,8 +339,7 @@ def _noisy_qutrit_order(seed: int) -> BipartiteSupermap:
     """The qutrit A-then-B order plus a seeded Hermitian bump of size 1e-3."""
     rng = np.random.default_rng(seed)
     body = fixed_order_a_then_b(3, 3, 3, 3).body
-    side = body.choi.shape[0]
-    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    g = naive.random_matrix(rng, body.choi.shape[0])
     return BipartiteSupermap(Process(body.in_sys, body.out_sys, body.choi + 1e-3 * (g + g.conj().T)))
 
 
@@ -653,8 +593,7 @@ class TestOneHolePreservation:
     @settings(max_examples=10, deadline=None)
     def test_closed_form_matches_sweep_on_non_hermitian_bodies(self, seed):
         rng = np.random.default_rng(seed)
-        side = 16
-        m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        m = naive.random_matrix(rng, 16)
         body = Process(System((2, 2)), System((2, 2)), m)
         assert abs(is_soc(body).residual - is_soc_oracle(body).residual) < 1e-8
 
@@ -724,8 +663,7 @@ class TestTwoHolePreservation:
     @settings(max_examples=8, deadline=None)
     def test_closed_form_matches_insertion_sweep(self, seed):
         rng = np.random.default_rng(seed)
-        side = 64
-        m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        m = naive.random_matrix(rng, 64)
         m = m + m.conj().T
         w = supermap_from_process(Process(System((4, 4)), System((2, 2)), m), (2, 2), (2, 2))
         closed = is_soc2(w)
@@ -756,8 +694,7 @@ class TestNamedParts:
     def test_parts_make_up_the_residual(self, seed, causal):
         rng = np.random.default_rng(seed)
         order = fixed_order_a_then_b(2, 3, 3, 2)
-        side = order.body.choi.shape[0]
-        bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        bump = naive.random_matrix(rng, order.body.choi.shape[0])
         body = Process(order.body.in_sys, order.body.out_sys, order.body.choi + (1e-3 if causal else 1.0) * bump)
         verdicts = {
             ("gap_a", "gap_b", "gap_norm", "gap_cross"): is_soc2(BipartiteSupermap(body)),
@@ -791,7 +728,7 @@ def relabel_fixture(kind: str, slots: tuple[int, int, int, int], chan: tuple[int
     chain), or a qubit switch, spoiled supermap or mixture of both orders."""
     if kind == "random":
         side = prod(slots) * prod(chan)
-        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        g = naive.random_matrix(rng, side)
         return BipartiteSupermap(Process(System(slots), System(chan), g @ g.conj().T / side))
     a1, a2, b1, b2 = slots
     if kind == "a_then_b":
@@ -805,40 +742,77 @@ def relabel_fixture(kind: str, slots: tuple[int, int, int, int], chan: tuple[int
     return mix([(0.3, fixed_order_a_then_b(2, 2, 2, 2)), (0.7, fixed_order_b_then_a(2, 2, 2, 2))])
 
 
+def bumped_fixture(seed: int, kind: str, slots, chan, bumped: bool):
+    """A :func:`relabel_fixture` kept as it is or with a random complex bump
+    of size 1e-2, so that its parts are not all zero, and the generator that
+    drew it."""
+    rng = np.random.default_rng(seed)
+    w = relabel_fixture(kind, slots, chan, rng)
+    assume(w is not None)
+    if bumped and kind != "random":
+        bump = naive.random_matrix(rng, w.body.choi.shape[0])
+        w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + 1e-2 * bump))
+    return w, rng
+
+
+FIXTURES = (
+    seeds,
+    st.sampled_from(["random", "a_then_b", "b_then_a", "switch", "spoiled", "mix"]),
+    st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 3), (1, 2, 3, 1), (2, 2, 2, 2)]),
+    st.sampled_from([(2, 2), (3, 1), (2, 3)]),
+)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 class TestSymmetryRelations:
     # Relations fixed by the maths between the verdicts on two related
     # supermaps.  Both forms read the shared layer (discarding, partial
     # traces, link), so a bug there moves them together, where an agreement
-    # test cannot see it; a relation can.
-    @given(
-        seeds,
-        st.sampled_from(["random", "a_then_b", "b_then_a", "switch", "spoiled", "mix"]),
-        st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 3), (1, 2, 3, 1), (2, 2, 2, 2)]),
-        st.sampled_from([(2, 2), (3, 1), (2, 3)]),
-        st.booleans(),
-    )
+    # test cannot see it; a relation can.  The related supermap is built
+    # with numpy, not with the package's rewiring or dressing.
+    @given(*FIXTURES, st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_swapping_the_holes_swaps_gap_a_and_gap_b_and_keeps_the_rest(self, seed, kind, slots, chan, bumped):
-        # A fixture kept as it is or with a random complex bump of size
-        # 1e-2, so that its parts are not all zero.
-        rng = np.random.default_rng(seed)
-        w = relabel_fixture(kind, slots, chan, rng)
-        assume(w is not None)
-        if bumped and kind != "random":
-            side = w.body.choi.shape[0]
-            bump = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-            w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + 1e-2 * bump))
+        w, _ = bumped_fixture(seed, kind, slots, chan, bumped)
         v = swap_holes(w)
         closed, swapped = is_soc2(w).parts, is_soc2(v).parts
+        assert_close(swapped["gap_a"], closed["gap_b"])
+        assert_close(swapped["gap_b"], closed["gap_a"])
+        assert_close(swapped["gap_norm"], closed["gap_norm"])
+        assert_close(swapped["gap_cross"], closed["gap_cross"])
+        assert_close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
-        def close(got, want):
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    @given(*FIXTURES)
+    @settings(max_examples=10, deadline=None)
+    def test_local_unitaries_on_the_slot_wires_keep_every_part_and_the_oracle(self, seed, kind, slots, chan):
+        # U = u1 (x) u2 (x) u3 (x) u4 (x) I on [A1, A2, B1, B2, C1, C2], Haar
+        # unitaries on the slot wires; U W U^dag fills as W does with each
+        # argument conjugated by local unitaries, which maps the causal
+        # channels' affine hull onto itself.
+        w, rng = bumped_fixture(seed, kind, slots, chan, True)
+        body = w.body
+        u = reduce(np.kron, [naive.random_unitary(rng, d) for d in body.in_sys.dims] + [np.eye(body.out_sys.total)])
+        v = BipartiteSupermap(Process(body.in_sys, body.out_sys, u @ body.choi @ u.conj().T))
+        closed, dressed = is_soc2(w).parts, is_soc2(v).parts
+        for name, gap in closed.items():
+            assert_close(dressed[name], gap)
+        assert_close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
-        close(swapped["gap_a"], closed["gap_b"])
-        close(swapped["gap_b"], closed["gap_a"])
-        close(swapped["gap_norm"], closed["gap_norm"])
-        close(swapped["gap_cross"], closed["gap_cross"])
-        close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
+    @given(seeds, st.tuples(*[st.integers(1, 3)] * 4))
+    @settings(max_examples=20, deadline=None)
+    def test_swapping_the_sides_swaps_b_to_a_and_a_to_b(self, seed, dims):
+        # A random complex process on [A1, B1 | A2, B2], and the same with
+        # its sides exchanged by transposing its factor tensor.
+        f = Process(System(dims[:2]), System(dims[2:]), naive.random_matrix(np.random.default_rng(seed), prod(dims)))
+        rows = (1, 0, 3, 2)
+        t = np.transpose(f.tensor, rows + tuple(4 + k for k in rows))
+        g = Process(System(dims[1::-1]), System(dims[:1:-1]), t.reshape(f.choi.shape))
+        parts, swapped = is_nonsignalling(f).parts, is_nonsignalling(g).parts
+        assert_close(swapped["b_to_a"], parts["a_to_b"])
+        assert_close(swapped["a_to_b"], parts["b_to_a"])
 
 
 def flip(w):

@@ -36,57 +36,18 @@ from soclab.process import (
 )
 from soclab.tensor import System, UNIT, is_psd, kron, partial_trace, permute_subsystems
 
+import naive
+from naive import random_matrix
+
 A = System((2,))
 B = System((3,))
 
 seeds = st.integers(0, 2**32 - 1)
 
 
-def random_matrix(rng, side):
-    return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-
-
 def random_process(rng, in_sys, out_sys):
     # Arbitrary linear map, generally neither Hermitian nor CP.
     return Process(in_sys, out_sys, random_matrix(rng, in_sys.total * out_sys.total))
-
-
-def compose_seq_reference(f, g):
-    # Textbook contraction: partial-transpose f on the shared wire, pad both
-    # sides with identities, multiply, trace the shared wire out.  Slow but
-    # independent of the einsum shortcut.
-    x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
-    ft = f.choi.reshape(x, y, x, y).transpose(0, 3, 2, 1).reshape(x * y, x * y)
-    big = kron(ft, np.eye(z, dtype=complex)) @ kron(np.eye(x, dtype=complex), g.choi)
-    return partial_trace(big, (x, y, z), keep=(0, 2))
-
-
-# The einsum and kron-then-permute compositions that compose_seq and
-# compose_par replaced, kept verbatim as differential references.
-def compose_seq_einsum(f, g):
-    """Run ``f`` then ``g`` (so the result is ``g`` after ``f``)."""
-    if f.out_sys.dims != g.in_sys.dims:
-        raise WireMismatchError(f"cannot plug output {f.out_sys.dims} into input {g.in_sys.dims}")
-    x, y, z = f.in_sys.total, f.out_sys.total, g.out_sys.total
-    f4 = f.choi.reshape(x, y, x, y)
-    g4 = g.choi.reshape(y, z, y, z)
-    c = np.einsum("apcq,psqt->asct", f4, g4).reshape(x * z, x * z)
-    return Process(f.in_sys, g.out_sys, c)
-
-
-def compose_par_kron(f, g):
-    """Place ``f`` and ``g`` side by side: inputs concatenate, outputs concatenate."""
-    raw = kron(f.choi, g.choi)
-    # kron order is [f.in, f.out, g.in, g.out]; gather into [ins | outs].
-    a, b, c, d = f.n_in, len(f.out_sys), g.n_in, len(g.out_sys)
-    dims = f.factor_dims + g.factor_dims
-    perm = (
-        list(range(a))
-        + list(range(a + b, a + b + c))
-        + list(range(a, a + b))
-        + list(range(a + b + c, a + b + c + d))
-    )
-    return Process(f.in_sys + g.in_sys, f.out_sys + g.out_sys, permute_subsystems(raw, dims, perm))
 
 
 def channel_from_kraus_loop(kraus, in_sys, out_sys):
@@ -118,20 +79,12 @@ def random_causal_channel_one_at_a_time(in_sys, out_sys, seed=None):
     return channel_from_kraus(v.transpose(1, 0, 2), in_sys, out_sys)
 
 
-def omega_reference(total):
-    """The outer product of vec(I) that built the identity, cup and cap
-    before every wire-only body became one wiring pattern, kept as a
-    reference."""
-    v = np.eye(total, dtype=complex).ravel()
-    return np.outer(v, v)
-
-
 def swap_reference(a, b):
     """The swap as it was built before: the channel of its permutation
-    unitary."""
+    unitary, by the definition of a Choi matrix."""
     da, db = a.total, b.total
     u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
-    return channel_from_kraus([u], a + b, b + a)
+    return Process(a + b, b + a, naive.choi([u], da * db, da * db))
 
 
 def assert_same_bits(got, want):
@@ -253,7 +206,7 @@ class TestGenerators:
         s = System(dims)
         for p, in_sys, out_sys in ((identity_process(s), s, s), (cup(s), UNIT, s + s), (cap(s), s + s, UNIT)):
             assert p.in_sys == in_sys and p.out_sys == out_sys
-            assert_same_bits(p.choi, omega_reference(s.total))
+            assert_same_bits(p.choi, naive.choi([np.eye(s.total)], s.total, s.total))
 
     @pytest.mark.parametrize(
         "a,b", [((), ()), ((2,), ()), ((), (3,)), ((2,), (3,)), ((3,), (3,)), ((2, 3), (3, 2)), ((2, 2), (3,)), ((1, 2), (2, 1, 2))]
@@ -282,7 +235,7 @@ class TestComposition:
         f = random_process(rng, System((2, 2)), System((3,)))
         g = random_process(rng, System((3,)), System((2,)))
         got = compose_seq(f, g)
-        assert np.allclose(got.choi, compose_seq_reference(f, g))
+        assert np.allclose(got.choi, naive.seq(f.choi, g.choi, 4, 3, 2))
         assert got.in_sys.dims == (2, 2) and got.out_sys.dims == (2,)
 
     @given(seeds, st.sampled_from([(2, 3, 2), (3, 2, 4), (4, 3, 1), (1, 2, 3)]), st.booleans())
@@ -294,9 +247,9 @@ class TestComposition:
             f, g = random_causal_channel(x, y, seed=rng), random_causal_channel(y, z, seed=rng)
         else:
             f, g = random_process(rng, x, y), random_process(rng, y, z)
-        assert_same_process(compose_seq(f, g), compose_seq_einsum(f, g))
-        assert_same_process(compose_par(f, g), compose_par_kron(f, g))
-        assert_same_process(compose_par(g, f), compose_par_kron(g, f))
+        assert_same_process(compose_seq(f, g), Process(x, z, naive.seq(f.choi, g.choi, *dims)))
+        assert_same_process(compose_par(f, g), Process(x + y, y + z, naive.par(f.choi, dims[:2], g.choi, dims[1:])))
+        assert_same_process(compose_par(g, f), Process(y + x, z + y, naive.par(g.choi, dims[1:], f.choi, dims[:2])))
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import nullcontext
+from functools import reduce
 from math import prod
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_process import assert_same_bits, assert_same_process, compose_par_kron, compose_seq_einsum, omega_reference
+from test_process import assert_same_bits, assert_same_process, random_process
 from test_tensor import slicing_forced
 
 import soclab
@@ -21,14 +22,11 @@ from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
 from soclab.process import (
     Process,
-    _split_groups,
     compose_par,
     compose_seq,
     identity_process,
     processes_close,
     random_causal_channel,
-    relabel,
-    rewire,
     swap_process,
 )
 from soclab.supermap import (
@@ -46,73 +44,13 @@ from soclab.supermap import (
     supermap_from_process,
     supermap_to_dict,
 )
-from soclab.tensor import System, is_psd, kron, permute_subsystems
+from soclab.tensor import System, is_psd
+
+import naive
 
 seeds = st.integers(0, 2**32 - 1)
 
 Q = System((2,))
-
-
-def random_process(rng, in_sys, out_sys):
-    side = in_sys.total * out_sys.total
-    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    return Process(in_sys, out_sys, m)
-
-
-def insert_with_ancilla_reference(w, pa, pb, a_split=(0, 0), b_split=(0, 0)):
-    """The eight-block insertion that insert_with_ancilla replaced, kept
-    verbatim (on the einsum and kron compositions) as a differential
-    reference.  It builds pa (x) pb before meeting the body."""
-    a_anc_in, a_slot_in = _split_groups(pa.in_sys, a_split[0])
-    a_anc_out, a_slot_out = _split_groups(pa.out_sys, a_split[1])
-    b_anc_in, b_slot_in = _split_groups(pb.in_sys, b_split[0])
-    b_anc_out, b_slot_out = _split_groups(pb.out_sys, b_split[1])
-    expected = [
-        (prod(a_slot_in), w.a_in),
-        (prod(a_slot_out), w.a_out),
-        (prod(b_slot_in), w.b_in),
-        (prod(b_slot_out), w.b_out),
-    ]
-    if any(got != want for got, want in expected):
-        raise WireMismatchError(
-            f"slot parts {[g for g, _ in expected]} do not fit holes {[t for _, t in expected]}"
-        )
-
-    # Open the slot wires: keep each channel's ancilla inputs as inputs and
-    # bend everything else out, preserving factor order.
-    bent_a = rewire(pa, range(len(a_anc_in)), range(len(a_anc_in), len(pa.factor_dims)))
-    bent_b = rewire(pb, range(len(b_anc_in)), range(len(b_anc_in), len(pb.factor_dims)))
-    q = compose_par_kron(bent_a, bent_b)
-
-    # q factor list: [aAncIn, bAncIn | aSlotIn, aAncOut, aSlotOut, bSlotIn, bAncOut, bSlotOut]
-    sizes = [
-        len(a_anc_in), len(b_anc_in),
-        len(a_slot_in), len(a_anc_out), len(a_slot_out),
-        len(b_slot_in), len(b_anc_out), len(b_slot_out),
-    ]
-    starts = np.cumsum([0] + sizes[:-1])
-    blk = {
-        name: list(range(starts[k], starts[k] + sizes[k]))
-        for k, name in enumerate(["aAncIn", "bAncIn", "aSlotIn", "aAncOut", "aSlotOut", "bSlotIn", "bAncOut", "bSlotOut"])
-    }
-    q = rewire(
-        q,
-        blk["aAncIn"] + blk["bAncIn"] + blk["aAncOut"] + blk["bAncOut"],
-        blk["aSlotIn"] + blk["aSlotOut"] + blk["bSlotIn"] + blk["bSlotOut"],
-    )
-    q = relabel(q, q.in_sys.dims, (w.a_in, w.a_out, w.b_in, w.b_out))
-    core = compose_seq_einsum(q, w.body)
-
-    # core: in [aAncIn, bAncIn, aAncOut, bAncOut], out [C1, C2]; route the
-    # ancilla outputs back to the output side and pull C1 in.
-    n_ai, n_bi = len(a_anc_in), len(b_anc_in)
-    n_ao, n_bo = len(a_anc_out), len(b_anc_out)
-    total_in = n_ai + n_bi + n_ao + n_bo
-    return rewire(
-        core,
-        list(range(n_ai + n_bi)) + [total_in],
-        list(range(n_ai + n_bi, total_in)) + [total_in + 1],
-    )
 
 
 HETERO_DIMS = [(2, 3, 3, 2), (3, 2, 2, 4)]
@@ -164,7 +102,11 @@ class TestLinkAgainstReference:
 
         pa, pb = arg(a_split, a1, a2), arg(b_split, b1, b2)
         got = insert_with_ancilla(w, pa, pb, a_split, b_split).process
-        assert_same_process(got, insert_with_ancilla_reference(w, pa, pb, a_split, b_split))
+        # Each side's ancillas as one wire, as naive.fill reads them.
+        a_anc, b_anc = (m ** a_split[0], m ** a_split[1]), (m ** b_split[0], m ** b_split[1])
+        want = naive.fill(w.body.choi, w.body.factor_dims, pa.choi, pb.choi, a_anc, b_anc)
+        ins, outs = System((m,) * (a_split[0] + b_split[0]) + (w.c_in,)), System((m,) * (a_split[1] + b_split[1]) + (w.c_out,))
+        assert_same_process(got, Process(ins, outs, want))
         if causal:
             assert is_psd(got.choi)
 
@@ -357,17 +299,16 @@ def test_switch_body_is_bit_identical_to_the_reference(d):
 
 def fixed_order_bodies_reference(a_in, a_out, b_in, b_out):
     """The kron-then-permute construction of both fixed-order bodies that
-    the 0/1 wiring patterns replaced, kept as a reference; a body is None
-    where its order cannot chain the slots."""
+    the 0/1 wiring patterns replaced, kept as a reference on the naive
+    layer; a body is None where its order cannot chain the slots."""
+    cups = lambda *ds: reduce(np.kron, [naive.choi([np.eye(d)], d, d) for d in ds])
     ab = ba = None
     if a_out == b_in:
-        raw = kron(omega_reference(a_in), omega_reference(a_out), omega_reference(b_out))
         # kron factor order [A1, C1, A2, B1, B2, C2] -> [A1, A2, B1, B2, C1, C2]
-        ab = permute_subsystems(raw, (a_in, a_in, a_out, b_in, b_out, b_out), (0, 2, 3, 4, 1, 5))
+        ab = naive.permute(cups(a_in, a_out, b_out), (a_in, a_in, a_out, b_in, b_out, b_out), (0, 2, 3, 4, 1, 5))
     if b_out == a_in:
-        raw = kron(omega_reference(b_in), omega_reference(b_out), omega_reference(a_out))
         # kron factor order [B1, C1, B2, A1, A2, C2] -> [A1, A2, B1, B2, C1, C2]
-        ba = permute_subsystems(raw, (b_in, b_in, b_out, a_in, a_out, a_out), (3, 4, 0, 2, 1, 5))
+        ba = naive.permute(cups(b_in, b_out, a_out), (b_in, b_in, b_out, a_in, a_out, a_out), (3, 4, 0, 2, 1, 5))
     return ab, ba
 
 

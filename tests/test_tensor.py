@@ -25,6 +25,8 @@ from soclab.tensor import (
     permute_subsystems,
 )
 
+from naive import random_matrix
+
 
 @contextmanager
 def slicing_forced():
@@ -40,10 +42,6 @@ def slicing_forced():
     finally:
         tensor.HUGE_PAGE_BYTES = line
         tensor._trace_plan.cache_clear()
-
-
-def random_matrix(rng, side):
-    return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
 
 
 def permutation_unitary(dims, perm):
