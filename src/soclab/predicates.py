@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import hypot, isfinite, prod, sqrt
+from math import hypot, prod, sqrt
 
 import numpy as np
 
@@ -210,10 +210,8 @@ def is_soc2(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:
     """Two-hole order preservation: every pair of causal fillings (applied
     to either hole independently) must come out causal.  Closed form."""
     parts = _gaps(_discard_outputs(w.body, [1]), (w.a_in, w.a_out, w.b_in, w.b_out, w.c_in))
-    residual = sqrt(sum(g * g for g in parts.values()))
-    if not isfinite(residual):  # a part past about 1e154 overflows when squared
-        residual = hypot(*parts.values())
-    return CausalVerdict(residual <= eps, float(residual), None, parts)
+    residual = hypot(*parts.values())
+    return CausalVerdict(residual <= eps, residual, None, parts)
 
 
 def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerdict:

@@ -571,13 +571,17 @@ def _json_dims(value, what: str) -> tuple[int, ...]:
 def process_from_dict(d: dict) -> Process:
     """The process a record gives: its ``in`` and ``out`` dims and its
     ``choi`` matrix as [re, im] pairs, either nested lists of JSON numbers
-    or an ``(n, n, 2)`` float array of any layout, as :func:`_read_json`
-    gives.  Either is checked and copied by :class:`Process`, so changing
-    the record afterwards changes nothing."""
+    or an ``(n, n, 2)`` array of real floats or integers of any layout, as
+    :func:`_read_json` gives.  Either is checked and copied by
+    :class:`Process`, so changing the record afterwards changes nothing."""
     try:
         in_sys = System(_json_dims(d["in"], "in"))
         out_sys = System(_json_dims(d["out"], "out"))
         choi = d["choi"]
+        # np.asarray would read strings and bools as numbers and drop
+        # imaginary parts, with only a warning.
+        if isinstance(choi, np.ndarray) and choi.dtype.kind not in "fiu":
+            raise DimensionError(f"choi entries must be real numbers, got an array of dtype {choi.dtype}")
         arr = np.asarray(choi, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DimensionError(f"malformed process record: {exc}") from exc

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +31,8 @@ from soclab.process import (
 )
 from soclab.supermap import fixed_order_a_then_b, supermap_to_dict
 from soclab.tensor import System
+
+from probe import traced
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -290,28 +291,20 @@ class TestEvalMemory:
     CHOI_BYTES = 6**8 * 16
 
     def test_evaluating_holds_about_one_choi_matrix(self):
-        tracemalloc.start()
-        try:
+        with traced() as t:
             p = evaluate(self.DIAGRAM)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert p.choi.nbytes == self.CHOI_BYTES
-        assert peak <= 1.05 * self.CHOI_BYTES
+        assert t.peak <= 1.05 * self.CHOI_BYTES
 
     def test_eval_streams_its_document_in_bounded_memory(self, tmp_path, monkeypatch):
         diag = tmp_path / "r6.diag"
         diag.write_text(self.DIAGRAM)
         sink = _DigestSink()
         monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             code = main(["eval", str(diag)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert code == 0
-        assert peak <= 1.5 * self.CHOI_BYTES
+        assert t.peak <= 1.5 * self.CHOI_BYTES
         assert sink.size == 70_559_500
         assert sink.hash.hexdigest() == "8d158d073bd2acbfc1dd96b25d6511d90b2f528d6c1ecc8f70e8228cfd406af7"
 

@@ -1,7 +1,6 @@
 import json
 import string
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,8 @@ from soclab.process import (
     swap_process,
 )
 from soclab.tensor import System
+
+from probe import allocates_nothing
 
 
 def write_box(path, proc):
@@ -445,14 +446,8 @@ class TestEvaluation:
     )
     def test_oversized_builtins_raise_before_allocating(self, d, builtin):
         # id[Q] at d = 91 would take 8281**2 complex entries (about 1.1 GB).
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                evaluate(f"system Q = {d} ;\n{builtin}")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with allocates_nothing(), pytest.raises(DimensionError, match="exceeds limit"):
+            evaluate(f"system Q = {d} ;\n{builtin}")
 
     def test_discard_composes_to_partial_trace(self, tmp_path):
         f = random_causal_channel(System((2,)), System((2, 3)), seed=7)

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from functools import reduce
 from math import prod, sqrt
 from pathlib import Path
@@ -49,14 +48,15 @@ from soclab.supermap import (
     fixed_order_b_then_a,
     insert,
     insert_merged,
+    insert_stacked,
     merged_slot_process,
     mix,
     supermap_from_process,
 )
 from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron
-from test_tensor import slicing_forced
 
 import naive
+from probe import allocates_nothing, slicing_forced, traced
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -289,23 +289,15 @@ class TestInPlaceDefect:
 
     def test_cross_term_allocates_no_copy(self):
         m = _discard_outputs(self.W.body, [1])
-        tracemalloc.start()
-        try:
+        with traced() as t:
             _defect(m, (3,) * 5, 3, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * m.nbytes
+        assert t.peak <= 0.5 * m.nbytes
 
     def test_two_hole_verdict_holds_its_marginal(self):
         nbytes = _discard_outputs(self.W.body, [1]).nbytes
-        tracemalloc.start()
-        try:
+        with traced() as t:
             is_soc2(self.W)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * nbytes
+        assert t.peak <= 1.5 * nbytes
 
 
 class TestVerdictsHoldOneMarginal:
@@ -326,13 +318,9 @@ class TestVerdictsHoldOneMarginal:
     )
     def test_peak_stays_within_the_marginal_and_a_slice(self, decide):
         decide(self.W)  # plans and views, so that only the verdict is counted
-        tracemalloc.start()
-        try:
+        with traced() as t:
             decide(self.W)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * self.MARGINAL
+        assert t.peak <= 1.3 * self.MARGINAL
 
 
 def _noisy_qutrit_order(seed: int) -> BipartiteSupermap:
@@ -521,15 +509,10 @@ class TestCausalAffineBasis:
         # on a 16 x 16 slot asks for that basis before it traces its body
         # (16 MB, whose traced marginal alone would take 4 MB).
         body = Process(System((16, 16)), System((2, 2)), np.zeros((1024, 1024)))
-        tracemalloc.start()
-        try:
+        with allocates_nothing():
             for ask in (lambda: causal_affine_basis(16, 16), lambda: is_soc_oracle(body)):
                 with pytest.raises(DimensionError, match="exceeds limit"):
                     ask()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
     def test_the_cache_keeps_at_most_four_bases(self):
         # A two-hole verdict needs two bases; a large one must not stay
@@ -814,6 +797,23 @@ class TestSymmetryRelations:
         assert_close(swapped["b_to_a"], parts["a_to_b"])
         assert_close(swapped["a_to_b"], parts["b_to_a"])
 
+    @given(seeds, FIXTURES[2], FIXTURES[3])
+    @settings(max_examples=20, deadline=None)
+    def test_the_oracles_grid_is_linear_in_the_body(self, seed, slots, chan):
+        # The grid that is_soc2_oracle reads, of a B1 + b B2 with C2
+        # discarded, is the same sum of the two bodies' grids.
+        rng = np.random.default_rng(seed)
+        b1, b2 = (naive.random_matrix(rng, prod(slots) * prod(chan)) for _ in range(2))
+        a, b = rng.uniform(-2, 2, 2)
+        qa, qb = causal_affine_basis(*slots[:2]), causal_affine_basis(*slots[2:])
+
+        def grid(body):
+            m = naive.ptrace(body, slots + chan, (0, 1, 2, 3, 4))
+            return insert_stacked(BipartiteSupermap(Process(System(slots), System((chan[0], 1)), m)), qa, qb)
+
+        want = a * grid(b1) + b * grid(b2)
+        assert np.linalg.norm(grid(a * b1 + b * b2) - want) <= 1e-12 * np.linalg.norm(want)
+
 
 def flip(w):
     """The body read as a channel from [C1, A2, B2] to [A1, B1, C2]."""
@@ -832,13 +832,9 @@ class TestMarginalsReadInPlace:
         ids=["causal", "nonsignalling", "soc_merged"],
     )
     def test_peak_allocation_stays_below_half_the_body(self, view, decide):
-        tracemalloc.start()
-        try:
+        with traced() as t:
             got = decide(view(self.W))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < self.W.body.choi.nbytes / 2
+        assert t.peak < self.W.body.choi.nbytes / 2
         # The same verdict as on a contiguous copy of the rewired body.
         v = view(self.W)
         want = decide(Process(v.in_sys, v.out_sys, v.choi))
@@ -859,14 +855,12 @@ class TestMarginalsReadInPlace:
         # (the merged slot's is 680 MB) is built before it.
         w = fixed_order_a_then_b(3, 3, 3, 3)
         causal_affine_basis(*slot)
-        tracemalloc.start()
         try:
-            got = oracle(w)
-            peak = tracemalloc.get_traced_memory()[1]
+            with traced() as t:
+                got = oracle(w)
         finally:
-            tracemalloc.stop()
             causal_affine_basis.cache_clear()
-        assert peak < w.body.choi.nbytes / 2
+        assert t.peak < w.body.choi.nbytes / 2
         want = closed(w)
         assert got.holds is want.holds and abs(got.residual - want.residual) <= 1e-9 * max(1.0, want.residual)
 

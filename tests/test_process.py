@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclab import process
 from soclab.affine import random_product_span
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.predicates import is_causal
@@ -38,6 +36,7 @@ from soclab.tensor import System, UNIT, is_psd, kron, partial_trace, permute_sub
 
 import naive
 from naive import random_matrix
+from probe import allocates_nothing
 
 A = System((2,))
 B = System((3,))
@@ -118,22 +117,13 @@ class TestGenerators:
         ],
         ids=["identity", "cup", "cap", "discard", "swap", "swap-wide", "kraus", "identity-huge", "density", "channel-stack", "channel-draw"],
     )
-    def test_oversized_systems_raise_before_allocating(self, make, monkeypatch):
+    def test_oversized_systems_raise_before_allocating(self, make):
         # Each Choi matrix or Gaussian draw would pass MAX_SIDE**2 entries
         # (1.1 GB for the identity on 91 dimensions; the rows of the
         # identity on 10**12 dimensions alone would take 8 TB); the check
-        # must fire while memory use stays at the size of the inputs.  A
-        # mapped body is not seen by tracemalloc, so the zero-page
-        # allocator must not be reached at all.
-        monkeypatch.setattr(process, "_zeros", lambda shape: pytest.fail("allocated before checking"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                make()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # must fire while memory use stays at the size of the inputs.
+        with allocates_nothing(), pytest.raises(DimensionError, match="exceeds limit"):
+            make()
 
     def test_identity_choi_is_unnormalized_bell(self):
         expect = np.zeros((4, 4))
@@ -594,6 +584,23 @@ class TestWireFormat:
         choi.setflags(write=False)
         with pytest.raises(DimensionError, match=message):
             process_from_dict({**record, "choi": choi})
+
+    @pytest.mark.parametrize(
+        "choi",
+        [np.array([[["1", "0"]]]), np.array([[[True, False]]]), np.array([[[1 + 2j, 0]]]), np.array([[[1.0, 0.0]]], dtype=object)],
+        ids=["str", "bool", "complex", "object"],
+    )
+    def test_an_array_of_anything_but_real_numbers_is_refused(self, choi):
+        with pytest.raises(DimensionError, match=re.escape(f"dtype {choi.dtype}")):
+            process_from_dict({"in": [1], "out": [1], "choi": choi})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    def test_an_array_of_real_floats_or_integers_loads_in_any_layout(self, dtype):
+        record = process_to_dict(identity_process(A))
+        want = process_from_dict(record).choi
+        choi = np.array(record["choi"]).astype(dtype)
+        for view in (choi, np.asfortranarray(choi), np.repeat(choi, 2, axis=2)[:, :, ::2]):
+            assert np.array_equal(process_from_dict({**record, "choi": view}).choi, want)
 
     def test_non_cp_choi_is_accepted_and_flagged(self):
         p = Process(A, UNIT, np.diag([1.0, -1.0]))

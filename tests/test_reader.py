@@ -5,7 +5,6 @@ error message, and the golden files must go through the strict one."""
 import contextlib
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from soclab.cli import main
 from soclab.process import _read_json, _strict_record, identity_process, process_from_dict
 from soclab.supermap import fixed_order_a_then_b, supermap_from_dict
 from soclab.tensor import System
+from probe import traced
 from test_cli import FUZZ_FILES, GOLDEN, _mutated_document, dumped
 
 RECORDS = sorted(p.relative_to(GOLDEN).as_posix() for pattern in ("*.json", "boxes/*.json") for p in GOLDEN.glob(pattern))
@@ -197,13 +197,9 @@ def test_a_d3_fixed_order_loads_in_three_times_its_tensor(tmp_path):
     path = tmp_path / "order.json"
     path.write_text(json.dumps(record).replace("null", choi))
     del ones, choi
-    tracemalloc.start()
-    try:
+    with traced() as t:
         doc = _read_json(str(path))
         got = supermap_from_dict(doc).body
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert isinstance(doc["process"]["choi"], np.ndarray)
     assert np.array_equal(got.choi, body.choi)
-    assert peak <= 3 * body.tensor.nbytes
+    assert t.peak <= 3 * body.tensor.nbytes

@@ -2,7 +2,6 @@ import mmap
 import os
 import subprocess
 import sys
-import tracemalloc
 from contextlib import nullcontext
 from functools import reduce
 from math import prod
@@ -12,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from probe import allocates_nothing, slicing_forced, traced
 from test_process import assert_same_bits, assert_same_process, random_process
-from test_tensor import slicing_forced
 
 import soclab
-from soclab import process, supermap
+from soclab import supermap
 from soclab.errors import DimensionError, WireMismatchError
 from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
@@ -229,14 +228,8 @@ class TestTraceEarlyCausality:
         pb = random_causal_channel(big, big, seed=1)
         res = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1))
         assert res.causal.holds and res.causal.residual < 1e-9
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                res.process
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with allocates_nothing(), pytest.raises(DimensionError, match="exceeds limit"):
+            res.process
 
     def test_the_body_is_traced_once_per_supermap(self):
         w = fixed_order_a_then_b(2, 2, 2, 2)
@@ -260,18 +253,10 @@ class TestTraceEarlyCausality:
         assert insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).causal.holds
         assert len(calls) <= 1
 
-    def test_an_oversized_switch_raises_before_allocating(self, monkeypatch):
-        # d = 4 gives a body of side 4 * 4**6 = 16384, about 4.3 GB complex,
-        # which a mapping would take without tracemalloc seeing it.
-        monkeypatch.setattr(process, "_zeros", lambda shape: pytest.fail("allocated before checking"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionError, match="exceeds limit"):
-                quantum_switch(4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    def test_an_oversized_switch_raises_before_allocating(self):
+        # d = 4 gives a body of side 4 * 4**6 = 16384, about 4.3 GB complex.
+        with allocates_nothing(), pytest.raises(DimensionError, match="exceeds limit"):
+            quantum_switch(4)
 
 
 def switch_body_reference(d):
@@ -532,32 +517,20 @@ class TestAlgebra:
         # over a whole body took 16 MiB, one over a 4 MiB block of entries
         # takes 256 KiB.
         ab, ba = fixed_order_a_then_b(4, 4, 4, 4), fixed_order_b_then_a(4, 4, 4, 4)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             w = mix([(0.25, ab), (0.75, ba)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
+        assert t.peak < 2 << 20
         assert is_soc2(w).holds
 
     @pytest.mark.parametrize("pairs", [
         lambda ab4, ab3: [(0.5, ab4), (0.5, ab3)],
         lambda ab4, ab3: [(1.0, ab4), (float("nan"), ab4)],
     ], ids=["mismatched", "non-finite"])
-    def test_mix_checks_every_pair_before_allocating(self, pairs, monkeypatch):
-        # At d = 4 the sum would take 268 MB; a mapped one is not seen by
-        # tracemalloc, so the allocator must not be reached at all.
+    def test_mix_checks_every_pair_before_allocating(self, pairs):
+        # At d = 4 the sum would take 268 MB.
         bad = pairs(fixed_order_a_then_b(4, 4, 4, 4), fixed_order_a_then_b(3, 3, 3, 3))
-        monkeypatch.setattr(supermap, "_zeros", lambda shape: pytest.fail("allocated before checking"))
-        tracemalloc.start()
-        try:
-            with pytest.raises((DimensionError, WireMismatchError)):
-                mix(bad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with allocates_nothing(), pytest.raises((DimensionError, WireMismatchError)):
+            mix(bad)
 
     @pytest.mark.parametrize("pairs", [
         lambda ab: [(1e308, ab), (1e308, ab)],

@@ -1,6 +1,4 @@
 import math
-import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,22 +24,7 @@ from soclab.tensor import (
 )
 
 from naive import random_matrix
-
-
-@contextmanager
-def slicing_forced():
-    """Every trace that keeps a factor, not of a stack, and that one einsum
-    would make out of C order written slice by slice, and every nonempty
-    ``tensor._zeros`` array mapped: the line at one byte, and no plan made
-    under the old line kept before or after."""
-    line = tensor.HUGE_PAGE_BYTES
-    tensor.HUGE_PAGE_BYTES = 1
-    tensor._trace_plan.cache_clear()
-    try:
-        yield
-    finally:
-        tensor.HUGE_PAGE_BYTES = line
-        tensor._trace_plan.cache_clear()
+from probe import allocates_nothing, slicing_forced, traced
 
 
 def permutation_unitary(dims, perm):
@@ -165,16 +148,12 @@ class TestLink:
         rng = np.random.default_rng(4)
         p, q = random_matrix(rng, math.prod(p_dims)), random_matrix(rng, math.prod(q_dims))
         want = permute_subsystems(kron(p, q), p_dims + q_dims, order)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             got = link(p, p_dims, [], q, q_dims, [], order)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert np.array_equal(got, want)
         # A copy into the result's order would double it; numpy's iterator
         # buffers for the strided operands take about 256 KiB.
-        assert peak < 1.25 * got.nbytes
+        assert t.peak < 1.25 * got.nbytes
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -209,15 +188,10 @@ class TestLink:
         # The result would be 8281 x 8281 complex (about 1.1 GB); the check
         # must fire while memory use stays at the size of the inputs.
         a = np.eye(91, dtype=complex)
-        tracemalloc.start()
-        try:
+        with allocates_nothing():
             for _ in range(2):
                 with pytest.raises(DimensionError, match="exceeds limit"):
                     link(a, (91,), [], a, (91,), [])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
 
 class TestStackedLink:
@@ -286,15 +260,10 @@ class TestStackedLink:
         # check must fire while memory use stays at the size of the inputs.
         a = np.broadcast_to(np.eye(91, dtype=complex), (91, 91, 91))
         b = np.ones((91, 1, 1), dtype=complex)
-        tracemalloc.start()
-        try:
+        with allocates_nothing():
             for _ in range(2):
                 with pytest.raises(DimensionError, match="exceeds limit"):
                     link(a, (91,), [], b, (1,), [])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
 
 class TestPartialTrace:
@@ -397,13 +366,9 @@ class TestPartialTrace:
         # slice (an eighth) more.  In order, one einsum gives it in C order.
         dims = (8, 8, 8, 2)
         m = np.zeros(dims + dims, dtype=complex).transpose(axes)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             got = partial_trace(m, dims, keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * got.nbytes
+        assert t.peak <= bound * got.nbytes
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["matrix", "stack", "strided"]))
     @settings(max_examples=15, deadline=None)
@@ -514,13 +479,9 @@ class TestNorm:
 
     def test_contiguous_input_is_read_in_place(self):
         m = random_matrix(np.random.default_rng(12), 256)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             norm(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m.nbytes // 100
+        assert t.peak < m.nbytes // 100
 
 
 class TestAsMatrix:
