@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _random_causal_channels, _random_causal_stacks, _sides
-from .tensor import System, UNIT, norm
+from .tensor import System, UNIT, check_size, norm
 
 
 def _check_weights(weights: Sequence[float], what: str) -> None:
@@ -47,6 +47,7 @@ def pseudo_state(coeffs: Sequence[float]) -> Process:
     _check_weights(coeffs, "pseudo-state")
     if not abs(sum(coeffs) - 1.0) <= 1e-9:
         raise DimensionError(f"weights must sum to 1, got {sum(coeffs)}")
+    check_size((n * n, n * n), "pseudo-state")
     diag = np.zeros(n * n, dtype=complex)
     for x, c in enumerate(coeffs):
         diag[x * n + x] = c
@@ -63,10 +64,11 @@ def controlled_local_channel(channels: Sequence[Process]) -> Process:
     if any(c.in_sys.total != din or c.out_sys.total != dout for c in channels):
         raise WireMismatchError("all branches must share input and output dimensions")
     n = len(channels)
+    side = n * din * dout
+    check_size((side, side), "controlled channel")
     out = np.zeros((n, din, dout, n, din, dout), dtype=complex)
     for x, c in enumerate(channels):
         out[x, :, :, x, :, :] = c.choi.reshape(din, dout, din, dout)
-    side = n * din * dout
     return Process(System((n, din)), System((dout,)), out.reshape(side, side))
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -51,11 +52,17 @@ class HarnessConfig:
     def __post_init__(self):
         # Zero trials stay allowed: an empty run's report has no records,
         # and the entry points reject --trials 0 themselves.
+        # Numpy integers are read as System reads them, and kept as Python
+        # ints, so that seeds and report lines do not depend on the type.
         for name, least in (("trials", 0), ("seed", 0), ("ancilla_dim", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
+            try:
+                if type(value) is bool or (n := index(value)) < least:
+                    raise TypeError
+            except TypeError:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}") from None
+            object.__setattr__(self, name, n)
+        if isinstance(self.eps, (bool, np.bool_)) or not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be a finite number >= 0, got {self.eps!r}")
 
 

@@ -97,6 +97,9 @@ def make_strongly_nonsignalling(psi_a: Process, psi_b: Process, shared: Process)
     """
     if shared.in_sys != UNIT:
         raise DimensionError("the shared resource must be a state (no inputs)")
+    for name, psi, end in (("psi_a", psi_a, "last"), ("psi_b", psi_b, "first")):
+        if not psi.in_sys.dims:
+            raise DimensionError(f"{name} has no input factor to take its memory (its {end} input factor)")
     mem_a, mem_b = psi_a.in_sys.dims[-1:], psi_b.in_sys.dims[:1]
     if shared.out_sys.dims != mem_a + mem_b:
         raise DimensionError(
@@ -223,6 +226,7 @@ def is_soc2_oracle(w: BipartiteSupermap, eps: float = DEFAULT_EPS) -> CausalVerd
 def probe_states(d: int) -> list[np.ndarray]:
     """An informationally complete family of ``d**2`` density matrices:
     basis projectors plus two superposition probes per index pair."""
+    check_size((d * d, d, d), "probe states")
     states = []
     for i in range(d):
         p = np.zeros((d, d), dtype=complex)

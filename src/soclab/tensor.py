@@ -355,6 +355,7 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
     Gell-Mann matrices), so affine expansions read coefficients off by
     Hilbert-Schmidt inner products.
     """
+    check_size((d * d, d, d), "Hermitian basis")
     out: list[np.ndarray] = [np.eye(d, dtype=complex) / sqrt(d)]
     for i in range(d):
         for j in range(i + 1, d):

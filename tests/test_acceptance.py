@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_affine import realize_by_wiring
 
 from soclab.affine import (
     AffineCombination,
@@ -57,6 +56,8 @@ from soclab.supermap import (
     mix,
 )
 from soclab.tensor import UNIT, System, is_psd, kron, norm
+
+from fixtures import realize_by_wiring
 
 GOLDEN = Path(__file__).parent / "golden"
 Q = System((2,))

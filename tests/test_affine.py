@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclab import tensor
 from soclab.affine import (
     AffineCombination,
     DecompositionResult,
@@ -22,17 +23,16 @@ from soclab.process import (
     apply_to_state,
     channel_from_kraus,
     compose_par,
-    compose_seq,
     identity_process,
     processes_close,
     random_causal_channel,
     random_density,
-    relabel,
-    rewire,
 )
 from soclab.tensor import UNIT, System, is_psd
 
 import naive
+from fixtures import realize_by_wiring
+from probe import allocates_nothing
 
 
 def random_combination(rng, n, dims=(2, 2, 2, 2)):
@@ -45,19 +45,6 @@ def random_combination(rng, n, dims=(2, 2, 2, 2)):
         g = random_causal_channel(System((b1,)), System((b2,)), seed=rng)
         terms.append((float(raw[x]), f, g))
     return AffineCombination(tuple(terms))
-
-
-def realize_by_wiring(comb):
-    """The pseudo-state wiring, kept as a reference for realize_affine: the
-    diagonal pseudo-state's two registers control one local channel each."""
-    _, f0, g0 = comb.terms[0]
-    a1, a2 = f0.in_sys.total, f0.out_sys.total
-    b1, b2 = g0.in_sys.total, g0.out_sys.total
-    ctrl_a = controlled_local_channel([relabel(f, (a1,), (a2,)) for _, f, _ in comb.terms])
-    ctrl_b = controlled_local_channel([relabel(g, (b1,), (b2,)) for _, _, g in comb.terms])
-    prep = compose_par(pseudo_state(comb.coeffs), identity_process(System((a1, b1))))
-    arranged = rewire(prep, (0, 1), (2, 4, 3, 5))
-    return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
 
 
 # The per-pair routes that realize_affine and decompose_nonsignalling
@@ -140,6 +127,13 @@ class TestPseudoState:
         with pytest.raises(DimensionError):
             pseudo_state([])
 
+    def test_a_state_too_large_to_hold_raises_before_allocating(self, monkeypatch):
+        # Five weights make a 25-side state, past a limit of 16**2 elements;
+        # at MAX_SIDE, 100 weights would ask for 1.6 GB.
+        monkeypatch.setattr(tensor, "MAX_SIDE", 16)
+        with allocates_nothing(), pytest.raises(DimensionError, match="pseudo-state of shape"):
+            pseudo_state([0.2] * 5)
+
 
 class TestControlledChannel:
     def test_branch_selection(self):
@@ -162,6 +156,13 @@ class TestControlledChannel:
         assert ctrl.in_sys.dims == (4, 3)
         assert ctrl.out_sys.dims == (2,)
         assert is_causal(ctrl)
+
+    def test_a_channel_too_large_to_hold_raises_before_allocating(self, monkeypatch):
+        # Five qubit branches make a 20-side channel, past a limit of 16**2.
+        branches = [identity_process(System((2,)))] * 5
+        monkeypatch.setattr(tensor, "MAX_SIDE", 16)
+        with allocates_nothing(), pytest.raises(DimensionError, match="controlled channel of shape"):
+            controlled_local_channel(branches)
 
     def test_no_branches_rejected(self):
         with pytest.raises(DimensionError, match="^need at least one branch$"):

@@ -5,22 +5,12 @@ traced run when one is gone; this checks the same names without a bench
 run.  The tracer file is only read here.
 """
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import soclab
 
-TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
-
-
-def tracer_constant(name):
-    """The literal value assigned to ``name`` at the top of the tracer file."""
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"{TRACER.name} assigns no {name}")
+from fixtures import tracer_constant
 
 
 def test_every_traced_layer_resolves():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import soclab
 from soclab import cli
-from soclab.cli import _dims_document, _dump_process, main
+from soclab.cli import _dims_document, main
 from soclab.dsl import evaluate
 from soclab.extras import spoiled_supermap
 from soclab.process import (
@@ -32,9 +32,8 @@ from soclab.process import (
 from soclab.supermap import fixed_order_a_then_b, supermap_to_dict
 from soclab.tensor import System
 
+from fixtures import FUZZ_FILES, GOLDEN, dumped, mutated_document
 from probe import traced
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -188,13 +187,6 @@ class TestGoldenCorpus:
 TRICKY_FLOATS = [-0.0, 5e-324, 1e-300, 1e16, 0.1]
 factor_lists = st.lists(st.integers(1, 3), min_size=0, max_size=2)
 entries = st.one_of(st.sampled_from(TRICKY_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-
-
-def dumped(p: Process) -> str:
-    """The text ``_dump_process`` writes."""
-    buf = io.StringIO()
-    _dump_process(p, buf)
-    return buf.getvalue()
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -700,61 +692,6 @@ class TestOtherRoutes:
         assert json.loads(proc.stdout)["causal"]["holds"] is True
 
 
-def _fuzz_leaf(value):
-    """What a mutation puts in place of one node of a document."""
-    return st.sampled_from(
-        [
-            "2", "", True, False, None, {}, [], [value], 0, -2, 3, 10**6, 2**40,
-            1e308, -1e308, 1e-320, 5e-324, 10**400, float("nan"), float("inf"),
-        ]
-    )
-
-
-@st.composite
-def _mutated_document(draw, text: str) -> str:
-    """``text``, a golden document, with one mutation: a node replaced by a
-    wrong type, an extreme number, a bool, a string or a bad dimension; a
-    node nested once more; a list entry dropped or repeated, which makes a
-    matrix non-square; a key dropped; or the text cut short.  A diagram's
-    numbers are replaced, or its text cut short."""
-    # Most replacements leave a document that loads, so they come thrice.
-    kind = draw(st.sampled_from(["replace"] * 3 + ["nest", "drop", "repeat", "dims", "truncate"]))
-    if kind == "truncate":
-        return text[: draw(st.integers(0, len(text) - 1))]
-    if not text.lstrip().startswith("{"):
-        # A size of 10**6 is refused before anything is allocated; one of 9
-        # would make a yanking diagram of a gigabyte, which is its right.
-        sizes = [str(n) for n in (0, -1, 1, 3, 10**6)] + ["9" * 5000, "2.5", "x"]
-        return re.sub(r"\d+", lambda _: draw(st.sampled_from(sizes)), text, count=draw(st.integers(1, 3)))
-    doc = json.loads(text)
-    if kind == "dims":
-        record = doc.get("process", doc)
-        key = draw(st.sampled_from(["in", "out"]))
-        dims = record[key]
-        bad = draw(st.sampled_from([0, -1, -2, 10**6, 2**31, 3, 1]))
-        record[key] = draw(st.sampled_from([dims[:-1] + [bad], [bad, bad], []]))
-        return json.dumps(doc)
-    # Walk down from the root to a node, one drawn step at a time; three
-    # steps in four go on, so that most walks end at a number.
-    parent, key, node = None, None, doc
-    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.integers(0, 3))):
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        parent, key = node, draw(st.sampled_from(keys))
-        node = node[key]
-    if parent is None:
-        return json.dumps(draw(_fuzz_leaf(doc)))
-    if kind == "replace":
-        parent[key] = draw(_fuzz_leaf(node))
-    elif kind == "nest":
-        parent[key] = [node]
-    elif kind == "drop":
-        del parent[key]
-    elif isinstance(parent, list):
-        parent.append(node)
-    return json.dumps(doc)
-
-
-FUZZ_FILES = sorted(p.relative_to(GOLDEN).as_posix() for pattern in ("*.json", "*.diag", "boxes/*.json") for p in GOLDEN.glob(pattern))
 # Each verb, with the arguments before and after the file.
 FUZZ_VERBS = [
     (["classify"], []),
@@ -789,7 +726,7 @@ class TestFuzzedDocuments:
         # the one box of a diagram.
         original = (GOLDEN / name).read_text()
         path = fuzz_dir / f"doc{Path(name).suffix}"
-        path.write_text(data.draw(_mutated_document(original), label="document"))
+        path.write_text(data.draw(mutated_document(original), label="document"))
         if name.endswith(".json"):
             record = json.loads(original)
             record = record.get("process", record)

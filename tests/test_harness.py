@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclab import harness, predicates
-from soclab.extras import quantum_switch, spoiled_supermap
+from soclab.extras import spoiled_supermap
 from soclab.harness import (
     HarnessConfig,
     HarnessReport,
@@ -32,18 +32,20 @@ from soclab.process import (
     rewire,
 )
 from soclab.supermap import (
-    dress_slots,
     fixed_order_a_then_b,
-    fixed_order_b_then_a,
     insert_merged,
     insert_with_ancilla,
-    mix,
 )
 from soclab.tensor import DEFAULT_EPS, UNIT, System, kron
 
-W_GOOD = mix(
-    [(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]
-)
+from fixtures import KINDS, supermap
+
+# Every kind at qubit slots, and the dressed order with (3 -> 1) and (2 -> 3)
+# slots, each a module-level supermap that keeps its premise from one
+# example to the next.
+ORDERS = {kind: supermap(kind, (3, 1, 2, 3) if kind == "dressed" else (2, 2, 2, 2), (2, 2), np.random.default_rng(4)) for kind in KINDS}
+W_GOOD = ORDERS["mix"]
+VERIFIERS = {"theorem1": verify_theorem1, "corollary1": verify_corollary1}
 
 
 def one_trial_at_a_time(w, config, claim):
@@ -67,25 +69,6 @@ def one_trial_at_a_time(w, config, claim):
         records.append(TrialRecord(t, verdict.residual <= config.eps, verdict.residual, s))
     premise = is_soc2(w, config.eps)
     return HarnessReport(premise.holds, premise.residual, tuple(records))
-
-
-def dressed_order():
-    """The A-then-B order dressed so that its slots take (3 -> 1) and (2 -> 3) channels."""
-    rng = np.random.default_rng(4)
-    ends = [((2,), (3,)), ((1,), (2,)), ((2,), (2,)), ((3,), (2,))]
-    pre_a, post_a, pre_b, post_b = (random_causal_channel(System(i), System(o), seed=rng) for i, o in ends)
-    return dress_slots(fixed_order_a_then_b(2, 2, 2, 2), pre_a, post_a, pre_b, post_b)
-
-
-ORDERS = {
-    "a_then_b": fixed_order_a_then_b(2, 2, 2, 2),
-    "b_then_a": fixed_order_b_then_a(2, 2, 2, 2),
-    "switch": quantum_switch(2),
-    "spoiled": spoiled_supermap(2),
-    "affine_mix": mix([(1.7, fixed_order_a_then_b(2, 2, 2, 2)), (-0.7, fixed_order_b_then_a(2, 2, 2, 2))]),
-    "dressed": dressed_order(),
-}
-VERIFIERS = {"theorem1": verify_theorem1, "corollary1": verify_corollary1}
 
 
 class TestStackedRun:
@@ -241,11 +224,20 @@ class TestHarnessConfig:
             ("eps", -1e-3),
             ("eps", float("nan")),
             ("eps", float("inf")),
+            ("eps", True),
+            ("eps", np.True_),
         ],
     )
     def test_bad_sizes_and_tolerances_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             HarnessConfig(**{field: value})
+
+    @pytest.mark.parametrize("claim", sorted(VERIFIERS))
+    def test_numpy_integers_give_the_report_of_python_ints(self, claim):
+        config = HarnessConfig(trials=np.int64(2), seed=np.uint32(3), ancilla_dim=np.int8(1))
+        assert [type(getattr(config, f)) for f in ("trials", "seed", "ancilla_dim")] == [int] * 3
+        got, want = (VERIFIERS[claim](W_GOOD, c) for c in (config, HarnessConfig(trials=2, seed=3, ancilla_dim=1)))
+        assert got == want and report_to_jsonl(got) == report_to_jsonl(want)
 
 
 class TestCorollary1Harness:

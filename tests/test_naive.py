@@ -18,12 +18,13 @@ SHARED = {
     "partial_trace", "link", "kron", "permute_subsystems", "apply_to_state", "causal_affine_basis", "hermitian_basis", "norm",
     "compose_seq", "compose_par", "rewire", "relabel", "insert", "insert_stacked", "insert_with_ancilla", "_discard_outputs",
 }
-# A function of a test module is a reference when its name says so.
+# A function of a test module or of the fixtures is a reference when its
+# name says so.
 MARKERS = ("_reference", "_by_", "_at_a_time", "_fill_then_trace", "_kron")
 # The references that read the shared layer on purpose, and why.
 ALLOWED = {
     "test_predicates.causal_affine_basis_by_kron": "pins causal_affine_basis with array_equal to the kron of two Gell-Mann bases: its bits are the point",
-    "test_affine.realize_by_wiring": "the paper's own wiring of a pseudo-state into controlled channels, which acceptance criterion 6 holds to realize_affine",
+    "fixtures.realize_by_wiring": "the paper's own wiring of a pseudo-state into controlled channels, which acceptance criterion 6 holds to realize_affine",
     "test_harness.one_trial_at_a_time": "a verification run must give the bits of its trials filled one at a time through the public insertions",
 }
 
@@ -68,7 +69,7 @@ def test_naive_imports_numpy_and_nothing_else():
 
 def test_no_reference_reads_the_shared_layer_unless_allowed():
     found = {}
-    for path in sorted(TESTS.glob("test_*.py")):
+    for path in [*sorted(TESTS.glob("test_*.py")), TESTS / "fixtures.py"]:
         found.update({f"{path.stem}.{name}": used for name, used in shared_uses(ast.parse(path.read_text())).items()})
     assert {name: used for name, used in found.items() if used and name not in ALLOWED} == {}
     # Every exception names a reference that exists and still needs it.

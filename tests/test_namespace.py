@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 import soclab
-from test_bench_names import tracer_constant
+
+from fixtures import tracer_constant
 
 README = Path(__file__).parent.parent / "README.md"
 

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soclab
+from soclab import tensor
 from soclab.errors import DimensionError, ReconstructionError
-from soclab.extras import quantum_switch, spoiled_supermap
+from soclab.extras import spoiled_supermap
 from soclab.predicates import (
     CausalVerdict,
     _defect,
@@ -45,27 +46,18 @@ from soclab.process import (
 from soclab.supermap import (
     BipartiteSupermap,
     fixed_order_a_then_b,
-    fixed_order_b_then_a,
     insert,
     insert_merged,
     insert_stacked,
     merged_slot_process,
-    mix,
-    supermap_from_process,
 )
 from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron
 
 import naive
+from fixtures import CHANS, SLOTS, random_body, seeds, supermap, supermaps
 from probe import allocates_nothing, slicing_forced, traced
 
-seeds = st.integers(0, 2**32 - 1)
-
 Q = System((2,))
-
-
-def random_hermitian_process(rng, in_sys, out_sys):
-    g = naive.random_matrix(rng, in_sys.total * out_sys.total)
-    return Process(in_sys, out_sys, g + g.conj().T)
 
 
 def classical_copy_channel():
@@ -149,32 +141,19 @@ def soc2_oracle_reference(body: np.ndarray, dims: tuple[int, ...], eps: float = 
     return CausalVerdict(residual <= eps, residual, None)
 
 
+def assert_agree(got, want):
+    """The same holds, and the same residual to 1e-12 relative."""
+    assert got.holds is want.holds
+    assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
+
+
 class TestStackedOraclesMatchPerPairReference:
-    @given(seeds, st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 4)]), st.sampled_from(["random", "a_then_b", "b_then_a"]), st.booleans())
+    # The two largest slot shapes; the naive merged-slot grid is slow.
+    @given(supermaps(slots=[(2, 3, 3, 2), (3, 2, 2, 4)], chans=[(2, 2)], bumps=(0.0, 1e-2)))
     @settings(max_examples=5, deadline=None)
-    def test_same_verdict_and_residual(self, seed, slots, kind, spoil):
-        # A random complex body, or a fixed order (both slot shapes chain
-        # A2 into B1 and B2 into A1 where the order needs it) with or
-        # without a random complex bump that spoils it.
-        rng = np.random.default_rng(seed)
-        a1, a2, b1, b2 = slots
-        if kind == "a_then_b" and a2 == b1:
-            order = fixed_order_a_then_b(*slots)
-        elif kind == "b_then_a" and b2 == a1:
-            order = fixed_order_b_then_a(*slots)
-        else:
-            order = None
-        if order is None:
-            in_sys, out_sys, base, scale = System(slots), System((2, 2)), 0, 1.0
-        else:
-            in_sys, out_sys, base, scale = order.body.in_sys, order.body.out_sys, order.body.choi, 1e-2 * spoil
-        bump = naive.random_matrix(rng, in_sys.total * out_sys.total)
-        w = BipartiteSupermap(Process(in_sys, out_sys, base + scale * bump))
-
-        def same(got, want):
-            assert got.holds is want.holds
-            assert abs(got.residual - want.residual) <= 1e-12 * max(1.0, want.residual)
-
+    def test_same_verdict_and_residual(self, drawn):
+        w = drawn.w
+        a1, a2, b1, b2 = drawn.slots
         # The naive oracle on the body, and on the body with C2 discarded.
         # The one-hole oracle on the merged slot A1 B1 -> A2 B2 is the same
         # with a trivial B slot.
@@ -184,36 +163,17 @@ class TestStackedOraclesMatchPerPairReference:
             (is_soc2_oracle(w), w.body.choi, (a1, a2, b1, b2, c1, c2)),
             (is_soc_oracle(merged, 2, 1), merged.choi, (a1 * b1, a2 * b2, 1, 1, c1, c2)),
         ):
-            same(got, soc2_oracle_reference(body, dims))
-            same(got, soc2_oracle_reference(naive.ptrace(body, dims, range(5)), dims[:5] + (1,)))
-
-    @pytest.mark.parametrize("w", [fixed_order_a_then_b(3, 3, 3, 3), fixed_order_b_then_a(3, 3, 3, 3), spoiled_supermap(3)], ids=["a_then_b", "b_then_a", "spoiled"])
-    def test_qutrit_oracle_agrees_with_the_closed_form(self, w):
-        closed, oracle = is_soc2(w), is_soc2_oracle(w)
-        assert oracle.holds is closed.holds
-        assert abs(oracle.residual - closed.residual) <= 1e-9 * max(1.0, closed.residual)
+            assert_agree(got, soc2_oracle_reference(body, dims))
+            assert_agree(got, soc2_oracle_reference(naive.ptrace(body, dims, range(5)), dims[:5] + (1,)))
 
 
 class TestDefectMatchesEmbeddingReference:
-    @given(
-        seeds,
-        st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 4)]),
-        st.sampled_from([(1, 1), (2, 1), (1, 3)]),
-        st.booleans(),
-    )
+    # A bump of 1e-3 leaves a preserving kind's gaps small but not zero;
+    # channel wires of dimension 1 make some traces reshapes.
+    @given(supermaps(chans=[(1, 1), (2, 1), (1, 3)], bumps=(0.0, 1e-3)))
     @settings(max_examples=20, deadline=None)
-    def test_every_closed_form_matches(self, seed, slots, chan, causal):
-        # A random complex body, or the A-then-B order (causality
-        # preserving; both slot shapes chain A2 into B1) with a random
-        # complex bump of size 1e-3.
-        rng = np.random.default_rng(seed)
-        in_sys, out_sys = System(slots), System(chan)
-        base = 0
-        if causal:
-            order = fixed_order_a_then_b(*slots)
-            in_sys, out_sys, base = order.body.in_sys, order.body.out_sys, order.body.choi
-        bump = naive.random_matrix(rng, in_sys.total * out_sys.total)
-        body = Process(in_sys, out_sys, base + (1e-3 if causal else 1.0) * bump)
+    def test_every_closed_form_matches(self, drawn):
+        body = drawn.w.body
 
         def close(got, want):
             assert abs(got - want) <= 1e-12 * max(1.0, want)
@@ -323,14 +283,6 @@ class TestVerdictsHoldOneMarginal:
         assert t.peak <= 1.3 * self.MARGINAL
 
 
-def _noisy_qutrit_order(seed: int) -> BipartiteSupermap:
-    """The qutrit A-then-B order plus a seeded Hermitian bump of size 1e-3."""
-    rng = np.random.default_rng(seed)
-    body = fixed_order_a_then_b(3, 3, 3, 3).body
-    g = naive.random_matrix(rng, body.choi.shape[0])
-    return BipartiteSupermap(Process(body.in_sys, body.out_sys, body.choi + 1e-3 * (g + g.conj().T)))
-
-
 class TestClosedFormBitPins:
     # float.hex of every residual and part, taken from the broadcast
     # ``_defect``: a reordering of the projector arithmetic changes a bit.
@@ -349,7 +301,12 @@ class TestClosedFormBitPins:
         },
     }
 
-    CASES = pytest.mark.parametrize("name, make", [("noisy_qutrit", lambda: _noisy_qutrit_order(1)), ("spoiled", lambda: spoiled_supermap(2))])
+    # The noisy qutrit is the qutrit A-then-B order plus a Hermitian bump of
+    # size 1e-3, drawn at seed 1.
+    CASES = pytest.mark.parametrize(
+        "name, make",
+        [("noisy_qutrit", lambda: supermap("a_then_b", (3, 3, 3, 3), (3, 3), np.random.default_rng(1), 1e-3)), ("spoiled", lambda: spoiled_supermap(2))],
+    )
 
     @CASES
     def test_residuals_and_parts_are_bit_identical(self, name, make):
@@ -367,9 +324,11 @@ class TestClosedFormBitPins:
     # theorem1 run, the two outputs whose pins a thread count could move.
     SCRIPT = (
         "import sys\n"
+        "import numpy as np\n"
         "from soclab.cli import main\n"
-        "from test_predicates import _noisy_qutrit_order, closed_form_hex\n"
-        "print(closed_form_hex(_noisy_qutrit_order(1)))\n"
+        "from fixtures import supermap\n"
+        "from test_predicates import closed_form_hex\n"
+        "print(closed_form_hex(supermap('a_then_b', (3, 3, 3, 3), (3, 3), np.random.default_rng(1), 1e-3)))\n"
         "main(['verify', 'theorem1', sys.argv[1], '--trials', '3', '--seed', '1', '--dims', '2'])\n"
     )
 
@@ -475,6 +434,16 @@ class TestNonSignalling:
         with pytest.raises(DimensionError):
             make_strongly_nonsignalling(psi_a, psi_b, shared)
 
+    @pytest.mark.parametrize("side", ["psi_a", "psi_b"])
+    def test_a_local_channel_without_a_memory_input_is_refused(self, side):
+        # A qubit state in place of one local channel, and a one-qubit shared
+        # state that matches the other channel's memory.
+        parts = {"psi_a": random_causal_channel(System((2, 2)), Q, seed=0), "psi_b": random_causal_channel(System((2, 2)), Q, seed=1)}
+        parts[side] = Process(UNIT, Q, random_density(Q, seed=2))
+        shared = Process(UNIT, Q, random_density(Q, seed=3))
+        with pytest.raises(DimensionError, match=f"^{side} has no input factor to take its memory"):
+            make_strongly_nonsignalling(parts["psi_a"], parts["psi_b"], shared)
+
     def test_the_shared_part_must_be_a_state(self):
         psi_a = random_causal_channel(System((2, 2)), Q, seed=0)
         psi_b = random_causal_channel(System((2, 2)), Q, seed=1)
@@ -563,30 +532,13 @@ class TestOneHolePreservation:
         verdict = is_causal(Process(Q, Q, out))
         assert np.isclose(verdict.residual, 3 * np.sqrt(2))
 
-    @given(seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_closed_form_matches_argument_sweep(self, seed):
-        rng = np.random.default_rng(seed)
-        body = random_hermitian_process(rng, System((2, 2)), System((2, 2)))
-        closed = is_soc(body)
-        sweep = is_soc_oracle(body)
-        assert abs(closed.residual - sweep.residual) < 1e-8
-
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_closed_form_matches_sweep_on_non_hermitian_bodies(self, seed):
-        rng = np.random.default_rng(seed)
-        m = naive.random_matrix(rng, 16)
-        body = Process(System((2, 2)), System((2, 2)), m)
-        assert abs(is_soc(body).residual - is_soc_oracle(body).residual) < 1e-8
-
     @given(seeds, st.sampled_from([(2, 3), (3, 1, 2)]), st.sampled_from([(2, 3), (1, 2, 2)]))
     @settings(max_examples=8, deadline=None)
     def test_one_hole_is_two_holes_with_a_trivial_b_slot(self, seed, ins, outs):
         # The body read as a supermap with slots (si, so, 1, 1) and outputs
         # (ci, co), built here with relabel, at every split: unequal slots,
         # a trivial one, and all outputs on the channel input or none.
-        body = random_hermitian_process(np.random.default_rng(seed), System(ins), System(outs))
+        body = random_body(np.random.default_rng(seed), System(ins), System(outs), "hermitian")
         for in_split in range(len(ins) + 1):
             for out_split in range(len(outs) + 1):
                 si, so, ci, co = _sides(body, in_split, out_split)
@@ -606,27 +558,30 @@ class TestOneHolePreservation:
         assert v.holds
 
 
-class TestTwoHolePreservation:
-    @pytest.mark.parametrize(
-        "w",
-        [
-            fixed_order_a_then_b(2, 2, 2, 2),
-            fixed_order_b_then_a(2, 2, 2, 2),
-            mix([(0.5, fixed_order_a_then_b(2, 2, 2, 2)), (0.5, fixed_order_b_then_a(2, 2, 2, 2))]),
-            mix([(1.5, fixed_order_a_then_b(2, 2, 2, 2)), (-0.5, fixed_order_b_then_a(2, 2, 2, 2))]),
-        ],
-    )
-    def test_fixed_orders_and_their_mixtures_hold(self, w):
+class TestBothFormsAgree:
+    # The closed form and the oracle of each verdict give the same holds and
+    # the same residual, on every kind in the fixture family, and the
+    # two-hole holds is the one the kind promises.  The one-hole verdicts are
+    # read on the merged slot A1 B1 -> A2 B2, which no fixed order preserves.
+    @given(supermaps(bumps=(0.0, 1e-2)))
+    @settings(max_examples=30, deadline=None)
+    def test_on_every_kind(self, drawn):
+        w, merged = drawn.w, merged_slot_process(drawn.w)
         closed = is_soc2(w)
-        sweep = is_soc2_oracle(w)
-        assert closed.holds and sweep.holds
-        assert closed.residual < 1e-9 and sweep.residual < 1e-9
+        assert closed.holds is drawn.preserving
+        assert_agree(is_soc2_oracle(w), closed)
+        assert_agree(is_soc_oracle(merged, 2, 1), is_soc(merged, 2, 1))
 
-    def test_heterogeneous_dims_hold(self):
-        w = fixed_order_a_then_b(2, 3, 3, 2)
-        assert is_soc2(w).holds
-        assert is_soc2_oracle(w).holds
+    # Two holes only: the merged slot's basis would take 680 MB.
+    @pytest.mark.parametrize("kind", ["a_then_b", "b_then_a", "switch", "spoiled"])
+    def test_at_qutrit_slots(self, kind):
+        w = supermap(kind, (3, 3, 3, 3), (3, 3), np.random.default_rng(0))
+        closed = is_soc2(w)
+        assert closed.holds is (kind != "spoiled")
+        assert_agree(is_soc2_oracle(w), closed)
 
+
+class TestTwoHolePreservation:
     def test_corrupted_body_fails_with_unit_residual(self):
         bad = spoiled_supermap()
         closed = is_soc2(bad)
@@ -641,17 +596,6 @@ class TestTwoHolePreservation:
         res = insert(bad, pa, pb)
         assert not res.causal.holds
         assert np.isclose(res.causal.residual, 1.0)
-
-    @given(seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_closed_form_matches_insertion_sweep(self, seed):
-        rng = np.random.default_rng(seed)
-        m = naive.random_matrix(rng, 64)
-        m = m + m.conj().T
-        w = supermap_from_process(Process(System((4, 4)), System((2, 2)), m), (2, 2), (2, 2))
-        closed = is_soc2(w)
-        sweep = is_soc2_oracle(w)
-        assert abs(closed.residual - sweep.residual) < 1e-8
 
     def test_merged_hole_of_a_fixed_order_is_not_one_hole_preserving(self):
         # Jointly correlated fillings (the swap) can close a loop, so the
@@ -672,13 +616,10 @@ class TestTwoHolePreservation:
 
 
 class TestNamedParts:
-    @given(seeds, st.booleans())
+    @given(supermaps(bumps=(1e-3, 1.0)))
     @settings(max_examples=10, deadline=None)
-    def test_parts_make_up_the_residual(self, seed, causal):
-        rng = np.random.default_rng(seed)
-        order = fixed_order_a_then_b(2, 3, 3, 2)
-        bump = naive.random_matrix(rng, order.body.choi.shape[0])
-        body = Process(order.body.in_sys, order.body.out_sys, order.body.choi + (1e-3 if causal else 1.0) * bump)
+    def test_parts_make_up_the_residual(self, drawn):
+        body = drawn.w.body
         verdicts = {
             ("gap_a", "gap_b", "gap_norm", "gap_cross"): is_soc2(BipartiteSupermap(body)),
             ("gap_slot", "gap_norm"): is_soc(body, 2, 1),
@@ -705,47 +646,6 @@ def swap_holes(w: BipartiteSupermap) -> BipartiteSupermap:
     return BipartiteSupermap(Process(System((w.b_in, w.b_out, w.a_in, w.a_out)), body.out_sys, t.reshape(body.choi.shape)))
 
 
-def relabel_fixture(kind: str, slots: tuple[int, int, int, int], chan: tuple[int, int], rng) -> BipartiteSupermap | None:
-    """A supermap of ``kind``: a random PSD body with ``slots`` and C dims
-    ``chan``, a fixed order with ``slots`` (``None`` where its wires do not
-    chain), or a qubit switch, spoiled supermap or mixture of both orders."""
-    if kind == "random":
-        side = prod(slots) * prod(chan)
-        g = naive.random_matrix(rng, side)
-        return BipartiteSupermap(Process(System(slots), System(chan), g @ g.conj().T / side))
-    a1, a2, b1, b2 = slots
-    if kind == "a_then_b":
-        return fixed_order_a_then_b(*slots) if a2 == b1 else None
-    if kind == "b_then_a":
-        return fixed_order_b_then_a(*slots) if b2 == a1 else None
-    if kind == "switch":
-        return quantum_switch(2)
-    if kind == "spoiled":
-        return spoiled_supermap(2)
-    return mix([(0.3, fixed_order_a_then_b(2, 2, 2, 2)), (0.7, fixed_order_b_then_a(2, 2, 2, 2))])
-
-
-def bumped_fixture(seed: int, kind: str, slots, chan, bumped: bool):
-    """A :func:`relabel_fixture` kept as it is or with a random complex bump
-    of size 1e-2, so that its parts are not all zero, and the generator that
-    drew it."""
-    rng = np.random.default_rng(seed)
-    w = relabel_fixture(kind, slots, chan, rng)
-    assume(w is not None)
-    if bumped and kind != "random":
-        bump = naive.random_matrix(rng, w.body.choi.shape[0])
-        w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + 1e-2 * bump))
-    return w, rng
-
-
-FIXTURES = (
-    seeds,
-    st.sampled_from(["random", "a_then_b", "b_then_a", "switch", "spoiled", "mix"]),
-    st.sampled_from([(2, 3, 3, 2), (3, 2, 2, 3), (1, 2, 3, 1), (2, 2, 2, 2)]),
-    st.sampled_from([(2, 2), (3, 1), (2, 3)]),
-)
-
-
 def assert_close(got, want):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -756,10 +656,11 @@ class TestSymmetryRelations:
     # traces, link), so a bug there moves them together, where an agreement
     # test cannot see it; a relation can.  The related supermap is built
     # with numpy, not with the package's rewiring or dressing.
-    @given(*FIXTURES, st.booleans())
+    # A bump of 1e-2 makes a preserving kind's parts not all zero.
+    @given(supermaps(bumps=(0.0, 1e-2)))
     @settings(max_examples=25, deadline=None)
-    def test_swapping_the_holes_swaps_gap_a_and_gap_b_and_keeps_the_rest(self, seed, kind, slots, chan, bumped):
-        w, _ = bumped_fixture(seed, kind, slots, chan, bumped)
+    def test_swapping_the_holes_swaps_gap_a_and_gap_b_and_keeps_the_rest(self, drawn):
+        w = drawn.w
         v = swap_holes(w)
         closed, swapped = is_soc2(w).parts, is_soc2(v).parts
         assert_close(swapped["gap_a"], closed["gap_b"])
@@ -768,14 +669,14 @@ class TestSymmetryRelations:
         assert_close(swapped["gap_cross"], closed["gap_cross"])
         assert_close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
-    @given(*FIXTURES)
+    @given(supermaps(bumps=(1e-2,)))
     @settings(max_examples=10, deadline=None)
-    def test_local_unitaries_on_the_slot_wires_keep_every_part_and_the_oracle(self, seed, kind, slots, chan):
+    def test_local_unitaries_on_the_slot_wires_keep_every_part_and_the_oracle(self, drawn):
         # U = u1 (x) u2 (x) u3 (x) u4 (x) I on [A1, A2, B1, B2, C1, C2], Haar
         # unitaries on the slot wires; U W U^dag fills as W does with each
         # argument conjugated by local unitaries, which maps the causal
         # channels' affine hull onto itself.
-        w, rng = bumped_fixture(seed, kind, slots, chan, True)
+        w, rng = drawn.w, drawn.rng
         body = w.body
         u = reduce(np.kron, [naive.random_unitary(rng, d) for d in body.in_sys.dims] + [np.eye(body.out_sys.total)])
         v = BipartiteSupermap(Process(body.in_sys, body.out_sys, u @ body.choi @ u.conj().T))
@@ -789,7 +690,7 @@ class TestSymmetryRelations:
     def test_swapping_the_sides_swaps_b_to_a_and_a_to_b(self, seed, dims):
         # A random complex process on [A1, B1 | A2, B2], and the same with
         # its sides exchanged by transposing its factor tensor.
-        f = Process(System(dims[:2]), System(dims[2:]), naive.random_matrix(np.random.default_rng(seed), prod(dims)))
+        f = random_body(np.random.default_rng(seed), System(dims[:2]), System(dims[2:]))
         rows = (1, 0, 3, 2)
         t = np.transpose(f.tensor, rows + tuple(4 + k for k in rows))
         g = Process(System(dims[1::-1]), System(dims[:1:-1]), t.reshape(f.choi.shape))
@@ -797,13 +698,13 @@ class TestSymmetryRelations:
         assert_close(swapped["b_to_a"], parts["a_to_b"])
         assert_close(swapped["a_to_b"], parts["b_to_a"])
 
-    @given(seeds, FIXTURES[2], FIXTURES[3])
+    @given(seeds, st.sampled_from(SLOTS), st.sampled_from(CHANS))
     @settings(max_examples=20, deadline=None)
     def test_the_oracles_grid_is_linear_in_the_body(self, seed, slots, chan):
         # The grid that is_soc2_oracle reads, of a B1 + b B2 with C2
         # discarded, is the same sum of the two bodies' grids.
         rng = np.random.default_rng(seed)
-        b1, b2 = (naive.random_matrix(rng, prod(slots) * prod(chan)) for _ in range(2))
+        b1, b2 = (random_body(rng, System(slots), System(chan)).choi for _ in range(2))
         a, b = rng.uniform(-2, 2, 2)
         qa, qb = causal_affine_basis(*slots[:2]), causal_affine_basis(*slots[2:])
 
@@ -880,10 +781,10 @@ class TestDimensionOneDiscards:
     # strides allow, which a defect copies before it writes.
     RNG = np.random.default_rng(17)
     ONE_HOLE = [
-        (random_hermitian_process(RNG, System((2, 3)), System((2, 3))), 2),
-        (random_hermitian_process(RNG, System((3, 2)), System((3, 1))), 1),
+        (random_body(RNG, System((2, 3)), System((2, 3)), "hermitian"), 2),
+        (random_body(RNG, System((3, 2)), System((3, 1)), "hermitian"), 1),
     ]
-    TWO_HOLE = random_hermitian_process(RNG, System((2, 3, 3, 2)), System((2, 1)))
+    TWO_HOLE = random_body(RNG, System((2, 3, 3, 2)), System((2, 1)), "hermitian")
 
     @staticmethod
     def same(got, want):
@@ -987,6 +888,14 @@ class TestReconstruction:
             reconstruct_from_causal_states(
                 lambda rho: apply_to_state(ch, rho), Q, Q, probes=diag_only
             )
+
+    @pytest.mark.parametrize("build", [lambda: probe_states(5), lambda: reconstruct_from_causal_states(pytest.fail, System((5,)), Q)], ids=["probe_states", "reconstruct"])
+    def test_too_many_probes_raise_before_allocating(self, build, monkeypatch):
+        # 25 probes of 5 x 5 pass a limit of 16**2 elements; at MAX_SIDE a
+        # 100-dimensional input would ask for 1.6 GB.
+        monkeypatch.setattr(tensor, "MAX_SIDE", 16)
+        with allocates_nothing(), pytest.raises(DimensionError, match="probe states of shape"):
+            build()
 
     def test_reconstruction_handles_non_cp_maps(self):
         p = Process(Q, Q, np.diag([1.0, -0.5, 0.25, 2.0]))

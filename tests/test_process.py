@@ -35,18 +35,12 @@ from soclab.process import (
 from soclab.tensor import System, UNIT, is_psd, kron, partial_trace, permute_subsystems
 
 import naive
+from fixtures import assert_same_bits, assert_same_process, random_body, seeds
 from naive import random_matrix
 from probe import allocates_nothing
 
 A = System((2,))
 B = System((3,))
-
-seeds = st.integers(0, 2**32 - 1)
-
-
-def random_process(rng, in_sys, out_sys):
-    # Arbitrary linear map, generally neither Hermitian nor CP.
-    return Process(in_sys, out_sys, random_matrix(rng, in_sys.total * out_sys.total))
 
 
 def channel_from_kraus_loop(kraus, in_sys, out_sys):
@@ -84,19 +78,6 @@ def swap_reference(a, b):
     da, db = a.total, b.total
     u = np.eye(da * db).reshape(da, db, da * db).transpose(1, 0, 2).reshape(da * db, da * db)
     return Process(a + b, b + a, naive.choi([u], da * db, da * db))
-
-
-def assert_same_bits(got, want):
-    """Equal values and equal signs of zero, entry by entry."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype == complex and got.shape == want.shape
-    g, w = got.view(float), want.view(float)
-    assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-
-
-def assert_same_process(got, want, tol=1e-12):
-    assert got.in_sys == want.in_sys and got.out_sys == want.out_sys
-    assert np.linalg.norm(got.choi - want.choi) <= tol * max(1.0, np.linalg.norm(want.choi))
 
 
 class TestGenerators:
@@ -222,8 +203,8 @@ class TestComposition:
     @settings(max_examples=20, deadline=None)
     def test_seq_matches_reference_contraction(self, seed):
         rng = np.random.default_rng(seed)
-        f = random_process(rng, System((2, 2)), System((3,)))
-        g = random_process(rng, System((3,)), System((2,)))
+        f = random_body(rng, System((2, 2)), System((3,)))
+        g = random_body(rng, System((3,)), System((2,)))
         got = compose_seq(f, g)
         assert np.allclose(got.choi, naive.seq(f.choi, g.choi, 4, 3, 2))
         assert got.in_sys.dims == (2, 2) and got.out_sys.dims == (2,)
@@ -236,7 +217,7 @@ class TestComposition:
         if causal:
             f, g = random_causal_channel(x, y, seed=rng), random_causal_channel(y, z, seed=rng)
         else:
-            f, g = random_process(rng, x, y), random_process(rng, y, z)
+            f, g = random_body(rng, x, y), random_body(rng, y, z)
         assert_same_process(compose_seq(f, g), Process(x, z, naive.seq(f.choi, g.choi, *dims)))
         assert_same_process(compose_par(f, g), Process(x + y, y + z, naive.par(f.choi, dims[:2], g.choi, dims[1:])))
         assert_same_process(compose_par(g, f), Process(y + x, z + y, naive.par(g.choi, dims[1:], f.choi, dims[:2])))
@@ -245,8 +226,8 @@ class TestComposition:
     @settings(max_examples=20, deadline=None)
     def test_seq_agrees_with_pointwise_application(self, seed):
         rng = np.random.default_rng(seed)
-        f = random_process(rng, A, B)
-        g = random_process(rng, B, A)
+        f = random_body(rng, A, B)
+        g = random_body(rng, B, A)
         rho = random_matrix(rng, 2)
         assert np.allclose(
             apply_to_state(compose_seq(f, g), rho),
@@ -257,7 +238,7 @@ class TestComposition:
     @settings(max_examples=10, deadline=None)
     def test_stacked_application_equals_a_loop(self, seed, batch):
         rng = np.random.default_rng(seed)
-        f = random_process(rng, System((2, 3)), B)
+        f = random_body(rng, System((2, 3)), B)
         rhos = rng.standard_normal(batch + (6, 6)) + 1j * rng.standard_normal(batch + (6, 6))
         got = apply_to_state(f, rhos)
         assert got.shape == batch + (3, 3)
@@ -265,19 +246,19 @@ class TestComposition:
             assert np.allclose(got[i], apply_to_state(f, rhos[i]), rtol=0, atol=1e-12)
 
     def test_stacked_application_checks_the_input_side(self):
-        f = random_process(np.random.default_rng(5), A, B)
+        f = random_body(np.random.default_rng(5), A, B)
         with pytest.raises(DimensionError):
             apply_to_state(f, np.zeros((4, 3, 3)))
 
     def test_identity_laws(self):
         rng = np.random.default_rng(4)
-        f = random_process(rng, A, B)
+        f = random_body(rng, A, B)
         assert processes_close(compose_seq(identity_process(A), f), f, 1e-12)
         assert processes_close(compose_seq(f, identity_process(B)), f, 1e-12)
 
     def test_wire_mismatch_raises(self):
         rng = np.random.default_rng(5)
-        f = random_process(rng, A, B)
+        f = random_body(rng, A, B)
         with pytest.raises(WireMismatchError):
             compose_seq(f, f)
 
@@ -285,24 +266,24 @@ class TestComposition:
     @settings(max_examples=20, deadline=None)
     def test_par_factorizes_on_products(self, seed):
         rng = np.random.default_rng(seed)
-        f = random_process(rng, A, B)
-        g = random_process(rng, B, A)
+        f = random_body(rng, A, B)
+        g = random_body(rng, B, A)
         rho, sig = random_matrix(rng, 2), random_matrix(rng, 3)
         out = apply_to_state(compose_par(f, g), kron(rho, sig))
         assert np.allclose(out, kron(apply_to_state(f, rho), apply_to_state(g, sig)))
 
     def test_par_type_bookkeeping(self):
         rng = np.random.default_rng(6)
-        f = random_process(rng, System((2, 3)), System((2,)))
-        g = random_process(rng, System((5,)), System((3, 2)))
+        f = random_body(rng, System((2, 3)), System((2,)))
+        g = random_body(rng, System((5,)), System((3, 2)))
         h = compose_par(f, g)
         assert h.in_sys.dims == (2, 3, 5)
         assert h.out_sys.dims == (2, 3, 2)
 
     def test_interchange_of_seq_and_par(self):
         rng = np.random.default_rng(7)
-        f1, f2 = random_process(rng, A, B), random_process(rng, B, A)
-        g1, g2 = random_process(rng, B, B), random_process(rng, B, A)
+        f1, f2 = random_body(rng, A, B), random_body(rng, B, A)
+        g1, g2 = random_body(rng, B, B), random_body(rng, B, A)
         lhs = compose_seq(compose_par(f1, g1), compose_par(f2, g2))
         rhs = compose_par(compose_seq(f1, f2), compose_seq(g1, g2))
         assert processes_close(lhs, rhs, 1e-9)
@@ -337,7 +318,7 @@ class TestBending:
 
     def test_move_boundary_is_data_identity(self):
         rng = np.random.default_rng(8)
-        f = random_process(rng, System((2, 3)), System((2,)))
+        f = random_body(rng, System((2, 3)), System((2,)))
         assert processes_close(rewire(rewire(f, [], range(3)), range(2), [2]), f, 0.0)
 
     @given(seeds)
@@ -346,7 +327,7 @@ class TestBending:
         # Bending input B of f : A*B -> C gives L : A -> B*C with
         # f(a (x) b) recovered as Tr_B[(b^T (x) I) L(a)].
         rng = np.random.default_rng(seed)
-        f = random_process(rng, System((2, 3)), System((2,)))
+        f = random_body(rng, System((2, 3)), System((2,)))
         bent = rewire(f, [0], [1, 2])
         assert bent.in_sys.dims == (2,) and bent.out_sys.dims == (3, 2)
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
@@ -356,7 +337,7 @@ class TestBending:
 
     def test_relabel_checks_totals(self):
         rng = np.random.default_rng(9)
-        f = random_process(rng, System((2, 2)), System((4,)))
+        f = random_body(rng, System((2, 2)), System((4,)))
         merged = relabel(f, (4,), (2, 2))
         assert merged.in_sys.dims == (4,) and merged.out_sys.dims == (2, 2)
         with pytest.raises(DimensionError):
@@ -366,7 +347,7 @@ class TestBending:
 class TestFactorPermutation:
     def test_input_permutation_semantics(self):
         rng = np.random.default_rng(10)
-        f = random_process(rng, System((2, 3)), System((2,)))
+        f = random_body(rng, System((2, 3)), System((2,)))
         g = rewire(f, (1, 0), [2])
         rho = random_matrix(rng, 6)
         rho_swapped = permute_subsystems(rho, (2, 3), (1, 0))
@@ -374,7 +355,7 @@ class TestFactorPermutation:
 
     def test_output_permutation_semantics(self):
         rng = np.random.default_rng(11)
-        f = random_process(rng, A, System((2, 3)))
+        f = random_body(rng, A, System((2, 3)))
         g = rewire(f, [0], (2, 1))
         rho = random_matrix(rng, 2)
         assert np.allclose(
@@ -389,7 +370,7 @@ class TestDiscardOutputs:
     def test_equals_composing_with_the_discard(self, seed, drop, view):
         # Each dropped output is traced out and stays as a factor of
         # dimension 1; a rewired view is read in place like a contiguous process.
-        p = random_process(np.random.default_rng(seed), System((2, 3)), System((2, 3, 2)))
+        p = random_body(np.random.default_rng(seed), System((2, 3)), System((2, 3, 2)))
         if view:
             p = rewire(p, [1, 0], [4, 2, 3])
         after = [discard_process(System((d,))) if j in drop else identity_process(System((d,))) for j, d in enumerate(p.out_sys)]
@@ -402,7 +383,7 @@ class TestDiscardOutputs:
     def test_returns_the_traced_choi_matrix_for_every_subset(self, view):
         # The marginal is a plain matrix, equal to tracing the 2-D Choi
         # matrix; discarding nothing hands back the Choi matrix itself.
-        p = random_process(np.random.default_rng(16), System((2, 3)), System((2, 3, 2)))
+        p = random_body(np.random.default_rng(16), System((2, 3)), System((2, 3, 2)))
         if view:
             p = rewire(p, [1, 0], [4, 2, 3])
         n_in, n_out = p.n_in, len(p.out_sys)
@@ -425,7 +406,7 @@ class TestStorage:
         assert np.array_equal(p.choi, kept)
 
     def test_choi_and_tensor_are_read_only(self):
-        p = random_process(np.random.default_rng(13), A, B)
+        p = random_body(np.random.default_rng(13), A, B)
         with pytest.raises(ValueError):
             p.choi[0, 0] = 1
         with pytest.raises(ValueError):
@@ -436,7 +417,7 @@ class TestStorage:
         # Each result shares memory with its parent, and its matrix is
         # exactly the parent's, reordered by permute_subsystems.
         rng = np.random.default_rng(14)
-        p = random_process(rng, System((2, 3)), System((2, 4)))
+        p = random_body(rng, System((2, 3)), System((2, 4)))
         dims = p.factor_dims
         cases = [
             (rewire(p, [3, 0], [2, 1]), (3, 0, 2, 1)),
@@ -460,7 +441,7 @@ class TestStorage:
 
     @pytest.mark.parametrize("ins, outs", [([0, 0], [1]), ([0, 2], [1]), ([0], [1, -1]), ([0], [])])
     def test_rewire_rejects_repeated_missing_and_out_of_range_positions(self, ins, outs):
-        p = random_process(np.random.default_rng(15), A, B)
+        p = random_body(np.random.default_rng(15), A, B)
         with pytest.raises(DimensionError):
             rewire(p, ins, outs)
 

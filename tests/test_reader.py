@@ -16,8 +16,8 @@ from soclab.cli import main
 from soclab.process import _read_json, _strict_record, identity_process, process_from_dict
 from soclab.supermap import fixed_order_a_then_b, supermap_from_dict
 from soclab.tensor import System
+from fixtures import FUZZ_FILES, GOLDEN, dumped, mutated_document
 from probe import traced
-from test_cli import FUZZ_FILES, GOLDEN, _mutated_document, dumped
 
 RECORDS = sorted(p.relative_to(GOLDEN).as_posix() for pattern in ("*.json", "boxes/*.json") for p in GOLDEN.glob(pattern))
 # The golden diagrams that evaluate.
@@ -154,6 +154,11 @@ TARGETED = {
     "nested-elsewhere": (lambda t: json.dumps({"x": json.loads(t)}), False),
     "trailing-garbage": (lambda t: t + "]", False),
     "truncated": (lambda t: t[: t.index("]]]") + 2], False),
+    # Valid JSON that the strict reader cannot cut into blocks of numbers:
+    # no bracket within the first 64 KiB block, or a first block that holds
+    # only the two opening brackets.
+    "space-past-a-block": (lambda t: t.replace('"choi": [', '"choi": [' + " " * (128 << 10), 1), False),
+    "brackets-only-block": (lambda t: t.replace("[[[", "[[" + " " * 65526 + "[", 1), False),
 }
 
 
@@ -179,7 +184,7 @@ def doc_dir(tmp_path_factory):
 def test_fuzzed_documents_read_alike(doc_dir, data, name):
     # The documents of TestFuzzedDocuments: one mutation of a golden record.
     path = doc_dir / "doc.json"
-    path.write_text(data.draw(_mutated_document((GOLDEN / name).read_text()), label="document"))
+    path.write_text(data.draw(mutated_document((GOLDEN / name).read_text()), label="document"))
     strict, plain = both_outcomes(path)
     assert strict == plain
 

@@ -4,21 +4,17 @@ import subprocess
 import sys
 from contextlib import nullcontext
 from functools import reduce
-from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from probe import allocates_nothing, slicing_forced, traced
-from test_process import assert_same_bits, assert_same_process, random_process
 
 import soclab
-from soclab import supermap
 from soclab.errors import DimensionError, WireMismatchError
-from soclab.extras import quantum_switch, spoiled_supermap
-from soclab.predicates import is_causal, is_soc2, is_soc2_oracle
+from soclab.extras import quantum_switch
+from soclab.predicates import is_causal, is_soc2
 from soclab.process import (
     Process,
     compose_par,
@@ -46,58 +42,31 @@ from soclab.supermap import (
 from soclab.tensor import System, is_psd
 
 import naive
-
-seeds = st.integers(0, 2**32 - 1)
+from fixtures import assert_same_bits, assert_same_process, random_body, seeds, supermap, supermaps
+from probe import allocates_nothing, slicing_forced, traced
 
 Q = System((2,))
 
 
-HETERO_DIMS = [(2, 3, 3, 2), (3, 2, 2, 4)]
-KINDS = ["a_then_b", "b_then_a", "switch"]
-
-
-def supermap_on(kind, dims, rng):
-    """A causality-preserving supermap of the given kind whose slots take
-    ``dims``: the fixed order itself where its wiring allows, else the
-    qubit one (or the qubit switch) dressed with random causal channels."""
-    a1, a2, b1, b2 = dims
-    if kind == "a_then_b" and a2 == b1:
-        return fixed_order_a_then_b(*dims)
-    if kind == "b_then_a" and b2 == a1:
-        return fixed_order_b_then_a(*dims)
-    base = {"a_then_b": fixed_order_a_then_b, "b_then_a": fixed_order_b_then_a}
-    w = base[kind](2, 2, 2, 2) if kind in base else {"switch": quantum_switch, "spoiled": spoiled_supermap}[kind](2)
-    chans = [
-        random_causal_channel(Q, System((a1,)), seed=rng),
-        random_causal_channel(System((a2,)), Q, seed=rng),
-        random_causal_channel(Q, System((b1,)), seed=rng),
-        random_causal_channel(System((b2,)), Q, seed=rng),
-    ]
-    return dress_slots(w, *chans)
-
-
 class TestLinkAgainstReference:
     @given(
-        seeds,
-        st.sampled_from(KINDS),
-        st.sampled_from(HETERO_DIMS),
+        supermaps(),
         st.sampled_from([1, 2, 3]),
         st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
         st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
         st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_insert_with_ancilla_matches_the_eight_block_reference(self, seed, kind, dims, m, a_split, b_split, causal):
+    def test_insert_with_ancilla_matches_the_eight_block_reference(self, drawn, m, a_split, b_split, causal):
         # The reference forms pa (x) pb, of side m**wires * prod(dims); keep it small.
         wires = sum(a_split) + sum(b_split)
         assume(m**wires <= 16)
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
-        a1, a2, b1, b2 = dims
+        w, rng = drawn.w, drawn.rng
+        a1, a2, b1, b2 = drawn.slots
 
         def arg(split, d_in, d_out):
             ins, outs = System((m,) * split[0] + (d_in,)), System((m,) * split[1] + (d_out,))
-            return random_causal_channel(ins, outs, seed=rng) if causal else random_process(rng, ins, outs)
+            return random_causal_channel(ins, outs, seed=rng) if causal else random_body(rng, ins, outs)
 
         pa, pb = arg(a_split, a1, a2), arg(b_split, b1, b2)
         got = insert_with_ancilla(w, pa, pb, a_split, b_split).process
@@ -106,23 +75,16 @@ class TestLinkAgainstReference:
         want = naive.fill(w.body.choi, w.body.factor_dims, pa.choi, pb.choi, a_anc, b_anc)
         ins, outs = System((m,) * (a_split[0] + b_split[0]) + (w.c_in,)), System((m,) * (a_split[1] + b_split[1]) + (w.c_out,))
         assert_same_process(got, Process(ins, outs, want))
-        if causal:
+        if causal and drawn.positive:
             assert is_psd(got.choi)
 
-    @given(
-        seeds,
-        st.sampled_from(KINDS),
-        st.sampled_from(HETERO_DIMS),
-        st.sampled_from([(1, 1), (2, 1), (1, 3)]),
-        st.sampled_from([(1, 1), (3, 2)]),
-    )
+    @given(supermaps(), st.sampled_from([(1, 1), (2, 1), (1, 3)]), st.sampled_from([(1, 1), (3, 2)]))
     @settings(max_examples=10, deadline=None)
-    def test_stacked_insertion_equals_a_loop_of_insertions(self, seed, kind, dims, a_anc, b_anc):
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
-        a1, a2, b1, b2 = dims
-        pas = [random_process(rng, System((a_anc[0], a1)), System((a_anc[1], a2))) for _ in range(3)]
-        pbs = [random_process(rng, System((b_anc[0], b1)), System((b_anc[1], b2))) for _ in range(2)]
+    def test_stacked_insertion_equals_a_loop_of_insertions(self, drawn, a_anc, b_anc):
+        w, rng = drawn.w, drawn.rng
+        a1, a2, b1, b2 = drawn.slots
+        pas = [random_body(rng, System((a_anc[0], a1)), System((a_anc[1], a2))) for _ in range(3)]
+        pbs = [random_body(rng, System((b_anc[0], b1)), System((b_anc[1], b2))) for _ in range(2)]
         grid = insert_stacked(w, np.stack([p.choi for p in pas]), np.stack([p.choi for p in pbs]), a_anc, b_anc)
         assert grid.shape[:2] == (3, 2)
         for i, pa in enumerate(pas):
@@ -130,14 +92,13 @@ class TestLinkAgainstReference:
                 want = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).process.choi
                 assert np.allclose(grid[i, j], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
-    @given(seeds, st.sampled_from(KINDS), st.sampled_from(HETERO_DIMS), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
+    @given(supermaps(), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
     @settings(max_examples=10, deadline=None)
-    def test_paired_insertion_equals_a_loop_of_insertions_bit_for_bit(self, seed, kind, dims, anc):
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
-        a1, a2, b1, b2 = dims
-        pas = np.stack([random_process(rng, System((anc[0], a1)), System((anc[1], a2))).choi for _ in range(3)])
-        pbs = np.stack([random_process(rng, System((anc[0], b1)), System((anc[1], b2))).choi for _ in range(3)])
+    def test_paired_insertion_equals_a_loop_of_insertions_bit_for_bit(self, drawn, anc):
+        w, rng = drawn.w, drawn.rng
+        a1, a2, b1, b2 = drawn.slots
+        pas = np.stack([random_body(rng, System((anc[0], a1)), System((anc[1], a2))).choi for _ in range(3)])
+        pbs = np.stack([random_body(rng, System((anc[0], b1)), System((anc[1], b2))).choi for _ in range(3)])
         got = insert_stacked(w, pas, pbs, anc, anc, paired=True)
         assert got.shape[0] == 3
         for t in range(3):
@@ -147,19 +108,6 @@ class TestLinkAgainstReference:
         w = fixed_order_a_then_b(2, 2, 2, 2)
         with pytest.raises(DimensionError):
             insert_stacked(w, np.zeros((3, 4, 4)), np.zeros((2, 6, 6)))
-
-    @given(seeds, st.sampled_from(KINDS), st.sampled_from(HETERO_DIMS), st.booleans())
-    @settings(max_examples=6, deadline=None)
-    def test_closed_form_and_oracle_agree(self, seed, kind, dims, spoil):
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
-        if spoil:
-            side = w.body.choi.shape[0]
-            bump = random_process(rng, w.body.in_sys, w.body.out_sys).choi
-            w = BipartiteSupermap(Process(w.body.in_sys, w.body.out_sys, w.body.choi + (bump + bump.conj().T) / side))
-        closed, oracle = is_soc2(w), is_soc2_oracle(w)
-        assert closed.holds is oracle.holds is (not spoil)
-        assert abs(closed.residual - oracle.residual) <= 1e-9 * max(1.0, closed.residual)
 
 
 SPLITS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -178,37 +126,27 @@ def assert_same_verdict(got, want):
 class TestTraceEarlyCausality:
     # The full path builds the filled process and traces all its outputs;
     # .causal traces C2 and the ancilla outputs first.  They must agree.
-    @given(
-        seeds,
-        st.sampled_from(KINDS + ["spoiled"]),
-        st.sampled_from(HETERO_DIMS),
-        st.sampled_from([1, 2, 3]),
-        st.sampled_from(SPLITS),
-        st.sampled_from(SPLITS),
-        st.booleans(),
-    )
+    @given(supermaps(), st.sampled_from([1, 2, 3]), st.sampled_from(SPLITS), st.sampled_from(SPLITS), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_ancilla_insertion_equals_tracing_the_filled_process(self, seed, kind, dims, m, a_split, b_split, causal):
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
-        a1, a2, b1, b2 = dims
+    def test_ancilla_insertion_equals_tracing_the_filled_process(self, drawn, m, a_split, b_split, causal):
+        w, rng = drawn.w, drawn.rng
+        a1, a2, b1, b2 = drawn.slots
 
         def arg(split, d_in, d_out):
             ins, outs = System((m,) * split[0] + (d_in,)), System((m,) * split[1] + (d_out,))
-            return random_causal_channel(ins, outs, seed=rng) if causal else random_process(rng, ins, outs)
+            return random_causal_channel(ins, outs, seed=rng) if causal else random_body(rng, ins, outs)
 
         res = insert_with_ancilla(w, arg(a_split, a1, a2), arg(b_split, b1, b2), a_split, b_split)
         got = res.causal
         assert "process" not in vars(res)
         assert_same_verdict(got, is_causal(res.process))
 
-    @given(seeds, st.sampled_from(KINDS + ["spoiled"]), st.sampled_from(HETERO_DIMS), st.sampled_from(["product", "swap"]))
+    @given(supermaps(), st.sampled_from(["product", "swap"]))
     @settings(max_examples=20, deadline=None)
-    def test_merged_insertion_equals_tracing_the_filled_process(self, seed, kind, dims, joint):
-        a1, a2, b1, b2 = dims
+    def test_merged_insertion_equals_tracing_the_filled_process(self, drawn, joint):
+        w, rng = drawn.w, drawn.rng
+        a1, a2, b1, b2 = drawn.slots
         assume(joint == "product" or (a2, b2) == (b1, a1))
-        rng = np.random.default_rng(seed)
-        w = supermap_on(kind, dims, rng)
         if joint == "swap":
             phi = swap_process(System((a1,)), System((b1,)))
         else:
@@ -312,8 +250,8 @@ class TestFixedOrders:
     def test_a_then_b_is_sequential_composition(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
-        pa = random_process(rng, System((2,)), System((3,)))
-        pb = random_process(rng, System((3,)), System((2,)))
+        pa = random_body(rng, System((2,)), System((3,)))
+        pb = random_body(rng, System((3,)), System((2,)))
         got = insert(w, pa, pb).process
         assert processes_close(got, compose_seq(pa, pb), 1e-9)
 
@@ -322,8 +260,8 @@ class TestFixedOrders:
     def test_b_then_a_is_reverse_composition(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_b_then_a(3, 2, 2, 3)
-        pa = random_process(rng, System((3,)), System((2,)))
-        pb = random_process(rng, System((2,)), System((3,)))
+        pa = random_body(rng, System((3,)), System((2,)))
+        pb = random_body(rng, System((2,)), System((3,)))
         got = insert(w, pa, pb).process
         assert processes_close(got, compose_seq(pb, pa), 1e-9)
 
@@ -395,8 +333,8 @@ class TestInsertion:
     def test_insertion_is_linear_in_each_hole(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 2, 2, 2)
-        pa1, pa2 = (random_process(rng, Q, Q) for _ in range(2))
-        pb = random_process(rng, Q, Q)
+        pa1, pa2 = (random_body(rng, Q, Q) for _ in range(2))
+        pb = random_body(rng, Q, Q)
         summed = Process(Q, Q, 0.3 * pa1.choi + 0.7 * pa2.choi)
         lhs = insert(w, summed, pb).process.choi
         rhs = 0.3 * insert(w, pa1, pb).process.choi + 0.7 * insert(w, pa2, pb).process.choi
@@ -407,8 +345,8 @@ class TestInsertion:
     def test_merged_insertion_extends_product_insertion(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
-        pa = random_process(rng, System((2,)), System((3,)))
-        pb = random_process(rng, System((3,)), System((2,)))
+        pa = random_body(rng, System((2,)), System((3,)))
+        pb = random_body(rng, System((3,)), System((2,)))
         joint = compose_par(pa, pb)
         got = insert_merged(w, joint, in_split=1, out_split=1).process
         assert processes_close(got, insert(w, pa, pb).process, 1e-9)
@@ -432,10 +370,10 @@ class TestInsertion:
         # the side of the plain insertion.
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
-        anc_a = random_process(rng, Q, Q)
-        anc_b = random_process(rng, Q, Q)
-        slot_a = random_process(rng, System((2,)), System((3,)))
-        slot_b = random_process(rng, System((3,)), System((2,)))
+        anc_a = random_body(rng, Q, Q)
+        anc_b = random_body(rng, Q, Q)
+        slot_a = random_body(rng, System((2,)), System((3,)))
+        slot_b = random_body(rng, System((3,)), System((2,)))
         pa = compose_par(anc_a, slot_a)
         pb = compose_par(anc_b, slot_b)
         got = insert_with_ancilla(w, pa, pb, (1, 1), (1, 1)).process
@@ -466,16 +404,6 @@ def mix_reference(pairs):
     return acc
 
 
-def sparse_body(rng, dims):
-    """A supermap whose body is mostly zeros of either sign, with complex
-    entries of any sign elsewhere."""
-    side = prod(dims)
-    parts = rng.standard_normal((2, side, side)) * 10.0 ** rng.integers(-3, 4, (2, side, side))
-    parts[rng.random((2, side, side)) < 0.6] = 0.0
-    parts[rng.random((2, side, side)) < 0.2] = -0.0
-    return BipartiteSupermap(Process(System(dims[:4]), System(dims[4:]), parts[0] + 1j * parts[1]))
-
-
 def backing(a):
     """The object that owns the memory of array ``a``."""
     while isinstance(a, np.ndarray) and a.base is not None:
@@ -492,7 +420,7 @@ class TestAlgebra:
     def test_mix_is_the_dense_sum_byte_for_byte(self, seed, ws, dims, mapped):
         # Both allocations: np.zeros, or with the line at one byte a private mapping.
         rng = np.random.default_rng(seed)
-        pairs = [(t, sparse_body(rng, dims)) for t in ws]
+        pairs = [(t, supermap("sparse", dims[:4], dims[4:], rng)) for t in ws]
         want = mix_reference(pairs)
         with slicing_forced() if mapped else nullcontext():
             got = mix(pairs).body.choi
@@ -505,10 +433,10 @@ class TestAlgebra:
         # A line of 16 bytes scans one entry at a time; 48, blocks of three
         # over 64 entries, the last one short; 1 KiB, the body in one block.
         rng = np.random.default_rng(seed)
-        pairs = [(t, sparse_body(rng, (2, 1, 1, 2, 2, 1))) for t in ws]
+        pairs = [(t, supermap("sparse", (2, 1, 1, 2), (2, 1), rng)) for t in ws]
         want = mix_reference(pairs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(supermap, "HUGE_PAGE_BYTES", line)
+            mp.setattr(soclab.supermap, "HUGE_PAGE_BYTES", line)
             got = mix(pairs).body.choi
         assert got.tobytes() == want.tobytes()
 
@@ -550,7 +478,7 @@ class TestAlgebra:
         w1 = fixed_order_a_then_b(2, 2, 2, 2)
         w2 = fixed_order_b_then_a(2, 2, 2, 2)
         m = mix([(0.25, w1), (0.75, w2)])
-        pa, pb = (random_process(rng, Q, Q) for _ in range(2))
+        pa, pb = (random_body(rng, Q, Q) for _ in range(2))
         lhs = insert(m, pa, pb).process.choi
         rhs = 0.25 * insert(w1, pa, pb).process.choi + 0.75 * insert(w2, pa, pb).process.choi
         assert np.allclose(lhs, rhs)
@@ -574,15 +502,15 @@ class TestAlgebra:
     def test_dressing_pre_and_post_composes_in_the_slots(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
-        pre_a = random_process(rng, System((2,)), System((4,)))
-        post_a = random_process(rng, System((2,)), System((3,)))
-        pre_b = random_process(rng, System((3,)), System((2,)))
-        post_b = random_process(rng, System((5,)), System((2,)))
+        pre_a = random_body(rng, System((2,)), System((4,)))
+        post_a = random_body(rng, System((2,)), System((3,)))
+        pre_b = random_body(rng, System((3,)), System((2,)))
+        post_b = random_body(rng, System((5,)), System((2,)))
         dressed = dress_slots(w, pre_a, post_a, pre_b, post_b)
         assert (dressed.a_in, dressed.a_out) == (4, 2)
         assert (dressed.b_in, dressed.b_out) == (2, 5)
-        phi_a = random_process(rng, System((4,)), System((2,)))
-        phi_b = random_process(rng, System((2,)), System((5,)))
+        phi_a = random_body(rng, System((4,)), System((2,)))
+        phi_b = random_body(rng, System((2,)), System((5,)))
         got = insert(dressed, phi_a, phi_b).process
         want = insert(
             w,

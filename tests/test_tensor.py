@@ -524,6 +524,14 @@ class TestHermitianBasis:
         for x in basis[1:]:
             assert abs(np.trace(x)) < 1e-12
 
+    def test_a_basis_too_large_to_hold_raises_before_allocating(self, monkeypatch):
+        # 25 matrices of 5 x 5 pass a limit of 16**2 elements.  Cleared first,
+        # so that no cached basis answers.
+        hermitian_basis.cache_clear()
+        monkeypatch.setattr(tensor, "MAX_SIDE", 16)
+        with allocates_nothing(), pytest.raises(DimensionError, match="Hermitian basis of shape"):
+            hermitian_basis(5)
+
     def test_expansion_reconstructs(self):
         rng = np.random.default_rng(6)
         h = random_matrix(rng, 3)
