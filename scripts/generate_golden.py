@@ -29,7 +29,7 @@ from soclab.process import (
 )
 from soclab.supermap import fixed_order_a_then_b, supermap_to_dict
 from soclab.affine import AffineCombination, random_product_span, realize_affine
-from soclab.tensor import System, kron
+from soclab.tensor import System
 
 GOLDEN = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "tests", "golden"))
 
@@ -94,7 +94,7 @@ def main() -> None:
     # back; filling with the identity outputs four times a normalized state
     v = np.eye(2, dtype=complex).ravel()
     sigma = random_causal_channel(q, q, seed=103)
-    loop = Process(System((2, 2)), System((2, 2)), kron(np.outer(v, v), sigma.choi))
+    loop = Process(System((2, 2)), System((2, 2)), np.kron(np.outer(v, v), sigma.choi))
     write_json("cup_loop.json", process_to_dict(loop))
 
     write_json(

@@ -4,11 +4,11 @@ Builds the two fixed orderings, a few affine mixtures of them, and a few
 causally dressed variants, then runs both randomized checks against each:
 ancilla-augmented causal pairs, and strongly non-signalling channels built
 from shared causal states.  One summary line per (generator, check) goes
-to stdout as JSON; pass --jsonl to stream every trial instead.
+to stdout as JSON.
 
 Exit status is 0 when every causality-preserving generator produced only
-causal outputs (the deliberately corrupted control, included by default,
-must fail; that is its job).
+causal outputs (the deliberately corrupted control must fail; that is its
+job).
 """
 
 import argparse
@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from soclab.cli import _nonnegative_int, _positive_int
 from soclab.extras import spoiled_supermap
-from soclab.harness import HarnessConfig, report_to_jsonl, verify_corollary1, verify_theorem1
+from soclab.harness import HarnessConfig, verify_corollary1, verify_theorem1
 from soclab.process import random_causal_channel
 from soclab.supermap import (
     dress_slots,
@@ -56,14 +56,10 @@ def main() -> int:
     ap.add_argument("--ancilla-dim", type=_positive_int, default=2)
     ap.add_argument("--mixes", type=_nonnegative_int, default=3)
     ap.add_argument("--dressed", type=_nonnegative_int, default=3)
-    ap.add_argument("--skip-control", action="store_true",
-                    help="leave out the corrupted negative control")
-    ap.add_argument("--jsonl", action="store_true", help="stream per-trial records")
     args = ap.parse_args()
 
     generators = build_generators(args.seed, args.mixes, args.dressed)
-    if not args.skip_control:
-        generators.append(("corrupted_control", spoiled_supermap()))
+    generators.append(("corrupted_control", spoiled_supermap()))
 
     config = HarnessConfig(trials=args.trials, seed=args.seed, ancilla_dim=args.ancilla_dim)
     ok = True
@@ -71,19 +67,14 @@ def main() -> int:
         for check_name, check in (("ancilla_pairs", verify_theorem1),
                                   ("shared_states", verify_corollary1)):
             report = check(w, config)
-            if args.jsonl:
-                print(f"# {name} / {check_name}")
-                for line in report_to_jsonl(report):
-                    print(line)
-            else:
-                print(json.dumps({
-                    "generator": name,
-                    "check": check_name,
-                    "premise_holds": report.premise_holds,
-                    "premise_residual": report.premise_residual,
-                    "all_causal": report.all_causal,
-                    "max_residual": report.max_residual,
-                }))
+            print(json.dumps({
+                "generator": name,
+                "check": check_name,
+                "premise_holds": report.premise_holds,
+                "premise_residual": report.premise_residual,
+                "all_causal": report.all_causal,
+                "max_residual": report.max_residual,
+            }))
             expected = name != "corrupted_control"
             if (report.premise_holds and report.all_causal) != expected:
                 ok = False

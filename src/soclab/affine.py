@@ -27,14 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _random_causal_channels, _random_causal_stacks, _sides
-from .tensor import System, UNIT, check_size, norm
-
-
-def _check_weights(weights: Sequence[float], what: str) -> None:
-    """Refuse a weight that is NaN or infinite, by name, as ``mix`` does."""
-    for r in weights:
-        if not np.isfinite(r):
-            raise DimensionError(f"{what} weights must be finite numbers, got {r!r}")
+from .tensor import System, UNIT, _check_weights, check_size, norm
 
 
 def pseudo_state(coeffs: Sequence[float]) -> Process:

@@ -183,13 +183,16 @@ def make_effect(e: np.ndarray, sys: System) -> Process:
 def channel_from_kraus(kraus: Sequence[np.ndarray], in_sys: System, out_sys: System) -> Process:
     d_in, d_out = in_sys.total, out_sys.total
     ops = [np.asarray(k, dtype=complex) for k in kraus]
-    for k in ops:
-        if k.shape != (d_out, d_in):
-            raise DimensionError(f"Kraus operator shape {k.shape} does not match {d_out}x{d_in}")
+    if bad := [k.shape for k in ops if k.shape != (d_out, d_in)]:
+        raise DimensionError(f"Kraus operator shape {bad[0]} does not match {d_out}x{d_in}")
     check_size((d_in * d_out, d_in * d_out), "channel")
-    # Column k of v is vec(K_k^T); the Choi matrix is the sum of their outer products.
-    v = np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in).transpose(2, 1, 0).reshape(d_in * d_out, len(ops))
-    return Process._adopt(in_sys, out_sys, v @ v.conj().T)
+    return Process._adopt(in_sys, out_sys, _kraus_choi(np.array(ops, dtype=complex).reshape(len(ops), d_out, d_in)))
+
+
+def _kraus_choi(kraus: np.ndarray) -> np.ndarray:
+    """The Choi matrices ``v v^dagger`` of the channels with Kraus operators ``kraus[..., e, :, :]``; column e of v is vec(K_e^T)."""
+    v = kraus.swapaxes(-1, -3).reshape(*kraus.shape[:-3], kraus.shape[-1] * kraus.shape[-2], kraus.shape[-3])
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def swap_process(a: System, b: System) -> Process:
@@ -328,9 +331,8 @@ def _causal_chois(specs: Sequence[tuple[System, System]], draws: np.ndarray) -> 
         diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
         diag[np.abs(diag) == 0] = 1.0
         q = q * (diag / np.abs(diag))[..., None, :]
-        # Kraus operator k is rows k, env + k, ... of q; column k of v is vec(K_k^T).
-        v = q.reshape(k, n, d_out, env, d_in).transpose(0, 1, 4, 2, 3).reshape(k, n, d_in * d_out, env)
-        chois.extend(v @ v.conj().swapaxes(-1, -2))
+        # Kraus operator e is rows e, env + e, ... of q.
+        chois.extend(_kraus_choi(q.reshape(k, n, d_out, env, d_in).swapaxes(-3, -2)))
     return chois
 
 

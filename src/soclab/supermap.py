@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, WireMismatchError
 from .process import Process, _discard_outputs, _json_dims, _split_groups, _wiring, process_from_dict, process_to_dict, relabel, rewire
-from .tensor import HUGE_PAGE_BYTES, UNIT, System, _zeros, as_stack, check_size, link
+from .tensor import HUGE_PAGE_BYTES, UNIT, System, _check_weights, _zeros, as_stack, check_size, link
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +294,7 @@ def mix(pairs) -> BipartiteSupermap:
     pairs = list(pairs)
     if not pairs:
         raise DimensionError("cannot mix an empty collection of supermaps")
-    for weight, _ in pairs:
-        if not np.isfinite(weight):
-            raise DimensionError(f"mix weights must be finite numbers, got {weight!r}")
+    _check_weights([weight for weight, _ in pairs], "mix")
     first = pairs[0][1].body
     for _, w in pairs:
         if w.body.in_sys.dims != first.in_sys.dims or w.body.out_sys.dims != first.out_sys.dims:

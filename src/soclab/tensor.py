@@ -50,6 +50,13 @@ def check_size(shape: Sequence[int], what: str) -> None:
         raise DimensionError(f"{what} of shape {tuple(shape)} exceeds limit of {MAX_SIDE}**2 elements")
 
 
+def _check_weights(weights: Sequence[float], what: str) -> None:
+    """Refuse a weight that is NaN or infinite, naming ``what`` it weighs (a mix, a pseudo-state)."""
+    for r in weights:
+        if not np.isfinite(r):
+            raise DimensionError(f"{what} weights must be finite numbers, got {r!r}")
+
+
 def _zeros(shape: Sequence[int]) -> np.ndarray:
     """A writable complex array of zeros, for a sparse body to be written
     into.  One of :data:`HUGE_PAGE_BYTES` or more is a private anonymous

@@ -1,8 +1,9 @@
 """The tests' inputs, built in one place so that every test draws from the same
 range: random bodies, every kind of two-slot supermap, one hypothesis strategy
 over both, and the golden documents with their mutations.  The builders use
-numpy, ``naive`` and soclab's public constructors only; a test module imports
-what tests share from here, never from another test module.
+numpy, ``naive`` and soclab's public constructors only; a test module, or a
+script that a test runs in a child process, imports what tests share from
+here, never from a test module.
 
 A supermap's body maps ``[A1, A2, B1, B2]`` to ``[C1, C2]``; ``slots`` is
 ``(A1, A2, B1, B2)`` and ``chan`` is ``(C1, C2)``."""
@@ -22,7 +23,8 @@ from soclab.affine import controlled_local_channel, pseudo_state
 from soclab.cli import _dump_process
 from soclab.extras import quantum_switch, spoiled_supermap
 from soclab.process import Process, compose_par, compose_seq, identity_process, random_causal_channel, relabel, rewire
-from soclab.supermap import BipartiteSupermap, dress_slots, fixed_order_a_then_b, fixed_order_b_then_a, mix
+from soclab.predicates import is_nonsignalling, is_soc, is_soc2
+from soclab.supermap import BipartiteSupermap, dress_slots, fixed_order_a_then_b, fixed_order_b_then_a, merged_slot_process, mix
 from soclab.tensor import System
 
 import naive
@@ -173,6 +175,21 @@ def realize_by_wiring(comb):
     prep = compose_par(pseudo_state(comb.coeffs), identity_process(System((a1, b1))))
     arranged = rewire(prep, (0, 1), (2, 4, 3, 5))
     return compose_seq(arranged, compose_par(ctrl_a, ctrl_b))
+
+
+def flip(w):
+    """The body read as a channel from [C1, A2, B2] to [A1, B1, C2]."""
+    return rewire(w.body, [4, 1, 3], [0, 2, 5])
+
+
+def closed_form_hex(w):
+    """``float.hex`` of the residual and parts of three closed-form verdicts on ``w``."""
+    verdicts = {
+        "soc2": is_soc2(w),
+        "soc_merged": is_soc(merged_slot_process(w), 2, 1),
+        "nonsignalling": is_nonsignalling(flip(w), 1, 1),
+    }
+    return {k: (v.residual.hex(), {n: g.hex() for n, g in v.parts.items()}) for k, v in verdicts.items()}
 
 
 def assert_same_bits(got, want):

@@ -410,7 +410,7 @@ class TestProductColumnsMatchThePairRoutes:
     ]
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(CASES))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_realize_and_decompose_match_the_references(self, seed, case):
         dims, n, deficient = case
         a1, a2, b1, b2 = dims

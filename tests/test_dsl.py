@@ -172,7 +172,7 @@ class TestTokenizer:
         assert str(err.value) == "2:3: system size has too many digits (5000)"
 
     @given(st.one_of(st.text(TEXT_CHARS, max_size=40), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_same_tokens_or_error_as_the_reference(self, text):
         assert outcome(tokenize, text) == outcome(reference_tokenize, text)
 

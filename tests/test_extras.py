@@ -63,11 +63,6 @@ class TestQuantumSwitch:
         assert sw.c_in == 4 and sw.c_out == 4
         assert sw.a_in == sw.a_out == sw.b_in == sw.b_out == 2
 
-    def test_qutrit_target(self):
-        sw = quantum_switch(3)
-        v = is_soc2(sw)
-        assert v.holds and v.residual < 1e-8
-
 
 class TestDecoheredControl:
     def test_measured_control_is_a_classical_mixture(self):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclab import harness, predicates
-from soclab.extras import spoiled_supermap
 from soclab.harness import (
     HarnessConfig,
     HarnessReport,
@@ -38,7 +37,7 @@ from soclab.supermap import (
 )
 from soclab.tensor import DEFAULT_EPS, UNIT, System, kron
 
-from fixtures import KINDS, supermap
+from fixtures import KINDS, PRESERVING, supermap
 
 # Every kind at qubit slots, and the dressed order with (3 -> 1) and (2 -> 3)
 # slots, each a module-level supermap that keeps its premise from one
@@ -83,7 +82,14 @@ class TestStackedRun:
     )
     @example("spoiled", "theorem1", 1, 2, 1, 0, 2.0)
     @example("dressed", "corollary1", 2, 2, 1, 0, 0.0)
-    @settings(max_examples=40, deadline=None)
+    # Fixed runs of both claims at the default eps, the longer ones among them.
+    @example("mix", "theorem1", 2, 12, 5, 7, DEFAULT_EPS)
+    @example("mix", "theorem1", 2, 3, 2, 11, DEFAULT_EPS)
+    @example("mix", "theorem1", 3, 2, 1, 0, DEFAULT_EPS)
+    @example("spoiled", "theorem1", 2, 4, 3, 1, DEFAULT_EPS)
+    @example("mix", "corollary1", 2, 10, 4, 5, DEFAULT_EPS)
+    @example("spoiled", "corollary1", 2, 3, 2, 2, DEFAULT_EPS)
+    @settings(max_examples=40)
     def test_equals_one_trial_at_a_time(self, order, claim, m, trials, chunk, seed, eps):
         # The element budget is cut down to ``chunk`` trials, so the trial
         # counts fall on both sides of a chunk boundary; every record must
@@ -104,6 +110,14 @@ class TestStackedRun:
             got = VERIFIERS[claim](w, config)
         assert chunks == [min(chunk, trials - k) for k in range(0, trials, chunk)]
         assert got == one_trial_at_a_time(w, config, claim)
+        # Between rounding and the spoiled order's misses (about 1 or more),
+        # each kind keeps its promise: the premise and every trial hold, or
+        # none does.
+        if eps in (DEFAULT_EPS, 0.5) and order in PRESERVING:
+            assert got.premise_holds and got.all_causal and got.max_residual < 1e-9
+        elif eps in (DEFAULT_EPS, 0.5) and order == "spoiled":
+            assert not got.premise_holds and not any(r.causal for r in got.records)
+            assert min(r.residual for r in got.records) > 0.9
 
     def test_the_premise_is_decided_once_per_supermap(self, monkeypatch):
         # The supermap looks is_soc2 up when it first needs it, so a
@@ -138,31 +152,6 @@ class TestStackedRun:
 
 
 class TestTheorem1Harness:
-    def test_good_supermap_passes_all_trials(self):
-        report = verify_theorem1(W_GOOD, HarnessConfig(trials=12, seed=7))
-        assert report.premise_holds
-        assert report.all_causal
-        assert report.max_residual < 1e-9
-        assert [r.trial for r in report.records] == list(range(12))
-
-    def test_spoiled_supermap_fails_premise_and_trials(self):
-        report = verify_theorem1(spoiled_supermap(), HarnessConfig(trials=4, seed=1))
-        assert not report.premise_holds
-        assert not report.all_causal
-        assert report.max_residual > 0.9
-
-    def test_trials_are_reproducible(self):
-        cfg = HarnessConfig(trials=5, seed=3)
-        a = verify_theorem1(W_GOOD, cfg)
-        b = verify_theorem1(W_GOOD, cfg)
-        assert [r.residual for r in a.records] == [r.residual for r in b.records]
-        assert [r.seed for r in a.records] == [3 * 1_000_003 + t for t in range(5)]
-
-    def test_ancilla_dim_is_respected(self):
-        cfg = HarnessConfig(trials=2, seed=0, ancilla_dim=3)
-        report = verify_theorem1(W_GOOD, cfg)
-        assert report.all_causal
-
     def test_qutrit_slots_with_qutrit_ancillas(self):
         # Wire and ancilla dimension 3: pa (x) pb would be 6561 on a side
         # (about 690 MB) and the filled process 729.  The causality check
@@ -234,24 +223,16 @@ class TestHarnessConfig:
 
     @pytest.mark.parametrize("claim", sorted(VERIFIERS))
     def test_numpy_integers_give_the_report_of_python_ints(self, claim):
-        config = HarnessConfig(trials=np.int64(2), seed=np.uint32(3), ancilla_dim=np.int8(1))
+        # Two runs of equal configs give one report, and trial t's seed is
+        # seed * 1_000_003 + t.
+        config = HarnessConfig(trials=np.int64(5), seed=np.uint32(3), ancilla_dim=np.int8(2))
         assert [type(getattr(config, f)) for f in ("trials", "seed", "ancilla_dim")] == [int] * 3
-        got, want = (VERIFIERS[claim](W_GOOD, c) for c in (config, HarnessConfig(trials=2, seed=3, ancilla_dim=1)))
+        got, want = (VERIFIERS[claim](W_GOOD, c) for c in (config, HarnessConfig(trials=5, seed=3)))
         assert got == want and report_to_jsonl(got) == report_to_jsonl(want)
+        assert [r.seed for r in got.records] == [3 * 1_000_003 + t for t in range(5)]
 
 
 class TestCorollary1Harness:
-    def test_good_supermap_passes_all_trials(self):
-        report = verify_corollary1(W_GOOD, HarnessConfig(trials=10, seed=5))
-        assert report.premise_holds
-        assert report.all_causal
-        assert report.max_residual < 1e-9
-
-    def test_spoiled_supermap_fails(self):
-        report = verify_corollary1(spoiled_supermap(), HarnessConfig(trials=3, seed=2))
-        assert not report.premise_holds
-        assert not report.all_causal
-
     def test_open_route_equals_merged_insertion(self):
         # The reference route of the proof: thread each half through its
         # hole with the memory wires left open, then close them with the
@@ -274,25 +255,6 @@ class TestCorollary1Harness:
 
 
 class TestReportFormat:
-    def test_jsonl_lines_round_trip(self):
-        report = verify_theorem1(W_GOOD, HarnessConfig(trials=3, seed=11))
-        lines = report_to_jsonl(report)
-        assert len(lines) == 5
-        head = json.loads(lines[0])
-        assert head == {
-            "premise": "soc2",
-            "holds": True,
-            "residual": pytest.approx(0.0, abs=1e-9),
-        }
-        for t, line in enumerate(lines[1:-1]):
-            rec = json.loads(line)
-            assert set(rec) == {"trial", "causal", "residual", "seed"}
-            assert rec["trial"] == t
-            assert rec["causal"] is True
-        tail = json.loads(lines[-1])
-        assert tail["summary"]["trials"] == 3
-        assert tail["summary"]["all_causal"] is True
-
     def test_report_dataclasses_are_plain(self):
         rec = TrialRecord(0, True, 0.0, 99)
         rep = HarnessReport(True, 0.0, (rec,))

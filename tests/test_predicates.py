@@ -54,7 +54,7 @@ from soclab.supermap import (
 from soclab.tensor import DEFAULT_EPS, System, UNIT, hermitian_basis, is_psd, kron
 
 import naive
-from fixtures import CHANS, SLOTS, random_body, seeds, supermap, supermaps
+from fixtures import CHANS, SLOTS, closed_form_hex, flip, random_body, seeds, supermap, supermaps
 from probe import allocates_nothing, slicing_forced, traced
 
 Q = System((2,))
@@ -150,7 +150,7 @@ def assert_agree(got, want):
 class TestStackedOraclesMatchPerPairReference:
     # The two largest slot shapes; the naive merged-slot grid is slow.
     @given(supermaps(slots=[(2, 3, 3, 2), (3, 2, 2, 4)], chans=[(2, 2)], bumps=(0.0, 1e-2)))
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     def test_same_verdict_and_residual(self, drawn):
         w = drawn.w
         a1, a2, b1, b2 = drawn.slots
@@ -171,7 +171,7 @@ class TestDefectMatchesEmbeddingReference:
     # A bump of 1e-3 leaves a preserving kind's gaps small but not zero;
     # channel wires of dimension 1 make some traces reshapes.
     @given(supermaps(chans=[(1, 1), (2, 1), (1, 3)], bumps=(0.0, 1e-3)))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_every_closed_form_matches(self, drawn):
         body = drawn.w.body
 
@@ -209,7 +209,7 @@ class TestInPlaceDefect:
         ),
         st.sampled_from(["contiguous", "read_only", "strided"]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_equals_the_broadcast_form_once_per_factor(self, seed, dims_ks, layout):
         # A writable C-contiguous marginal is the caller's to give away: the
         # defect is written into it.  A read-only one (``p.choi``) or a
@@ -326,8 +326,7 @@ class TestClosedFormBitPins:
         "import sys\n"
         "import numpy as np\n"
         "from soclab.cli import main\n"
-        "from fixtures import supermap\n"
-        "from test_predicates import closed_form_hex\n"
+        "from fixtures import closed_form_hex, supermap\n"
         "print(closed_form_hex(supermap('a_then_b', (3, 3, 3, 3), (3, 3), np.random.default_rng(1), 1e-3)))\n"
         "main(['verify', 'theorem1', sys.argv[1], '--trials', '3', '--seed', '1', '--dims', '2'])\n"
     )
@@ -344,19 +343,9 @@ class TestClosedFormBitPins:
         assert runs[0] == runs[1] and "summary" in runs[0]
 
 
-def closed_form_hex(w: BipartiteSupermap) -> dict:
-    """``float.hex`` of the residual and parts of three closed-form verdicts on ``w``."""
-    verdicts = {
-        "soc2": is_soc2(w),
-        "soc_merged": is_soc(merged_slot_process(w), 2, 1),
-        "nonsignalling": is_nonsignalling(flip(w), 1, 1),
-    }
-    return {k: (v.residual.hex(), {n: g.hex() for n, g in v.parts.items()}) for k, v in verdicts.items()}
-
-
 class TestIsCausal:
     @given(seeds)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_random_channels_are_causal(self, seed):
         ch = random_causal_channel(System((2, 2)), System((3,)), seed=seed)
         v = is_causal(ch)
@@ -398,7 +387,7 @@ class TestNonSignalling:
         assert not is_nonsignalling(f).holds
 
     @given(seeds)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_shared_state_channels_do_not_signal(self, seed):
         rng = np.random.default_rng(seed)
         psi_a = random_causal_channel(System((2, 2)), Q, seed=rng)
@@ -533,7 +522,7 @@ class TestOneHolePreservation:
         assert np.isclose(verdict.residual, 3 * np.sqrt(2))
 
     @given(seeds, st.sampled_from([(2, 3), (3, 1, 2)]), st.sampled_from([(2, 3), (1, 2, 2)]))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8)
     def test_one_hole_is_two_holes_with_a_trivial_b_slot(self, seed, ins, outs):
         # The body read as a supermap with slots (si, so, 1, 1) and outputs
         # (ci, co), built here with relabel, at every split: unequal slots,
@@ -564,7 +553,7 @@ class TestBothFormsAgree:
     # two-hole holds is the one the kind promises.  The one-hole verdicts are
     # read on the merged slot A1 B1 -> A2 B2, which no fixed order preserves.
     @given(supermaps(bumps=(0.0, 1e-2)))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_on_every_kind(self, drawn):
         w, merged = drawn.w, merged_slot_process(drawn.w)
         closed = is_soc2(w)
@@ -617,7 +606,7 @@ class TestTwoHolePreservation:
 
 class TestNamedParts:
     @given(supermaps(bumps=(1e-3, 1.0)))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_parts_make_up_the_residual(self, drawn):
         body = drawn.w.body
         verdicts = {
@@ -658,7 +647,7 @@ class TestSymmetryRelations:
     # with numpy, not with the package's rewiring or dressing.
     # A bump of 1e-2 makes a preserving kind's parts not all zero.
     @given(supermaps(bumps=(0.0, 1e-2)))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_swapping_the_holes_swaps_gap_a_and_gap_b_and_keeps_the_rest(self, drawn):
         w = drawn.w
         v = swap_holes(w)
@@ -670,7 +659,7 @@ class TestSymmetryRelations:
         assert_close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
     @given(supermaps(bumps=(1e-2,)))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_local_unitaries_on_the_slot_wires_keep_every_part_and_the_oracle(self, drawn):
         # U = u1 (x) u2 (x) u3 (x) u4 (x) I on [A1, A2, B1, B2, C1, C2], Haar
         # unitaries on the slot wires; U W U^dag fills as W does with each
@@ -686,7 +675,7 @@ class TestSymmetryRelations:
         assert_close(is_soc2_oracle(v).residual, is_soc2_oracle(w).residual)
 
     @given(seeds, st.tuples(*[st.integers(1, 3)] * 4))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_swapping_the_sides_swaps_b_to_a_and_a_to_b(self, seed, dims):
         # A random complex process on [A1, B1 | A2, B2], and the same with
         # its sides exchanged by transposing its factor tensor.
@@ -699,7 +688,7 @@ class TestSymmetryRelations:
         assert_close(swapped["a_to_b"], parts["b_to_a"])
 
     @given(seeds, st.sampled_from(SLOTS), st.sampled_from(CHANS))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_the_oracles_grid_is_linear_in_the_body(self, seed, slots, chan):
         # The grid that is_soc2_oracle reads, of a B1 + b B2 with C2
         # discarded, is the same sum of the two bodies' grids.
@@ -714,11 +703,6 @@ class TestSymmetryRelations:
 
         want = a * grid(b1) + b * grid(b2)
         assert np.linalg.norm(grid(a * b1 + b * b2) - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def flip(w):
-    """The body read as a channel from [C1, A2, B2] to [A1, B1, C2]."""
-    return rewire(w.body, [4, 1, 3], [0, 2, 5])
 
 
 class TestMarginalsReadInPlace:
@@ -833,7 +817,7 @@ class TestWiringBodiesStayUnbacked:
     SCRIPT = (
         "from soclab.predicates import is_nonsignalling, is_soc, is_soc2\n"
         "from soclab.supermap import fixed_order_a_then_b, merged_slot_process\n"
-        "from test_predicates import flip\n"
+        "from fixtures import flip\n"
         "def rss():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith('VmRSS:'))\n"
@@ -863,7 +847,7 @@ class TestReconstruction:
             assert np.isclose(np.trace(s), 1.0)
 
     @given(seeds)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_default_probes_recover_random_channels(self, seed):
         ch = random_causal_channel(System((2, 2)), Q, seed=seed)
         got = reconstruct_from_causal_states(

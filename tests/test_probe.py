@@ -3,6 +3,7 @@ to bound memory, and the guard that keeps what tests share in modules that
 are not tests (``probe``, ``naive``, ``fixtures``)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ TESTS = Path(__file__).parent
 def bypasses(tree: ast.Module) -> list[tuple[int, str]]:
     """``(line, what)`` of each thing a module does that only the probe may,
     import ``tracemalloc`` or set a ``_zeros`` attribute, and of each import
-    of a test module or of a name from one, which no module may."""
+    of a test module or of a name from one, which no module may, nor a script
+    that a string holds for a child process to run."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -32,12 +34,16 @@ def bypasses(tree: ast.Module) -> list[tuple[int, str]]:
             found += [(node.lineno, "_zeros") for n in named if n.split(".")[-1] == "_zeros"]
         elif isinstance(node, ast.Attribute) and node.attr == "_zeros" and isinstance(node.ctx, ast.Store):
             found.append((node.lineno, "_zeros"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.search(r"\b(from|import) test_", node.value):
+            found.append((node.lineno, "test module in a script"))
     return sorted(found)
 
 
 def test_only_the_probe_traces_memory_or_patches_the_allocator():
     found = {p.name: bypasses(ast.parse(p.read_text())) for p in sorted(TESTS.glob("*.py"))}
     found["probe.py"] = [b for b in found["probe.py"] if b[1] == "test module"]
+    # The scripts below are parsed, never run.
+    found["test_probe.py"] = [b for b in found["test_probe.py"] if b[1] != "test module in a script"]
     assert {name: b for name, b in found.items() if b} == {}
 
 
@@ -57,8 +63,11 @@ def test_the_guard_sees_each_way_round_the_probe():
         "from test_cli import FUZZ_FILES, GOLDEN, _mutated_document, dumped\n"
         "from test_affine import realize_by_wiring\n"
         "from test_bench_names import tracer_constant\n"
+        # The two child scripts that imported from a test module.
+        "SCRIPT = 'from fixtures import supermap\\nfrom test_predicates import closed_form_hex\\n'\n"
+        "subprocess.run([sys.executable, '-c', 'import os\\nimport test_predicates'])\n"
     )
-    assert [what for _, what in bypasses(tree)] == ["tracemalloc"] * 2 + ["_zeros"] * 4 + ["test module"] * 5
+    assert [what for _, what in bypasses(tree)] == ["tracemalloc"] * 2 + ["_zeros"] * 4 + ["test module"] * 5 + ["test module in a script"] * 2
 
 
 @pytest.mark.parametrize("module", [tensor, process, supermap, extras], ids=lambda m: m.__name__)

@@ -180,7 +180,7 @@ def doc_dir(tmp_path_factory):
 
 
 @given(data=st.data(), name=st.sampled_from([f for f in FUZZ_FILES if f.endswith(".json")]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_fuzzed_documents_read_alike(doc_dir, data, name):
     # The documents of TestFuzzedDocuments: one mutation of a golden record.
     path = doc_dir / "doc.json"

@@ -56,7 +56,7 @@ class TestLinkAgainstReference:
         st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
         st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_insert_with_ancilla_matches_the_eight_block_reference(self, drawn, m, a_split, b_split, causal):
         # The reference forms pa (x) pb, of side m**wires * prod(dims); keep it small.
         wires = sum(a_split) + sum(b_split)
@@ -79,7 +79,7 @@ class TestLinkAgainstReference:
             assert is_psd(got.choi)
 
     @given(supermaps(), st.sampled_from([(1, 1), (2, 1), (1, 3)]), st.sampled_from([(1, 1), (3, 2)]))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_stacked_insertion_equals_a_loop_of_insertions(self, drawn, a_anc, b_anc):
         w, rng = drawn.w, drawn.rng
         a1, a2, b1, b2 = drawn.slots
@@ -93,7 +93,7 @@ class TestLinkAgainstReference:
                 assert np.allclose(grid[i, j], want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     @given(supermaps(), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_paired_insertion_equals_a_loop_of_insertions_bit_for_bit(self, drawn, anc):
         w, rng = drawn.w, drawn.rng
         a1, a2, b1, b2 = drawn.slots
@@ -127,7 +127,7 @@ class TestTraceEarlyCausality:
     # The full path builds the filled process and traces all its outputs;
     # .causal traces C2 and the ancilla outputs first.  They must agree.
     @given(supermaps(), st.sampled_from([1, 2, 3]), st.sampled_from(SPLITS), st.sampled_from(SPLITS), st.booleans())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_ancilla_insertion_equals_tracing_the_filled_process(self, drawn, m, a_split, b_split, causal):
         w, rng = drawn.w, drawn.rng
         a1, a2, b1, b2 = drawn.slots
@@ -142,7 +142,7 @@ class TestTraceEarlyCausality:
         assert_same_verdict(got, is_causal(res.process))
 
     @given(supermaps(), st.sampled_from(["product", "swap"]))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_merged_insertion_equals_tracing_the_filled_process(self, drawn, joint):
         w, rng = drawn.w, drawn.rng
         a1, a2, b1, b2 = drawn.slots
@@ -246,7 +246,7 @@ class TestFixedOrders:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(seeds)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_a_then_b_is_sequential_composition(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
@@ -256,7 +256,7 @@ class TestFixedOrders:
         assert processes_close(got, compose_seq(pa, pb), 1e-9)
 
     @given(seeds)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_b_then_a_is_reverse_composition(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_b_then_a(3, 2, 2, 3)
@@ -329,7 +329,7 @@ class TestInsertion:
             insert(w, random_causal_channel(System((3,)), Q, seed=0), random_causal_channel(Q, Q, seed=1))
 
     @given(seeds)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_insertion_is_linear_in_each_hole(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 2, 2, 2)
@@ -341,7 +341,7 @@ class TestInsertion:
         assert np.allclose(lhs, rhs)
 
     @given(seeds)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_merged_insertion_extends_product_insertion(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)
@@ -363,7 +363,7 @@ class TestInsertion:
         assert np.isclose(res.causal.residual, 3 * np.sqrt(2))
 
     @given(seeds)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_ancilla_insertion_on_product_channels_factorizes(self, seed):
         # When each filling is (ancilla channel) x (slot channel), threading
         # it through the holes must equal running the ancilla channels on
@@ -416,7 +416,7 @@ weights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e300, 1
 
 class TestAlgebra:
     @given(seeds, st.lists(weights, min_size=1, max_size=4), st.sampled_from([(2, 1, 1, 2, 2, 1), (1, 2, 2, 1, 1, 3)]), st.booleans())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_mix_is_the_dense_sum_byte_for_byte(self, seed, ws, dims, mapped):
         # Both allocations: np.zeros, or with the line at one byte a private mapping.
         rng = np.random.default_rng(seed)
@@ -428,7 +428,7 @@ class TestAlgebra:
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(seeds, st.lists(weights, min_size=1, max_size=3), st.sampled_from([16, 48, 1 << 10]))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_mix_scanned_in_blocks_is_the_dense_sum_byte_for_byte(self, seed, ws, line):
         # A line of 16 bytes scans one entry at a time; 48, blocks of three
         # over 64 entries, the last one short; 1 KiB, the body in one block.
@@ -472,7 +472,7 @@ class TestAlgebra:
             mix(pairs(fixed_order_a_then_b(2, 2, 2, 2)))
 
     @given(seeds)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_mixtures_act_as_mixtures(self, seed):
         rng = np.random.default_rng(seed)
         w1 = fixed_order_a_then_b(2, 2, 2, 2)
@@ -498,7 +498,7 @@ class TestAlgebra:
             mix([(1.0, ab), (bad, ab), (0.0, wrong)])
 
     @given(seeds)
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_dressing_pre_and_post_composes_in_the_slots(self, seed):
         rng = np.random.default_rng(seed)
         w = fixed_order_a_then_b(2, 3, 3, 2)

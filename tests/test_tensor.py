@@ -156,7 +156,7 @@ class TestLink:
         assert t.peak < 1.25 * got.nbytes
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_matches_kron_then_trace_of_paired_wires(self, seed):
         # Pairing factor 1 of p with factor 0 of q, rows with rows and columns
         # with columns: c[a s, c t] = sum_kl p[a k, c l] q[k s, l t], summed
@@ -199,7 +199,7 @@ class TestStackedLink:
     # batch axes, then q's, or with ``paired`` their broadcast.  Each case is
     # checked against a loop over the unstacked call.
     @given(st.integers(0, 2**32 - 1), st.sampled_from([((3,), ()), ((), (2, 2)), ((2,), (3,))]))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_equals_a_loop_over_unstacked_links(self, seed, batches):
         rng = np.random.default_rng(seed)
         pb, qb = batches
@@ -214,7 +214,7 @@ class TestStackedLink:
                     assert np.allclose(got[i + j], want, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([((3,), (3,)), ((), (4,)), ((2, 1), (3,)), ((2, 3), ())]))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_paired_batches_equal_a_loop_bit_for_bit(self, seed, batches):
         # Paired batch axes broadcast against each other; each pair is the
         # unstacked link's result to the last bit, exact products included.
@@ -291,7 +291,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(kron(a, b), (2, 5), keep=(0,)), a * np.trace(b))
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_trace_is_preserved(self, seed):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, 12)
@@ -300,7 +300,7 @@ class TestPartialTrace:
 
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(4,), (2, 3)]))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_stack_equals_a_loop(self, seed, batch):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal(batch + (12, 12)) + 1j * rng.standard_normal(batch + (12, 12))
@@ -322,7 +322,7 @@ class TestPartialTrace:
         st.integers(0, 4),
         st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_a_sliced_trace_has_the_bits_of_one_einsum(self, seed, dims_order_keep, n_keep, as_tensor):
         # A large result out of the input's memory order is written one
         # slice of its first kept factor at a time.  Each entry is summed in
@@ -371,7 +371,7 @@ class TestPartialTrace:
         assert t.peak <= bound * got.nbytes
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["matrix", "stack", "strided"]))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_a_trace_of_dimension_1_factors_is_a_reshape_with_the_bits_of_einsum(self, seed, layout):
         # Factors (2, 1, 3, 1), keeping 0 and 2.  A matrix or a stack is
         # handed back as a view; a strided factor tensor (the body of
@@ -425,7 +425,7 @@ class TestPermuteSubsystems:
             permute_subsystems(np.eye(4), (2, 2), (0, 0))
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         dims = (2, 2, 3)
