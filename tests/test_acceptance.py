@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
-Eight numbered checks, one test each, at desk scale (wires of dimension 2
-to 4, everything seeded).  Each test prints its own pass line so a verbose
-run reads as a checklist.
+Eight numbered checks at desk scale (wires of dimension 2 to 4, everything
+seeded), one test each, except that criterion 1 runs once per wire
+dimension and criterion 8 once per golden command.  Each test prints its
+own pass line so a verbose run reads as a checklist.
 """
 
 import json
@@ -86,26 +87,26 @@ def soc2_generators():
     return gens
 
 
-def test_criterion_1_structural_axioms():
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_criterion_1_structural_axioms(d):
     # Wirings compose without rounding, so each identity holds exactly.
-    for d in (2, 3, 4):
-        a = System((d,))
-        ident = identity_process(a)
-        snake_r = compose_seq(compose_par(ident, cup(a)), compose_par(cap(a), ident))
-        snake_l = compose_seq(compose_par(cup(a), ident), compose_par(ident, cap(a)))
-        assert processes_close(snake_r, ident, eps=0.0)
-        assert processes_close(snake_l, ident, eps=0.0)
-        assert processes_close(compose_seq(cup(a), swap_process(a, a)), cup(a), eps=0.0)
-        assert processes_close(compose_seq(swap_process(a, a), cap(a)), cap(a), eps=0.0)
-        assert processes_close(
-            compose_seq(swap_process(a, a), swap_process(a, a)),
-            identity_process(a + a),
-            eps=0.0,
-        )
-        both = compose_par(discard_process(a), discard_process(Q))
-        assert processes_close(discard_process(System((d, 2))), both, eps=0.0)
+    a = System((d,))
+    ident = identity_process(a)
+    snake_r = compose_seq(compose_par(ident, cup(a)), compose_par(cap(a), ident))
+    snake_l = compose_seq(compose_par(cup(a), ident), compose_par(ident, cap(a)))
+    assert processes_close(snake_r, ident, eps=0.0)
+    assert processes_close(snake_l, ident, eps=0.0)
+    assert processes_close(compose_seq(cup(a), swap_process(a, a)), cup(a), eps=0.0)
+    assert processes_close(compose_seq(swap_process(a, a), cap(a)), cap(a), eps=0.0)
+    assert processes_close(
+        compose_seq(swap_process(a, a), swap_process(a, a)),
+        identity_process(a + a),
+        eps=0.0,
+    )
+    both = compose_par(discard_process(a), discard_process(Q))
+    assert processes_close(discard_process(System((d, 2))), both, eps=0.0)
     assert np.array_equal(discard_process(UNIT).choi, np.eye(1))
-    print("criterion 1 (structural axioms): PASS")
+    print(f"criterion 1 (structural axioms, d = {d}): PASS")
 
 
 def test_criterion_2_causality_regression():
@@ -292,72 +293,71 @@ def _json_close(a, b, tol=1e-12):
     return a == b
 
 
-def test_criterion_8_golden_corpus(capsys):
-    ident_choi = np.zeros((4, 4))
-    ident_choi[np.ix_([0, 3], [0, 3])] = 1.0
-    sqrt6 = float(np.sqrt(6.0))
-    sqrt12 = float(np.sqrt(12.0))
-    table = [
-        # An eval writes a process record that loads, whose entries are
-        # within 1e-12 of the process named, in the Frobenius norm.
-        (["eval", "yanking.diag"], 0, Process(Q, Q, ident_choi)),
-        (["eval", "discards.diag"], 0, Process(UNIT, Q, np.eye(2))),
-        (["eval", "cap_then_cup.diag"], 0, compose_seq(cap(System((3,))), cup(System((3,))))),
-        (["eval", "bad_syntax.diag"], 2, None),
-        (["eval", "type_error.diag"], 2, None),
-        (["classify", "identity_channel.json"], 0,
-         {"causal": {"holds": True, "residual": 0.0}}),
-        (["classify", "cup_state.json"], 1,
-         {"causal": {"holds": False, "residual": 1.0}}),
-        (["classify", "product_channel.json", "--split", "1", "1"], 0,
-         {"causal": {"holds": True, "residual": 0.0},
-          "nonsignalling": {"holds": True, "residual": 0.0}}),
-        (["classify", "swap_channel.json", "--split", "1", "1"], 1,
-         {"causal": {"holds": True, "residual": 0.0},
-          "nonsignalling": {"holds": False, "residual": sqrt12}}),
-        (["soc", "cup_loop.json", "--slots", "1", "1"], 1,
-         {"soc": {"holds": False, "residual": sqrt6}}),
-        (["soc2", "fixed_order_a_then_b.json"], 0,
-         {"soc2": {"holds": True, "residual": 0.0}}),
-        (["verify", "theorem1", "fixed_order_a_then_b.json",
-          "--trials", "3", "--seed", "1", "--dims", "2"], 0, "jsonl"),
-    ]
-    for argv, want_code, want_payload in table:
-        argv = [str(GOLDEN / a) if (GOLDEN / a).exists() else a for a in argv]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code == want_code, argv
-        if want_payload is None:
-            assert not out and "error:" in err, argv
-        elif isinstance(want_payload, Process):
-            record = json.loads(out)
-            process_from_dict(record)
-            dims = [list(s.dims) for s in (want_payload.in_sys, want_payload.out_sys)]
-            assert record.keys() == {"choi", "in", "out"} and [record["in"], record["out"]] == dims, argv
-            pairs = np.array(record["choi"])
-            assert np.linalg.norm(pairs[..., 0] + 1j * pairs[..., 1] - want_payload.choi) <= 1e-12, argv
-        elif want_payload == "jsonl":
-            lines = [json.loads(l) for l in out.strip().splitlines()]
-            assert len(lines) == 5
-            assert _json_close(
-                lines[0], {"premise": "soc2", "holds": True, "residual": 0.0}
-            )
-            for t, rec in enumerate(lines[1:4]):
-                assert _json_close(
-                    rec,
-                    {"trial": t, "causal": True, "residual": 0.0, "seed": 1_000_003 + t},
-                )
-            assert _json_close(
-                lines[4],
-                {"summary": {"trials": 3, "all_causal": True, "max_residual": 0.0}},
-            )
-        else:
-            assert _json_close(json.loads(out), want_payload), argv
+_IDENT_CHOI = np.zeros((4, 4))
+_IDENT_CHOI[np.ix_([0, 3], [0, 3])] = 1.0
+GOLDEN_CORPUS = [
+    # An eval writes a process record that loads, whose entries are within
+    # 1e-12 of the process named, in the Frobenius norm.
+    (["eval", "yanking.diag"], 0, Process(Q, Q, _IDENT_CHOI)),
+    (["eval", "discards.diag"], 0, Process(UNIT, Q, np.eye(2))),
+    (["eval", "cap_then_cup.diag"], 0, compose_seq(cap(System((3,))), cup(System((3,))))),
+    (["eval", "bad_syntax.diag"], 2, None),
+    (["eval", "type_error.diag"], 2, None),
+    (["classify", "identity_channel.json"], 0,
+     {"causal": {"holds": True, "residual": 0.0}}),
+    (["classify", "cup_state.json"], 1,
+     {"causal": {"holds": False, "residual": 1.0}}),
+    (["classify", "product_channel.json", "--split", "1", "1"], 0,
+     {"causal": {"holds": True, "residual": 0.0},
+      "nonsignalling": {"holds": True, "residual": 0.0}}),
+    (["classify", "swap_channel.json", "--split", "1", "1"], 1,
+     {"causal": {"holds": True, "residual": 0.0},
+      "nonsignalling": {"holds": False, "residual": float(np.sqrt(12.0))}}),
+    (["soc", "cup_loop.json", "--slots", "1", "1"], 1,
+     {"soc": {"holds": False, "residual": float(np.sqrt(6.0))}}),
+    (["soc2", "fixed_order_a_then_b.json"], 0,
+     {"soc2": {"holds": True, "residual": 0.0}}),
+    (["verify", "theorem1", "fixed_order_a_then_b.json",
+      "--trials", "3", "--seed", "1", "--dims", "2"], 0, "jsonl"),
+    (["decompose", "ns_mix.json", "--span-size", "180", "--seed", "2"], 0, "affine"),
+]
 
-    code = main(["decompose", str(GOLDEN / "ns_mix.json"), "--span-size", "180", "--seed", "2"])
-    out = capsys.readouterr().out
-    payload = json.loads(out)
-    assert code == 0
-    assert abs(sum(payload["coeffs"]) - 1.0) <= 1e-9
-    assert payload["residual"] < 1e-6 and payload["span_deficient"] is False
-    print("criterion 8 (golden corpus, 13 invocations): PASS")
+
+@pytest.mark.parametrize("argv, want_code, want_payload", GOLDEN_CORPUS, ids=[" ".join(row[0]) for row in GOLDEN_CORPUS])
+def test_criterion_8_golden_corpus(argv, want_code, want_payload, capsys):
+    name = " ".join(argv)
+    argv = [str(GOLDEN / a) if (GOLDEN / a).exists() else a for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == want_code
+    if want_payload is None:
+        assert not out and "error:" in err
+    elif isinstance(want_payload, Process):
+        record = json.loads(out)
+        process_from_dict(record)
+        dims = [list(s.dims) for s in (want_payload.in_sys, want_payload.out_sys)]
+        assert record.keys() == {"choi", "in", "out"} and [record["in"], record["out"]] == dims
+        pairs = np.array(record["choi"])
+        assert np.linalg.norm(pairs[..., 0] + 1j * pairs[..., 1] - want_payload.choi) <= 1e-12
+    elif want_payload == "jsonl":
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert len(lines) == 5
+        assert _json_close(
+            lines[0], {"premise": "soc2", "holds": True, "residual": 0.0}
+        )
+        for t, rec in enumerate(lines[1:4]):
+            assert _json_close(
+                rec,
+                {"trial": t, "causal": True, "residual": 0.0, "seed": 1_000_003 + t},
+            )
+        assert _json_close(
+            lines[4],
+            {"summary": {"trials": 3, "all_causal": True, "max_residual": 0.0}},
+        )
+    elif want_payload == "affine":
+        payload = json.loads(out)
+        assert abs(sum(payload["coeffs"]) - 1.0) <= 1e-9
+        assert payload["residual"] < 1e-6 and payload["span_deficient"] is False
+    else:
+        assert _json_close(json.loads(out), want_payload)
+    print(f"criterion 8 (golden corpus: {name}): PASS")

@@ -82,13 +82,6 @@ class TestStackedRun:
     )
     @example("spoiled", "theorem1", 1, 2, 1, 0, 2.0)
     @example("dressed", "corollary1", 2, 2, 1, 0, 0.0)
-    # Fixed runs of both claims at the default eps, the longer ones among them.
-    @example("mix", "theorem1", 2, 12, 5, 7, DEFAULT_EPS)
-    @example("mix", "theorem1", 2, 3, 2, 11, DEFAULT_EPS)
-    @example("mix", "theorem1", 3, 2, 1, 0, DEFAULT_EPS)
-    @example("spoiled", "theorem1", 2, 4, 3, 1, DEFAULT_EPS)
-    @example("mix", "corollary1", 2, 10, 4, 5, DEFAULT_EPS)
-    @example("spoiled", "corollary1", 2, 3, 2, 2, DEFAULT_EPS)
     @settings(max_examples=40)
     def test_equals_one_trial_at_a_time(self, order, claim, m, trials, chunk, seed, eps):
         # The element budget is cut down to ``chunk`` trials, so the trial
@@ -110,14 +103,20 @@ class TestStackedRun:
             got = VERIFIERS[claim](w, config)
         assert chunks == [min(chunk, trials - k) for k in range(0, trials, chunk)]
         assert got == one_trial_at_a_time(w, config, claim)
-        # Between rounding and the spoiled order's misses (about 1 or more),
-        # each kind keeps its promise: the premise and every trial hold, or
-        # none does.
-        if eps in (DEFAULT_EPS, 0.5) and order in PRESERVING:
-            assert got.premise_holds and got.all_causal and got.max_residual < 1e-9
-        elif eps in (DEFAULT_EPS, 0.5) and order == "spoiled":
-            assert not got.premise_holds and not any(r.causal for r in got.records)
-            assert min(r.residual for r in got.records) > 0.9
+
+    @pytest.mark.parametrize("order", PRESERVING + ("spoiled",))
+    @pytest.mark.parametrize("claim", sorted(VERIFIERS))
+    def test_each_kind_keeps_its_promise(self, claim, order):
+        # At any eps between rounding and the spoiled order's misses (about
+        # 1 or more), the premise and every trial hold, or none does.
+        for eps in (DEFAULT_EPS, 0.5):
+            got = VERIFIERS[claim](ORDERS[order], HarnessConfig(trials=12, seed=7, ancilla_dim=3, eps=eps))
+            assert [r.trial for r in got.records] == list(range(12))
+            if order in PRESERVING:
+                assert got.premise_holds and got.all_causal and got.max_residual < 1e-9
+            else:
+                assert not got.premise_holds and not any(r.causal for r in got.records)
+                assert min(r.residual for r in got.records) > 0.9
 
     def test_the_premise_is_decided_once_per_supermap(self, monkeypatch):
         # The supermap looks is_soc2 up when it first needs it, so a
